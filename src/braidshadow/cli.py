@@ -15,10 +15,11 @@ import sys
 from .diagram import (
     DiagramError,
     TorusDiagram,
+    a_crossings,
     assemble,
     bridge_params,
     check_transverse,
-    mini_stabilize,
+    endpoint_faults,
     pairwise_links,
     verify_trivial,
 )
@@ -31,7 +32,6 @@ from .documents import (
 )
 from .factorization import (
     Factorization,
-    factorization_key,
     hurwitz_orbit,
     standard_factorization,
     validate,
@@ -58,7 +58,10 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _load_factorization(args: argparse.Namespace) -> Factorization:
     if args.standard is not None:
-        return standard_factorization(args.standard)
+        try:
+            return standard_factorization(args.standard)
+        except BraidError as exc:
+            raise DocumentError(f"--standard: {exc}") from exc
     if args.input is None:
         raise DocumentError("no input: give a factorization file or --standard d")
     return parse_factorization(_read_text(args.input))
@@ -95,7 +98,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     f = _load_factorization(args)
-    diag = mini_stabilize(assemble(f))
+    diag = assemble(f)
     _write_text(args.output, serialize_diagram(diag, source=f))
     return 0
 
@@ -107,17 +110,32 @@ def _load_diagram(args: argparse.Namespace) -> tuple[TorusDiagram, Factorization
     return diag, source
 
 
+def _crossing_text(crossing: tuple) -> str:
+    ai, _si, _t, bi, (x, y) = crossing
+    return f"A arcs {ai} and {bi} cross at ({x % 1:.6f}, {y % 1:.6f})"
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     diag, source = _load_diagram(args)
+    faults = endpoint_faults(diag)
     trans = check_transverse(diag)
-    payload: dict = {"transverse": trans.ok}
-    lines = [f"transversality: {'ok' if trans.ok else 'FAIL'}"]
+    crossings = a_crossings(diag)
+    payload: dict = {
+        "endpoints": not faults,
+        "transverse": trans.ok,
+        "a_crossings": len(crossings),
+    }
+    lines = [f"endpoints: {'ok' if not faults else 'FAIL'}"]
+    lines += [f"  {fault}" for fault in faults]
+    lines.append(f"transversality: {'ok' if trans.ok else 'FAIL'}")
     for v in trans.violations:
         lines.append(
             f"  arc {v.arc_index} ({v.color}) segment {v.segment_index}: "
             f"{v.reason} [{v.start} -> {v.end}]"
         )
-    ok = trans.ok
+    lines.append(f"A crossings: {f'FAIL ({len(crossings)})' if crossings else 'none'}")
+    lines += [f"  {_crossing_text(c)}" for c in crossings]
+    ok = not faults and trans.ok and not crossings
     try:
         params = bridge_params(diag)
     except DiagramError as exc:
@@ -157,6 +175,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
     diag, source = _load_diagram(args)
+    crossings = a_crossings(diag)
+    if crossings:
+        raise DiagramError(
+            f"diagram has {len(crossings)} A crossings, first: {_crossing_text(crossings[0])}"
+        )
     params = bridge_params(diag)
     links = pairwise_links(diag, source) if source is not None else None
     smooth = source.is_smooth_quasipositive() if source is not None else True
@@ -191,12 +214,14 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def _cmd_orbit(args: argparse.Namespace) -> int:
+    if args.budget < 1:
+        raise DocumentError(f"--budget: node budget must be >= 1, got {args.budget}")
     f = _load_factorization(args)
     orbit = hurwitz_orbit(f, args.budget)
     payload = {
         "size": orbit.size,
         "truncated": orbit.truncated,
-        "keys": [repr(factorization_key(e)) for e in orbit.elements],
+        "keys": [repr(k) for k in orbit.keys],
     }
     lines = [
         f"orbit size: {orbit.size}" + (" (truncated at budget)" if orbit.truncated else ""),

@@ -182,6 +182,8 @@ def diagram_from_dict(doc: dict) -> tuple[TorusDiagram, Factorization | None]:
     points = []
     for i, raw in enumerate(raw_points):
         loc = f"{where}.bridge_points[{i}]"
+        if not isinstance(raw, dict):
+            raise DocumentError(f"{loc}: expected an object")
         ident = _intfield(raw, "id", loc)
         if ident != i:
             raise DocumentError(f"{loc}: ids must be 0..n-1 in order, got {ident}")
@@ -199,6 +201,8 @@ def diagram_from_dict(doc: dict) -> tuple[TorusDiagram, Factorization | None]:
     arcs = []
     for i, raw in enumerate(raw_arcs):
         loc = f"{where}.arcs[{i}]"
+        if not isinstance(raw, dict):
+            raise DocumentError(f"{loc}: expected an object")
         color = _require(raw, "color", loc)
         if color not in ("A", "B", "C"):
             raise DocumentError(f"{loc}.color: expected 'A', 'B' or 'C'")

@@ -199,11 +199,13 @@ class HurwitzOrbit:
     """BFS closure of a factorization under Hurwitz moves.
 
     ``elements`` holds one witness per canonical node, sorted by canonical
-    key so the output is independent of exploration order.  ``truncated``
-    is set when the node budget was exhausted before closure.
+    key so the output is independent of exploration order; ``keys`` holds
+    those keys, in the same order.  ``truncated`` is set when the node
+    budget was exhausted before closure.
     """
 
     elements: tuple[Factorization, ...]
+    keys: tuple[tuple[FactorKey, ...], ...]
     truncated: bool
 
     @property
@@ -236,8 +238,10 @@ def hurwitz_orbit(f: Factorization, bound: int) -> HurwitzOrbit:
                 queue.append(nxt)
             if truncated:
                 break
-    ordered = tuple(seen[key] for key in sorted(seen))
-    return HurwitzOrbit(elements=ordered, truncated=truncated)
+    keys = tuple(sorted(seen))
+    return HurwitzOrbit(
+        elements=tuple(seen[key] for key in keys), keys=keys, truncated=truncated
+    )
 
 
 def random_factorization(

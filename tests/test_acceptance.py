@@ -18,7 +18,6 @@ from braidshadow.diagram import (
     assemble,
     bridge_params,
     check_transverse,
-    mini_stabilize,
     pairwise_links,
     verify_trivial,
 )
@@ -59,10 +58,10 @@ def corpus():
     entries = []
     for d in (2, 3, 4):
         f = standard_factorization(d)
-        entries.append((f, mini_stabilize(assemble(f))))
+        entries.append((f, assemble(f)))
     for _ in range(100):
         f = random_factorization(3, rng, moves=rng.randint(1, 15), max_conjugator_length=4)
-        entries.append((f, mini_stabilize(assemble(f))))
+        entries.append((f, assemble(f)))
     return entries
 
 
@@ -86,7 +85,7 @@ def test_criterion_2_parameter_formula():
     ok = True
     for d in (2, 3, 4):
         f = standard_factorization(d)
-        diag = mini_stabilize(assemble(f))
+        diag = assemble(f)
         params = bridge_params(diag)
         s = 2 * sum(len(g.conjugator) for g in f.factors)
         ok = ok and diag.stabilization_count == s
@@ -154,7 +153,7 @@ def test_criterion_5_transversality(corpus):
     ok = all(check_transverse(diag).ok for _, diag in corpus)
     # singular tiles (k = 2) must pass as well
     cusp = Factorization(2, (singular_factor(identity(2), 2),))
-    ok = ok and check_transverse(mini_stabilize(assemble(cusp))).ok
+    ok = ok and check_transverse(assemble(cusp)).ok
     fixtures = _violating_fixtures()
     ok = ok and len(fixtures) == 10
     for diag, arc_idx, seg_idx in fixtures:
@@ -178,10 +177,10 @@ def test_criterion_6_triviality_and_mutation(corpus):
     bases = []
     for d in (3, 4):
         f = standard_factorization(d)
-        bases.append((f, mini_stabilize(assemble(f))))
+        bases.append((f, assemble(f)))
     for _ in range(8):
         f = random_factorization(3, rng, moves=6, max_conjugator_length=4)
-        bases.append((f, mini_stabilize(assemble(f))))
+        bases.append((f, assemble(f)))
     while trials < 100:
         f, diag = bases[trials % len(bases)]
         idx = rng.randrange(len(f.factors))
@@ -305,7 +304,7 @@ def test_criterion_9_io_round_trips():
     # built diagrams round-trip with their source embedded
     for d in (2, 3):
         f = standard_factorization(d)
-        diag = mini_stabilize(assemble(f))
+        diag = assemble(f)
         loaded, source = parse_diagram(serialize_diagram(diag, source=f))
         ok = ok and loaded == diag and source == f
         ok = ok and export_svg(diag) == export_svg(loaded)

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from braidshadow.cli import run_cli
-from braidshadow.documents import serialize_factorization
+from braidshadow.diagram import Arc, BridgePoint, TorusDiagram
+from braidshadow.documents import serialize_diagram, serialize_factorization
 from braidshadow.factorization import BandFactor, Factorization, standard_factorization
 from braidshadow.words import identity
 
@@ -104,3 +105,71 @@ def test_reports_are_deterministic(capsys):
         _, out, _ = run(capsys, ["verify", "--standard", "3", "--json"])
         outs.add(out)
     assert len(outs) == 1
+
+
+def test_standard_below_two_is_a_usage_error(capsys):
+    code, _, err = run(capsys, ["build", "--standard", "1"])
+    assert code == 2
+    assert "--standard" in err and "Traceback" not in err
+
+
+def test_orbit_zero_budget_is_a_usage_error(capsys):
+    code, _, err = run(capsys, ["orbit", "--standard", "3", "--budget", "0"])
+    assert code == 2
+    assert "--budget" in err
+
+
+def _diagram_text(points, arcs):
+    return json.dumps({"format_version": "1", "type": "diagram", "strands": 2,
+                       "stabilization_count": 0, "bridge_points": points, "arcs": arcs})
+
+
+def test_non_object_bridge_point_exits_2(capsys, monkeypatch):
+    code, _, err = run(
+        capsys, ["check", "-"], stdin=_diagram_text([5], []), monkeypatch=monkeypatch
+    )
+    assert code == 2
+    assert "diagram.bridge_points[0]: expected an object" in err
+
+
+def test_check_fails_empty_diagram(capsys, monkeypatch):
+    code, out, _ = run(capsys, ["check", "-"], stdin=_diagram_text([], []), monkeypatch=monkeypatch)
+    assert code == 1
+    assert "endpoints: FAIL" in out and "no bridge points" in out
+
+
+def test_check_fails_moved_bridge_point(capsys, monkeypatch):
+    _, diagram_text, _ = run(capsys, ["build", "--standard", "2"])
+    doc = json.loads(diagram_text)
+    doc["bridge_points"][0].update(x=0.9, y=0.1)
+    code, out, _ = run(capsys, ["check", "-"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
+    assert code == 1
+    assert "endpoints: FAIL" in out and "not at its bridge point 0" in out
+    assert "transversality: ok" in out and "A crossings: none" in out
+
+
+def test_check_and_invariants_refuse_a_crossing(capsys, monkeypatch):
+    # two A arcs crossing once at (0.3, 0.4); B and C arcs close them up
+    points = (
+        BridgePoint(0, 0.2, 0.2, -1),
+        BridgePoint(1, 0.4, 0.6, 1),
+        BridgePoint(2, 0.4, 0.2, -1),
+        BridgePoint(3, 0.2, 0.6, 1),
+    )
+    arcs = (
+        Arc("A", 0, 1, ((0.2, 0.2), (0.4, 0.6))),
+        Arc("A", 2, 3, ((0.4, 0.2), (0.2, 0.6))),
+        Arc("B", 0, 3, ((0.2, 0.2), (-0.8, 0.6))),
+        Arc("B", 2, 1, ((0.4, 0.2), (-0.6, 0.6))),
+        Arc("C", 0, 1, ((0.2, 0.2), (1.4, 0.6))),
+        Arc("C", 2, 3, ((0.4, 0.2), (1.2, 0.6))),
+    )
+    text = serialize_diagram(TorusDiagram(2, points, arcs))
+    code, out, _ = run(capsys, ["check", "-"], stdin=text, monkeypatch=monkeypatch)
+    assert code == 1
+    assert "endpoints: ok" in out and "transversality: ok" in out
+    assert "A crossings: FAIL (1)" in out
+    assert "A arcs 0 and 1 cross at (0.300000, 0.400000)" in out
+    code, _, err = run(capsys, ["invariants", "-"], stdin=text, monkeypatch=monkeypatch)
+    assert code == 1
+    assert "A arcs 0 and 1 cross at (0.300000, 0.400000)" in err

@@ -13,7 +13,6 @@ from braidshadow.diagram import (
     build_tile,
     check_transverse,
     component_label,
-    mini_stabilize,
     pairwise_links,
     verify_trivial,
 )
@@ -29,7 +28,7 @@ from braidshadow.words import BraidWord, full_twist, identity, invert
 
 
 def pipeline(f):
-    diag = mini_stabilize(assemble(f))
+    diag = assemble(f)
     return diag, bridge_params(diag)
 
 
@@ -95,23 +94,11 @@ def test_assemble_rejects_negative_bands():
         assemble(f)
 
 
-def test_mini_stabilize_removes_all_a_crossings():
+def test_assemble_stabilizes_inside_tiles():
     diag = assemble(standard_factorization(3))
-    assert len(a_crossings(diag)) == 12
-    st = mini_stabilize(diag)
-    assert a_crossings(st) == []
-    assert check_transverse(st).ok
-
-
-def test_mini_stabilize_is_identity_when_no_crossings():
-    diag = assemble(standard_factorization(2))
-    assert mini_stabilize(diag) is diag
-
-
-def test_bridge_params_requires_stabilized_diagram():
-    diag = assemble(standard_factorization(3))
-    with pytest.raises(DiagramError):
-        bridge_params(diag)
+    assert diag.stabilization_count == 12
+    assert a_crossings(diag) == []
+    assert check_transverse(diag).ok
 
 
 def test_cusp_tile_gives_trefoil_component():

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidshadow.diagram import assemble, mini_stabilize
+from braidshadow.diagram import assemble
 from braidshadow.documents import (
     DocumentError,
     parse_diagram,
@@ -104,7 +104,7 @@ def test_parse_rejects_wrong_version_and_missing_fields():
 def test_diagram_round_trip_standard():
     for d in (2, 3):
         f = standard_factorization(d)
-        diag = mini_stabilize(assemble(f))
+        diag = assemble(f)
         text = serialize_diagram(diag, source=f)
         loaded, source = parse_diagram(text)
         assert loaded == diag
@@ -115,13 +115,13 @@ def test_diagram_round_trip_random():
     rng = random.Random(17)
     for _ in range(4):
         f = random_factorization(rng.choice((2, 3)), rng, moves=5, max_conjugator_length=3)
-        diag = mini_stabilize(assemble(f))
+        diag = assemble(f)
         loaded, source = parse_diagram(serialize_diagram(diag, source=f))
         assert loaded == diag and source == f
 
 
 def test_diagram_coordinates_serialized_in_unit_square():
-    diag = mini_stabilize(assemble(standard_factorization(3)))
+    diag = assemble(standard_factorization(3))
     doc = json.loads(serialize_diagram(diag))
     for arc in doc["arcs"]:
         for (x, y) in arc["path"]:

@@ -106,6 +106,11 @@ def test_orbit_enumeration_is_deterministic():
     assert runs[0].truncated  # the d=3 orbit does not close within 40 nodes
 
 
+def test_orbit_keys_are_the_elements_keys():
+    orbit = hurwitz_orbit(standard_factorization(3), 40)
+    assert orbit.keys == tuple(factorization_key(e) for e in orbit.elements)
+
+
 def test_orbit_budget_validation():
     with pytest.raises(ValueError):
         hurwitz_orbit(standard_factorization(2), 0)

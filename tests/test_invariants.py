@@ -4,7 +4,6 @@ from braidshadow.diagram import (
     BridgeParams,
     assemble,
     bridge_params,
-    mini_stabilize,
     pairwise_links,
 )
 from braidshadow.factorization import standard_factorization
@@ -62,7 +61,7 @@ def test_bennequin_check_cases():
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_ledger_all_ok_for_standard_diagrams(d):
     f = standard_factorization(d)
-    diag = mini_stabilize(assemble(f))
+    diag = assemble(f)
     params = bridge_params(diag)
     links = pairwise_links(diag, f)
     ledger = make_ledger(params, d, links)

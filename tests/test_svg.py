@@ -1,4 +1,4 @@
-from braidshadow.diagram import TorusDiagram, assemble, mini_stabilize
+from braidshadow.diagram import TorusDiagram, assemble
 from braidshadow.factorization import (
     Factorization,
     singular_factor,
@@ -19,7 +19,7 @@ def test_standard_d2_svg_contents():
 
 
 def test_svg_is_deterministic():
-    diag = mini_stabilize(assemble(standard_factorization(3)))
+    diag = assemble(standard_factorization(3))
     assert export_svg(diag) == export_svg(diag)
 
 
