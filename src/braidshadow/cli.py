@@ -15,6 +15,7 @@ import sys
 from .diagram import (
     DiagramError,
     TorusDiagram,
+    Violation,
     a_crossings,
     assemble,
     bridge_params,
@@ -115,6 +116,13 @@ def _crossing_text(crossing: tuple) -> str:
     return f"A arcs {ai} and {bi} cross at ({x % 1:.6f}, {y % 1:.6f})"
 
 
+def _violation_text(v: Violation) -> str:
+    return (
+        f"arc {v.arc_index} ({v.color}) segment {v.segment_index}: "
+        f"{v.reason} [{v.start} -> {v.end}]"
+    )
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     diag, source = _load_diagram(args)
     faults = endpoint_faults(diag)
@@ -128,11 +136,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     lines = [f"endpoints: {'ok' if not faults else 'FAIL'}"]
     lines += [f"  {fault}" for fault in faults]
     lines.append(f"transversality: {'ok' if trans.ok else 'FAIL'}")
-    for v in trans.violations:
-        lines.append(
-            f"  arc {v.arc_index} ({v.color}) segment {v.segment_index}: "
-            f"{v.reason} [{v.start} -> {v.end}]"
-        )
+    lines += [f"  {_violation_text(v)}" for v in trans.violations]
     lines.append(f"A crossings: {f'FAIL ({len(crossings)})' if crossings else 'none'}")
     lines += [f"  {_crossing_text(c)}" for c in crossings]
     ok = not faults and trans.ok and not crossings
@@ -175,6 +179,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
     diag, source = _load_diagram(args)
+    faults = endpoint_faults(diag)
+    if faults:
+        raise DiagramError(f"diagram has {len(faults)} endpoint faults, first: {faults[0]}")
+    violations = check_transverse(diag).violations
+    if violations:
+        raise DiagramError(
+            f"diagram is not transverse ({len(violations)} violations), "
+            f"first: {_violation_text(violations[0])}"
+        )
     crossings = a_crossings(diag)
     if crossings:
         raise DiagramError(

@@ -21,6 +21,7 @@ strand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .factorization import BandFactor, Factorization, validate
@@ -335,34 +336,91 @@ def _seg_intersection(p, q, r, s):
     return None
 
 
+_PAD = 1e-9
+
+
+def _shifts(lo1: float, hi1: float, lo2: float, hi2: float) -> range:
+    """Integer shifts m for which [lo2 + m, hi2 + m] meets [lo1, hi1]."""
+    return range(math.ceil(lo1 - hi2 - _PAD), math.floor(hi1 - lo2 + _PAD) + 1)
+
+
+def _pair_crossings(seg1, seg2) -> list:
+    """Crossings of segment ``seg1`` with every lattice translate of ``seg2``.
+
+    Segments are (arc, index, p, q, x-interval, y-interval).  Two vertical
+    segments never cross properly, and neighbours on one arc share a
+    vertex, so both are skipped.
+    """
+    ai, si, p, q, x1, y1 = seg1
+    bi, sj, r, s, x2, y2 = seg2
+    if p[0] == q[0] and r[0] == s[0]:
+        return []
+    if ai == bi and abs(si - sj) <= 1:
+        return []
+    out = []
+    for mx in _shifts(*x1, *x2):
+        for my in _shifts(*y1, *y2):
+            hit = _seg_intersection(p, q, (r[0] + mx, r[1] + my), (s[0] + mx, s[1] + my))
+            if hit is not None:
+                t, _u, pt = hit
+                out.append((ai, si, t, bi, pt))
+    return out
+
+
+def _candidate_pairs(segs) -> list[tuple[int, int]]:
+    """Sorted index pairs (u, v), u < v, whose y-intervals meet mod 1.
+
+    Each interval is reduced so its low end lies in [0, 1) and padded by
+    ``_PAD``; one that reaches past 1 is entered again one period down, so
+    pairs meeting across the y = 0 seam overlap too.  A sweep up y keeps
+    the open intervals; each one opening pairs with all that are open.  A
+    segment spanning a whole period pairs with every other, which also
+    keeps the two entries of one segment at least ``_PAD`` apart.
+    """
+    n = len(segs)
+    events = []
+    pairs = set()
+    for u, (*_, (lo, hi)) in enumerate(segs):
+        lo0 = lo % 1.0 - _PAD
+        hi0 = lo0 + (hi - lo) + 2 * _PAD
+        if hi0 - lo0 > 1.0 - _PAD:
+            pairs.update((v, u) if v < u else (u, v) for v in range(n) if v != u)
+            continue
+        events += [(lo0, 0, u), (hi0, 1, u)]
+        if hi0 >= 1.0:
+            events += [(lo0 - 1.0, 0, u), (hi0 - 1.0, 1, u)]
+    events.sort()  # at equal heights intervals open before others close
+    active: set[int] = set()
+    for _y, closing, u in events:
+        if closing:
+            active.remove(u)
+            continue
+        pairs.update((v, u) if v < u else (u, v) for v in active)
+        active.add(u)
+    return sorted(pairs)
+
+
 def a_crossings(diag: TorusDiagram):
     """All transverse crossings among A arcs on the torus.
 
-    Returns a list of (arc_i, seg_i, t_i, arc_j, seg_j, point) with the
-    point in the lifted coordinates of arc_i's segment.
+    Returns a list of (arc_i, seg_i, t_i, arc_j, point): segment seg_i of
+    arc_i crosses a segment of arc_j at parameter t_i along seg_i, with the
+    point in the lifted coordinates of arc_i's segment.  Two segments are
+    tested against each other over every integer shift in x and y that
+    brings their bounding boxes together; a sweep over y first discards the
+    pairs whose y-intervals do not meet mod 1.  The list is ordered by
+    (segment of arc_i, segment of arc_j, x shift, y shift), segments
+    numbered in arc order, so arc_i <= arc_j.
     """
-    segs = []
-    for ai, arc in enumerate(diag.arcs):
-        if arc.color != "A":
-            continue
-        for si, (p, q) in enumerate(arc.segments()):
-            segs.append((ai, si, p, q, q[0] != p[0]))
+    segs = [
+        (ai, si, p, q, sorted((p[0], q[0])), sorted((p[1], q[1])))
+        for ai, arc in enumerate(diag.arcs)
+        if arc.color == "A"
+        for si, (p, q) in enumerate(arc.segments())
+    ]
     out = []
-    for u in range(len(segs)):
-        ai, si, p, q, diag1 = segs[u]
-        for v in range(u + 1, len(segs)):
-            bi, sj, r, s, diag2 = segs[v]
-            if not (diag1 or diag2):
-                continue
-            if ai == bi and abs(si - sj) <= 1:
-                continue
-            lo = int((min(p[1], q[1]) - max(r[1], s[1])) // 1)
-            hi = int((max(p[1], q[1]) - min(r[1], s[1])) // 1) + 1
-            for my in range(lo, hi + 1):
-                hit = _seg_intersection(p, q, (r[0], r[1] + my), (s[0], s[1] + my))
-                if hit is not None:
-                    t, _u, pt = hit
-                    out.append((ai, si, t, bi, pt))
+    for u, v in _candidate_pairs(segs):
+        out += _pair_crossings(segs[u], segs[v])
     return out
 
 
@@ -464,10 +522,11 @@ def _incidence(diag: TorusDiagram, color: str) -> dict[int, list[int]]:
     return inc
 
 
-def _pair_components(diag: TorusDiagram, color_a: str, color_b: str) -> int:
-    """Closed components of the union of two tangle shadows."""
-    inc_a = _incidence(diag, color_a)
-    inc_b = _incidence(diag, color_b)
+def _pair_components(
+    diag: TorusDiagram, inc_a: dict[int, list[int]], inc_b: dict[int, list[int]]
+) -> int:
+    """Closed components of the union of two tangle shadows, given their
+    incidences from ``_incidence``."""
     seen: set[int] = set()
     comps = 0
     for start in inc_a:
@@ -491,11 +550,11 @@ def bridge_params(diag: TorusDiagram) -> BridgeParams:
     The counts are the bridge parameters only when the diagram has no A
     crossings; ``a_crossings`` is the verifier for that.
     """
-    b = diag.bridge_number
-    c1 = _pair_components(diag, "A", "B")
-    c2 = _pair_components(diag, "B", "C")
-    c3 = _pair_components(diag, "C", "A")
-    return BridgeParams(b, c1, c2, c3, diag.stabilization_count)
+    inc_a, inc_b, inc_c = (_incidence(diag, color) for color in "ABC")
+    c1 = _pair_components(diag, inc_a, inc_b)
+    c2 = _pair_components(diag, inc_b, inc_c)
+    c3 = _pair_components(diag, inc_c, inc_a)
+    return BridgeParams(diag.bridge_number, c1, c2, c3, diag.stabilization_count)
 
 
 def pairwise_links(
@@ -517,7 +576,7 @@ def pairwise_links(
         raise DiagramError("diagram tile count does not match the factorization")
     l1 = TangleLink("H1", identity(d), ())
     labels = tuple(component_label(fac.exponent) for fac in f.factors) + ("unknot",) * s
-    c2 = _pair_components(diag, "B", "C")
+    c2 = _pair_components(diag, _incidence(diag, "B"), _incidence(diag, "C"))
     if c2 != len(labels):
         raise DiagramError(
             f"L2 has {c2} split components, expected {len(labels)}"

@@ -148,6 +148,53 @@ def test_check_fails_moved_bridge_point(capsys, monkeypatch):
     assert "transversality: ok" in out and "A crossings: none" in out
 
 
+def test_invariants_refuses_empty_diagram(capsys, monkeypatch):
+    code, out, err = run(
+        capsys, ["invariants", "-"], stdin=_diagram_text([], []), monkeypatch=monkeypatch
+    )
+    assert code == 1 and out == ""
+    assert "endpoint faults, first: diagram has no bridge points" in err
+
+
+def test_invariants_refuses_moved_bridge_point(capsys, monkeypatch):
+    _, diagram_text, _ = run(capsys, ["build", "--standard", "2"])
+    doc = json.loads(diagram_text)
+    doc["bridge_points"][0].update(x=0.9, y=0.1)
+    code, out, err = run(
+        capsys, ["invariants", "-"], stdin=json.dumps(doc), monkeypatch=monkeypatch
+    )
+    assert code == 1 and out == ""
+    assert "endpoint faults, first: arc" in err and "not at its bridge point 0" in err
+
+
+def test_invariants_refuses_non_transverse_diagram(capsys, monkeypatch):
+    points = (BridgePoint(0, 0.2, 0.6, -1), BridgePoint(1, 0.2, 0.3, 1))
+    arcs = (
+        Arc("A", 0, 1, ((0.2, 0.6), (0.2, 1.3))),
+        Arc("B", 0, 1, ((0.2, 0.6), (-0.8, 1.3))),
+        Arc("C", 0, 1, ((0.2, 0.6), (0.2, 1.3))),
+    )
+    text = serialize_diagram(TorusDiagram(2, points, arcs))
+    code, out, _ = run(capsys, ["check", "-"], stdin=text, monkeypatch=monkeypatch)
+    assert code == 1
+    assert "endpoints: ok" in out and "transversality: FAIL" in out
+    code, out, err = run(capsys, ["invariants", "-"], stdin=text, monkeypatch=monkeypatch)
+    assert code == 1 and out == ""
+    assert "not transverse (1 violations), first: arc 2 (C) segment 0" in err
+
+
+def _assert_both_refuse_crossing(capsys, monkeypatch, points, arcs, report):
+    text = serialize_diagram(TorusDiagram(2, points, arcs))
+    code, out, _ = run(capsys, ["check", "-"], stdin=text, monkeypatch=monkeypatch)
+    assert code == 1
+    assert "endpoints: ok" in out and "transversality: ok" in out
+    assert "A crossings: FAIL (1)" in out
+    assert report in out
+    code, _, err = run(capsys, ["invariants", "-"], stdin=text, monkeypatch=monkeypatch)
+    assert code == 1
+    assert report in err
+
+
 def test_check_and_invariants_refuse_a_crossing(capsys, monkeypatch):
     # two A arcs crossing once at (0.3, 0.4); B and C arcs close them up
     points = (
@@ -164,12 +211,49 @@ def test_check_and_invariants_refuse_a_crossing(capsys, monkeypatch):
         Arc("C", 0, 1, ((0.2, 0.2), (1.4, 0.6))),
         Arc("C", 2, 3, ((0.4, 0.2), (1.2, 0.6))),
     )
-    text = serialize_diagram(TorusDiagram(2, points, arcs))
-    code, out, _ = run(capsys, ["check", "-"], stdin=text, monkeypatch=monkeypatch)
-    assert code == 1
-    assert "endpoints: ok" in out and "transversality: ok" in out
-    assert "A crossings: FAIL (1)" in out
-    assert "A arcs 0 and 1 cross at (0.300000, 0.400000)" in out
-    code, _, err = run(capsys, ["invariants", "-"], stdin=text, monkeypatch=monkeypatch)
-    assert code == 1
-    assert "A arcs 0 and 1 cross at (0.300000, 0.400000)" in err
+    _assert_both_refuse_crossing(
+        capsys, monkeypatch, points, arcs, "A arcs 0 and 1 cross at (0.300000, 0.400000)"
+    )
+
+
+def test_check_and_invariants_refuse_a_crossing_across_the_x_seam(capsys, monkeypatch):
+    # A arcs 0 -> 1 and 2 -> 3 cross once at (0, 0.4), on the x = 0 seam
+    points = (
+        BridgePoint(0, 0.9, 0.2, -1),
+        BridgePoint(1, 0.1, 0.6, 1),
+        BridgePoint(2, 0.1, 0.2, -1),
+        BridgePoint(3, 0.9, 0.6, 1),
+    )
+    arcs = (
+        Arc("A", 0, 1, ((0.9, 0.2), (1.1, 0.6))),
+        Arc("A", 2, 3, ((0.1, 0.2), (-0.1, 0.6))),
+        Arc("B", 0, 3, ((0.9, 0.2), (-0.1, 0.6))),
+        Arc("B", 2, 1, ((0.1, 0.2), (-0.9, 0.6))),
+        Arc("C", 0, 1, ((0.9, 0.2), (2.1, 0.6))),
+        Arc("C", 2, 3, ((0.1, 0.2), (0.9, 0.6))),
+    )
+    _assert_both_refuse_crossing(
+        capsys, monkeypatch, points, arcs, "A arcs 0 and 1 cross at (0.000000, 0.400000)"
+    )
+
+
+def test_standard_5_build_check_invariants(capsys, monkeypatch):
+    d = 5
+    f = standard_factorization(d)
+    n = len(f.factors)
+    s = 2 * sum(len(fac.conjugator) for fac in f.factors)
+    expected = {"b": 2 * n + s, "c1": d, "c2": n + s, "c3": d, "s": s}
+    code, diagram_text, _ = run(capsys, ["build", "--standard", str(d)])
+    assert code == 0
+    code, out, _ = run(
+        capsys, ["check", "-", "--json"], stdin=diagram_text, monkeypatch=monkeypatch
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["ok"] and doc["a_crossings"] == 0 and doc["params"] == expected
+    code, out, _ = run(
+        capsys, ["invariants", "-", "--json"], stdin=diagram_text, monkeypatch=monkeypatch
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["ok"] and all(doc["checks"].values()) and doc["params"] == expected

@@ -1,12 +1,15 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidshadow.diagram import (
     Arc,
     BridgePoint,
     DiagramError,
     TorusDiagram,
+    _seg_intersection,
     a_crossings,
     assemble,
     bridge_params,
@@ -151,3 +154,79 @@ def test_check_transverse_locates_bad_segment():
     assert not report.ok
     v = report.violations[0]
     assert (v.arc_index, v.color, v.segment_index) == (0, "A", 0)
+
+
+def _shift_range(a1, b1, a2, b2, eps=1e-9):
+    """Integer m for which [min(a2, b2) + m, max(a2, b2) + m] meets [min(a1, b1), max(a1, b1)]."""
+    lo = math.ceil(min(a1, b1) - max(a2, b2) - eps)
+    return range(lo, math.floor(max(a1, b1) - min(a2, b2) + eps) + 1)
+
+
+def _all_pairs_crossings(diag):
+    """Reference for ``a_crossings``: test every pair of A segments, over
+    every integer shift in x and y that brings their bounding boxes together."""
+    segs = []
+    for ai, arc in enumerate(diag.arcs):
+        if arc.color != "A":
+            continue
+        for si, (p, q) in enumerate(arc.segments()):
+            segs.append((ai, si, p, q, q[0] != p[0]))
+    out = []
+    for u in range(len(segs)):
+        ai, si, p, q, diag1 = segs[u]
+        for v in range(u + 1, len(segs)):
+            bi, sj, r, s, diag2 = segs[v]
+            if not (diag1 or diag2):
+                continue
+            if ai == bi and abs(si - sj) <= 1:
+                continue
+            for mx in _shift_range(p[0], q[0], r[0], s[0]):
+                for my in _shift_range(p[1], q[1], r[1], s[1]):
+                    hit = _seg_intersection(
+                        p, q, (r[0] + mx, r[1] + my), (s[0] + mx, s[1] + my)
+                    )
+                    if hit is not None:
+                        t, _u, pt = hit
+                        out.append((ai, si, t, bi, pt))
+    return out
+
+
+# Quarter-grid values repeat often, which gives horizontal, vertical,
+# touching and collinear segments; the range wraps both axes and allows
+# segments a whole period or more long.
+_coord = st.one_of(
+    st.integers(-6, 10).map(lambda k: k / 4),
+    st.floats(-1.5, 2.5, allow_nan=False, allow_infinity=False),
+)
+_polyline = st.lists(st.tuples(_coord, _coord), min_size=2, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_polyline, min_size=1, max_size=5))
+def test_a_crossings_matches_all_pairs_oracle(paths):
+    arcs = tuple(Arc("A", 0, 0, tuple(path)) for path in paths)
+    diag = TorusDiagram(2, (), arcs)
+    assert a_crossings(diag) == _all_pairs_crossings(diag)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_a_crossings_matches_oracle_on_standard(d):
+    diag = assemble(standard_factorization(d))
+    assert a_crossings(diag) == _all_pairs_crossings(diag) == []
+
+
+def test_a_crossings_across_both_seams():
+    # arcs 0 and 1 cross only after shifting arc 1 by (+1, 0); arcs 2 and 3
+    # only after shifting arc 3 by (0, +1)
+    arcs = (
+        Arc("A", 0, 0, ((0.9, 0.2), (1.1, 0.6))),
+        Arc("A", 0, 0, ((0.1, 0.2), (-0.1, 0.6))),
+        Arc("A", 0, 0, ((0.5, 0.9), (0.5, 1.1))),
+        Arc("A", 0, 0, ((0.4, 0.0), (0.6, 0.1))),
+    )
+    diag = TorusDiagram(2, (), arcs)
+    found = a_crossings(diag)
+    assert found == _all_pairs_crossings(diag)
+    assert [(ai, bi) for (ai, _si, _t, bi, _pt) in found] == [(0, 1), (2, 3)]
+    assert found[0][4] == pytest.approx((1.0, 0.4))
+    assert found[1][4] == pytest.approx((0.5, 1.05))
