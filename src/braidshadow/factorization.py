@@ -219,15 +219,21 @@ def hurwitz_orbit(f: Factorization, bound: int) -> HurwitzOrbit:
         raise ValueError(f"node budget must be >= 1, got {bound}")
     start_key = factorization_key(f)
     seen: dict[tuple[FactorKey, ...], Factorization] = {start_key: f}
-    queue: deque[Factorization] = deque([f])
+    queue: deque[tuple[Factorization, tuple[FactorKey, ...]]] = deque([(f, start_key)])
     truncated = False
     while queue:
-        node = queue.popleft()
+        node, node_key = queue.popleft()
         n = len(node.factors)
         for i in range(1, n):
             for direction in ("right", "left"):
                 nxt = hurwitz_move(node, i, direction)
-                key = factorization_key(nxt)
+                # A move keeps one of its two bands as it was, so only the
+                # moved band needs a new key.
+                if direction == "right":
+                    pair = (factor_canonical_key(nxt.factors[i - 1]), node_key[i - 1])
+                else:
+                    pair = (node_key[i], factor_canonical_key(nxt.factors[i]))
+                key = node_key[: i - 1] + pair + node_key[i + 1 :]
                 if key in seen:
                     continue
                 if len(seen) >= bound:
@@ -235,7 +241,7 @@ def hurwitz_orbit(f: Factorization, bound: int) -> HurwitzOrbit:
                     queue.clear()
                     break
                 seen[key] = nxt
-                queue.append(nxt)
+                queue.append((nxt, key))
             if truncated:
                 break
     keys = tuple(sorted(seen))

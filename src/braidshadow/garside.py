@@ -52,18 +52,18 @@ def _tau(p: Perm) -> Perm:
     return _then(_then(w0, p), w0)
 
 
-def _left_descents(p: Perm) -> list[int]:
-    """0-indexed i such that sigma_{i+1} is a prefix of the permutation braid p."""
-    return [i for i in range(len(p) - 1) if p[i] > p[i + 1]]
-
-
 def _right_descent_mask(p: Perm) -> list[bool]:
     """mask[i] true iff sigma_{i+1} is a suffix of p."""
     q = _inverse(p)
     return [q[i] > q[i + 1] for i in range(len(p) - 1)]
 
 
-@functools.lru_cache(maxsize=None)
+# Unbounded, the pair cache grows towards (d!)^2 entries in a long-lived
+# process; a pass of 250 word-problem normal forms (d <= 7) uses about 11,000.
+_WEIGHT_PAIR_CACHE_SIZE = 1 << 16
+
+
+@functools.lru_cache(maxsize=_WEIGHT_PAIR_CACHE_SIZE)
 def _weight_pair(x: Perm, y: Perm) -> tuple[Perm, Perm]:
     """Rewrite the product of permutation braids x y as a left-weighted pair.
 
@@ -111,28 +111,21 @@ class NormalForm:
         return self.delta_power == 0 and not self.factors
 
 
-def _normalize_factors(d: int, factors: list[Perm]) -> tuple[int, tuple[Perm, ...]]:
-    ident = _identity_perm(d)
+@functools.cache
+def _letter_table(d: int) -> dict[int, tuple[Perm, Perm]]:
+    """Each letter's simple factor and that factor's tau image.
+
+    sigma_i is its transposition; sigma_i^{-1} = Delta^{-1} r with r the
+    permutation braid Delta sigma_i^{-1}.
+    """
     w0 = _w0(d)
-    out = [f for f in factors if f != ident]
-    # Bubble passes until globally left-weighted; each pair fix is local.
-    changed = True
-    while changed:
-        changed = False
-        for j in range(len(out) - 1):
-            x, y = _weight_pair(out[j], out[j + 1])
-            if (x, y) != (out[j], out[j + 1]):
-                out[j], out[j + 1] = x, y
-                changed = True
-        if changed:
-            out = [f for f in out if f != ident]
-    shift = 0
-    while out and out[0] == w0:
-        shift += 1
-        out.pop(0)
-    while out and out[-1] == ident:
-        out.pop()
-    return shift, tuple(out)
+    table: dict[int, tuple[Perm, Perm]] = {}
+    for i in range(1, d):
+        t = _transposition(d, i)
+        r = _then(w0, t)
+        table[i] = (t, _tau(t))
+        table[-i] = (r, _tau(r))
+    return table
 
 
 def normal_form(w: BraidWord) -> NormalForm:
@@ -140,26 +133,33 @@ def normal_form(w: BraidWord) -> NormalForm:
     d = w.strands
     if d == 1:
         return NormalForm(1, 0, ())
-    p = 0
-    factors: list[Perm] = []
+    table = _letter_table(d)
+    ident = _identity_perm(d)
     w0 = _w0(d)
+    # Moving each Delta^{-1} to the front conjugates every factor before it
+    # by Delta, so a letter's factor is tau'd once per inverse letter after it.
+    later_inverses = sum(1 for x in w.letters if x < 0)
+    p = -later_inverses
+    # Kept left-weighted after every letter: right-multiplying by a simple
+    # factor only re-weights pairs leftwards until one is already weighted.
+    out: list[Perm] = []
     for x in w.letters:
-        if x > 0:
-            factors.append(_transposition(d, x))
-        else:
-            i = -x
-            # sigma_i^{-1} = Delta^{-1} r with r the permutation braid Delta sigma_i^{-1}
-            p -= 1
-            factors = [_tau(f) for f in factors]
-            r = list(w0)
-            for k in range(d):
-                if r[k] == i - 1:
-                    r[k] = i
-                elif r[k] == i:
-                    r[k] = i - 1
-            factors.append(tuple(r))
-    shift, tup = _normalize_factors(d, factors)
-    return NormalForm(d, p + shift, tup)
+        if x < 0:
+            later_inverses -= 1
+        out.append(table[x][later_inverses & 1])
+        j = len(out) - 1
+        while j:
+            left, right = _weight_pair(out[j - 1], out[j])
+            if left == out[j - 1]:
+                break
+            out[j - 1], out[j] = left, right
+            j -= 1
+        while out and out[-1] == ident:
+            out.pop()
+        while out and out[0] == w0:
+            p += 1
+            out.pop(0)
+    return NormalForm(d, p, tuple(out))
 
 
 def normal_form_word(nf: NormalForm) -> BraidWord:

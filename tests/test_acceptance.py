@@ -68,7 +68,7 @@ def corpus():
 def test_criterion_1_standard_factorizations_validate():
     start = time.perf_counter()
     ok = True
-    for d in range(2, 7):
+    for d in range(2, 8):
         f = standard_factorization(d)
         report = validate(f)
         ok = ok and report.valid
@@ -78,7 +78,7 @@ def test_criterion_1_standard_factorizations_validate():
         ok = ok and words_equal(expand(f), full_twist(d))
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 10.0
-    assert _verdict(1, f"standard d=2..6 validate, {elapsed:.2f}s", ok)
+    assert _verdict(1, f"standard d=2..7 validate, {elapsed:.2f}s", ok)
 
 
 def test_criterion_2_parameter_formula():

@@ -1,10 +1,12 @@
 import random
+from collections import deque
 
 import pytest
 
 from braidshadow.factorization import (
     BandFactor,
     Factorization,
+    HurwitzOrbit,
     expand,
     factorization_key,
     hurwitz_move,
@@ -109,6 +111,44 @@ def test_orbit_enumeration_is_deterministic():
 def test_orbit_keys_are_the_elements_keys():
     orbit = hurwitz_orbit(standard_factorization(3), 40)
     assert orbit.keys == tuple(factorization_key(e) for e in orbit.elements)
+
+
+def _reference_orbit(f, bound):
+    """The orbit BFS keying every child with factorization_key."""
+    seen = {factorization_key(f): f}
+    queue = deque([f])
+    truncated = False
+    while queue:
+        node = queue.popleft()
+        for i in range(1, len(node.factors)):
+            for direction in ("right", "left"):
+                nxt = hurwitz_move(node, i, direction)
+                key = factorization_key(nxt)
+                if key in seen:
+                    continue
+                if len(seen) >= bound:
+                    truncated = True
+                    queue.clear()
+                    break
+                seen[key] = nxt
+                queue.append(nxt)
+            if truncated:
+                break
+    keys = tuple(sorted(seen))
+    return HurwitzOrbit(tuple(seen[key] for key in keys), keys, truncated)
+
+
+@pytest.mark.parametrize(
+    "start, bound",
+    [
+        (standard_factorization(2), 100),
+        (standard_factorization(3), 200),
+        (random_factorization(4, random.Random(11), moves=10, max_conjugator_length=4), 40),
+        (random_factorization(4, random.Random(12), moves=10, max_conjugator_length=4), 40),
+    ],
+)
+def test_orbit_matches_reference_bfs(start, bound):
+    assert hurwitz_orbit(start, bound) == _reference_orbit(start, bound)
 
 
 def test_orbit_budget_validation():

@@ -1,8 +1,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidshadow.factorization import expand, standard_factorization
 from braidshadow.garside import (
     NormalForm,
+    _identity_perm,
+    _tau,
+    _transposition,
+    _w0,
+    _weight_pair,
     equal,
     is_trivial,
     normal_form,
@@ -26,6 +32,89 @@ def words(max_strands=5, max_len=24):
             max_size=max_len,
         ).map(lambda ls: BraidWord(d, tuple(ls)))
     )
+
+
+def _normalize_factors(d, factors):
+    ident = _identity_perm(d)
+    w0 = _w0(d)
+    out = [f for f in factors if f != ident]
+    # Bubble passes until globally left-weighted; each pair fix is local.
+    changed = True
+    while changed:
+        changed = False
+        for j in range(len(out) - 1):
+            x, y = _weight_pair(out[j], out[j + 1])
+            if (x, y) != (out[j], out[j + 1]):
+                out[j], out[j + 1] = x, y
+                changed = True
+        if changed:
+            out = [f for f in out if f != ident]
+    shift = 0
+    while out and out[0] == w0:
+        shift += 1
+        out.pop(0)
+    while out and out[-1] == ident:
+        out.pop()
+    return shift, tuple(out)
+
+
+def _eager_normal_form(w):
+    """Reference normal form: tau on every factor per inverse letter, then bubble passes."""
+    d = w.strands
+    if d == 1:
+        return NormalForm(1, 0, ())
+    p = 0
+    factors = []
+    w0 = _w0(d)
+    for x in w.letters:
+        if x > 0:
+            factors.append(_transposition(d, x))
+        else:
+            i = -x
+            # sigma_i^{-1} = Delta^{-1} r with r the permutation braid Delta sigma_i^{-1}
+            p -= 1
+            factors = [_tau(f) for f in factors]
+            r = list(w0)
+            for k in range(d):
+                if r[k] == i - 1:
+                    r[k] = i
+                elif r[k] == i:
+                    r[k] = i - 1
+            factors.append(tuple(r))
+    shift, tup = _normalize_factors(d, factors)
+    return NormalForm(d, p + shift, tup)
+
+
+def oracle_words(max_len=120):
+    """Mixed, all-positive and all-inverse words, and powers of Delta^{+-1}, on 2..7 strands."""
+
+    def for_strands(d):
+        gens = st.integers(1, d - 1)
+        mixed = st.lists(gens.flatmap(lambda i: st.sampled_from([i, -i])), max_size=max_len)
+        positive = st.lists(gens, max_size=max_len)
+        negative = st.lists(gens.map(lambda i: -i), max_size=max_len)
+        half = half_twist_word(d).letters
+        deltas = st.tuples(st.integers(0, max_len // len(half)), st.booleans()).map(
+            lambda kv: list(half * kv[0]) if kv[1] else [-x for x in reversed(half * kv[0])]
+        )
+        return st.one_of(mixed, positive, negative, deltas).map(
+            lambda ls: BraidWord(d, tuple(ls))
+        )
+
+    return st.integers(2, 7).flatmap(for_strands)
+
+
+@given(oracle_words())
+@settings(max_examples=300, deadline=None)
+def test_normal_form_matches_eager_oracle(w):
+    assert normal_form(w) == _eager_normal_form(w)
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_standard_factorization_normal_forms(d):
+    product = expand(standard_factorization(d))
+    assert normal_form(product) == NormalForm(d, 2, ())
+    assert normal_form(compose(product, invert(full_twist(d)))) == NormalForm(d, 0, ())
 
 
 def test_braid_relation():
