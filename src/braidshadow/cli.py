@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -249,7 +250,10 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: ``parse_args`` returns a new Namespace on each
+    # call and keeps no state in the parser.
     parser = argparse.ArgumentParser(
         prog="braidshadow",
         description="Quasipositive factorizations of the full twist and their torus shadow diagrams.",

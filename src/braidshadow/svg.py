@@ -18,15 +18,6 @@ _MARGIN = 20.0
 _COLORS = {"A": "red", "B": "blue", "C": "green"}
 
 
-def _px(x: float) -> str:
-    return f"{_MARGIN + x * _SIZE:.2f}"
-
-
-def _py(y: float) -> str:
-    # flip: diagram y grows upward, SVG y grows downward
-    return f"{_MARGIN + (1.0 - y) * _SIZE:.2f}"
-
-
 def export_svg(diag: TorusDiagram) -> str:
     total = 2 * _MARGIN + _SIZE
     out = [
@@ -42,36 +33,43 @@ def export_svg(diag: TorusDiagram) -> str:
         f'height="{_SIZE:.2f}" fill="white" stroke="black" stroke-width="1"/>',
         '<g clip-path="url(#square)" fill="none" stroke-width="1.5">',
     ]
+    # x maps to _MARGIN + x * _SIZE; y is flipped, since diagram y grows
+    # upward and SVG y downward
     for arc in diag.arcs:
-        color = _COLORS[arc.color]
-        for (p, q) in zip(arc.path, arc.path[1:]):
+        head = f'<polyline stroke="{_COLORS[arc.color]}" points="'
+        path = arc.path
+        for (px, py), (qx, qy) in zip(path, path[1:]):
             # every integer translate of the segment that meets [0,1)^2
-            mx_lo = math.floor(-max(p[0], q[0]))
-            mx_hi = math.ceil(1 - min(p[0], q[0]))
-            my_lo = math.floor(-max(p[1], q[1]))
-            my_hi = math.ceil(1 - min(p[1], q[1]))
-            for mx in range(mx_lo, mx_hi + 1):
-                for my in range(my_lo, my_hi + 1):
-                    x1, y1 = p[0] + mx, p[1] + my
-                    x2, y2 = q[0] + mx, q[1] + my
-                    if max(x1, x2) < 0 or min(x1, x2) > 1:
-                        continue
-                    if max(y1, y2) < 0 or min(y1, y2) > 1:
-                        continue
-                    out.append(
-                        f'<polyline stroke="{color}" points="'
-                        f'{_px(x1)},{_py(y1)} {_px(x2)},{_py(y2)}"/>'
-                    )
+            mxs = range(math.floor(-max(px, qx)), math.ceil(1 - min(px, qx)) + 1)
+            ys = []
+            for my in range(math.floor(-max(py, qy)), math.ceil(1 - min(py, qy)) + 1):
+                y1, y2 = py + my, qy + my
+                if (y1 < 0 and y2 < 0) or (y1 > 1 and y2 > 1):
+                    continue
+                ys.append((f"{_MARGIN + (1.0 - y1) * _SIZE:.2f}",
+                           f"{_MARGIN + (1.0 - y2) * _SIZE:.2f}"))
+            if not ys:
+                continue
+            for mx in mxs:
+                x1, x2 = px + mx, qx + mx
+                if (x1 < 0 and x2 < 0) or (x1 > 1 and x2 > 1):
+                    continue
+                sx1 = f"{_MARGIN + x1 * _SIZE:.2f}"
+                sx2 = f"{_MARGIN + x2 * _SIZE:.2f}"
+                for sy1, sy2 in ys:
+                    out.append(f'{head}{sx1},{sy1} {sx2},{sy2}"/>')
     out.append("</g>")
     for pt in diag.bridge_points:
         fill = "black" if pt.sign > 0 else "white"
+        sx = f"{_MARGIN + pt.x * _SIZE:.2f}"
+        sy = f"{_MARGIN + (1.0 - pt.y) * _SIZE:.2f}"
         out.append(
-            f'<circle cx="{_px(pt.x)}" cy="{_py(pt.y)}" r="3" '
+            f'<circle cx="{sx}" cy="{sy}" r="3" '
             f'fill="{fill}" stroke="black" stroke-width="1"/>'
         )
         label = "+" if pt.sign > 0 else "−"
         out.append(
-            f'<text x="{_px(pt.x)}" y="{float(_py(pt.y)) - 5:.2f}" '
+            f'<text x="{sx}" y="{float(sy) - 5:.2f}" '
             f'font-size="9" text-anchor="middle">{label}{pt.ident}</text>'
         )
     out.append("</svg>")

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import braidshadow
 from braidshadow.cli import run_cli
-from braidshadow.diagram import Arc, BridgePoint, TorusDiagram
+from braidshadow.diagram import Arc, BridgePoint, TorusDiagram, assemble
 from braidshadow.documents import serialize_diagram, serialize_factorization
 from braidshadow.factorization import BandFactor, Factorization, standard_factorization
 from braidshadow.words import identity
@@ -257,3 +261,77 @@ def test_standard_5_build_check_invariants(capsys, monkeypatch):
     assert code == 0
     doc = json.loads(out)
     assert doc["ok"] and all(doc["checks"].values()) and doc["params"] == expected
+
+
+def _standard_2():
+    f = standard_factorization(2)
+    return assemble(f), f
+
+
+def _standard_2_document():
+    return json.loads(serialize_diagram(*_standard_2()))
+
+
+@pytest.mark.parametrize("value", [5, []])
+@pytest.mark.parametrize("verb", ["check", "invariants", "export"])
+def test_non_object_source_factorization_exits_2(capsys, monkeypatch, verb, value):
+    doc = _standard_2_document()
+    doc["source_factorization"] = value
+    code, out, err = run(capsys, [verb, "-"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == "error: diagram.source_factorization: expected an object\n"
+
+
+def test_boolean_wraps_exit_2(capsys, monkeypatch):
+    doc = _standard_2_document()
+    doc["arcs"][0]["wraps"][1] = [True, False]
+    code, out, err = run(capsys, ["check", "-"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == "error: diagram.arcs[0].wraps[1]: expected [wx, wy] integers\n"
+
+
+@pytest.mark.parametrize("verb", ["check", "invariants"])
+def test_negative_stabilization_count_exits_2(capsys, monkeypatch, verb):
+    doc = _standard_2_document()
+    doc["stabilization_count"] = -1
+    code, out, err = run(capsys, [verb, "-"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: diagram.stabilization_count: expected a non-negative integer, got -1\n"
+    )
+
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(braidshadow.__file__)))
+
+
+def _fresh_process(argv, cwd, stdin=""):
+    env = dict(os.environ, PYTHONPATH=_SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "braidshadow", *argv],
+        input=stdin, capture_output=True, text=True, encoding="utf-8", cwd=cwd, env=env,
+        timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_one_parser_serves_many_calls(capsys, monkeypatch, tmp_path):
+    text = serialize_diagram(*_standard_2())
+    calls = [
+        (["check", "-", "--json"], text),
+        (["check", "-"], text),
+        (["build", "--standard", "2", "-o", "d2.json"], ""),
+        (["build", "--standard", "2"], ""),
+        ([], ""),
+        (["check", "-"], text),
+        (["orbit", "--standard", "2", "--budget", "0"], ""),
+        (["orbit", "--standard", "2", "--budget", "5", "--json"], ""),
+        (["frobnicate"], ""),
+        (["verify", "--standard", "3"], ""),
+    ]
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    monkeypatch.chdir(tmp_path)
+    for argv, stdin in calls:
+        in_process = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+        assert in_process == _fresh_process(argv, fresh, stdin), argv
+    assert (tmp_path / "d2.json").read_text() == (fresh / "d2.json").read_text() == text

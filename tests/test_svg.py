@@ -1,3 +1,8 @@
+import math
+
+import pytest
+from hypothesis import given, settings
+
 from braidshadow.diagram import TorusDiagram, assemble
 from braidshadow.factorization import (
     Factorization,
@@ -6,6 +11,7 @@ from braidshadow.factorization import (
 )
 from braidshadow.svg import export_svg
 from braidshadow.words import identity
+from test_documents import hand_built_diagrams
 
 
 def test_standard_d2_svg_contents():
@@ -36,3 +42,86 @@ def test_cusp_tile_has_blue_and_green_wrapping_arcs():
     # the k=2 band's C arc wraps twice, so green segments are drawn in
     # several translated copies
     assert svg.count('stroke="green"') > svg.count('stroke="blue"')
+
+
+# export_svg's loop before _px/_py were inlined, kept as the reference.
+
+_SIZE = 400.0
+_MARGIN = 20.0
+_COLORS = {"A": "red", "B": "blue", "C": "green"}
+
+
+def _px(x):
+    return f"{_MARGIN + x * _SIZE:.2f}"
+
+
+def _py(y):
+    return f"{_MARGIN + (1.0 - y) * _SIZE:.2f}"
+
+
+def reference_export_svg(diag):
+    total = 2 * _MARGIN + _SIZE
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{total:.0f}" height="{total:.0f}" '
+        f'viewBox="0 0 {total:.0f} {total:.0f}">',
+        "<defs>",
+        f'<clipPath id="square"><rect x="{_MARGIN:.2f}" y="{_MARGIN:.2f}" '
+        f'width="{_SIZE:.2f}" height="{_SIZE:.2f}"/></clipPath>',
+        "</defs>",
+        f'<rect x="{_MARGIN:.2f}" y="{_MARGIN:.2f}" width="{_SIZE:.2f}" '
+        f'height="{_SIZE:.2f}" fill="white" stroke="black" stroke-width="1"/>',
+        '<g clip-path="url(#square)" fill="none" stroke-width="1.5">',
+    ]
+    for arc in diag.arcs:
+        color = _COLORS[arc.color]
+        for (p, q) in zip(arc.path, arc.path[1:]):
+            mx_lo = math.floor(-max(p[0], q[0]))
+            mx_hi = math.ceil(1 - min(p[0], q[0]))
+            my_lo = math.floor(-max(p[1], q[1]))
+            my_hi = math.ceil(1 - min(p[1], q[1]))
+            for mx in range(mx_lo, mx_hi + 1):
+                for my in range(my_lo, my_hi + 1):
+                    x1, y1 = p[0] + mx, p[1] + my
+                    x2, y2 = q[0] + mx, q[1] + my
+                    if max(x1, x2) < 0 or min(x1, x2) > 1:
+                        continue
+                    if max(y1, y2) < 0 or min(y1, y2) > 1:
+                        continue
+                    out.append(
+                        f'<polyline stroke="{color}" points="'
+                        f'{_px(x1)},{_py(y1)} {_px(x2)},{_py(y2)}"/>'
+                    )
+    out.append("</g>")
+    for pt in diag.bridge_points:
+        fill = "black" if pt.sign > 0 else "white"
+        out.append(
+            f'<circle cx="{_px(pt.x)}" cy="{_py(pt.y)}" r="3" '
+            f'fill="{fill}" stroke="black" stroke-width="1"/>'
+        )
+        label = "+" if pt.sign > 0 else "−"
+        out.append(
+            f'<text x="{_px(pt.x)}" y="{float(_py(pt.y)) - 5:.2f}" '
+            f'font-size="9" text-anchor="middle">{label}{pt.ident}</text>'
+        )
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_svg_matches_reference_on_standard(d):
+    diag = assemble(standard_factorization(d))
+    assert export_svg(diag) == reference_export_svg(diag)
+
+
+def test_svg_matches_reference_on_cusp_tile():
+    diag = assemble(Factorization(2, (singular_factor(identity(2), 2),)))
+    assert export_svg(diag) == reference_export_svg(diag)
+
+
+# both loops visit every translate of a segment, so keep segments short
+@given(hand_built_diagrams(reach=4))
+@settings(max_examples=200, deadline=None)
+def test_svg_matches_reference(diag):
+    assert export_svg(diag) == reference_export_svg(diag)
