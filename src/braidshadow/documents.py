@@ -200,7 +200,12 @@ def serialize_diagram(diag: TorusDiagram, source: Factorization | None = None) -
 def _coord(v: Any, loc: str) -> float:
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise DocumentError(f"{loc}: expected a number, got {v!r}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:
+        raise DocumentError(
+            f"{loc}: expected a number, got an integer too large for a float"
+        ) from None
 
 
 def _bridge_point(raw: Any, i: int, loc: str) -> BridgePoint:
@@ -291,21 +296,28 @@ def diagram_from_dict(doc: dict) -> tuple[TorusDiagram, Factorization | None]:
         ):
             color, start, end, path, wraps = _arc_fields(raw, f"{where}.arcs[{i}]", n_points)
         lifted = []
-        for j, (v, w) in enumerate(zip(path, wraps)):
-            if not (isinstance(v, list) and len(v) == 2):
-                raise DocumentError(f"{where}.arcs[{i}].path[{j}]: expected [x, y]")
-            if not (isinstance(w, list) and len(w) == 2 and type(w[0]) is int and type(w[1]) is int):
-                raise DocumentError(f"{where}.arcs[{i}].wraps[{j}]: expected [wx, wy] integers")
-            x, y = v
-            if type(x) is not float:
-                x = _coord(x, f"{where}.arcs[{i}].path[{j}]")
-            if type(y) is not float:
-                y = _coord(y, f"{where}.arcs[{i}].path[{j}]")
-            if not (0 <= x < 1 and 0 <= y < 1):
-                raise DocumentError(
-                    f"{where}.arcs[{i}].path[{j}]: base coordinates must lie in [0,1)"
-                )
-            lifted.append((round(x + w[0], 6), round(y + w[1], 6)))
+        try:
+            for j, (v, w) in enumerate(zip(path, wraps)):
+                if not (isinstance(v, list) and len(v) == 2):
+                    raise DocumentError(f"{where}.arcs[{i}].path[{j}]: expected [x, y]")
+                if not (isinstance(w, list) and len(w) == 2
+                        and type(w[0]) is int and type(w[1]) is int):
+                    raise DocumentError(f"{where}.arcs[{i}].wraps[{j}]: expected [wx, wy] integers")
+                x, y = v
+                if type(x) is not float:
+                    x = _coord(x, f"{where}.arcs[{i}].path[{j}]")
+                if type(y) is not float:
+                    y = _coord(y, f"{where}.arcs[{i}].path[{j}]")
+                if not (0 <= x < 1 and 0 <= y < 1):
+                    raise DocumentError(
+                        f"{where}.arcs[{i}].path[{j}]: base coordinates must lie in [0,1)"
+                    )
+                lifted.append((round(x + w[0], 6), round(y + w[1], 6)))
+        except OverflowError:
+            raise DocumentError(
+                f"{where}.arcs[{i}].wraps[{j}]: "
+                "expected [wx, wy] integers, got one too large for a float"
+            ) from None
         arcs.append(Arc(color, start, end, tuple(lifted)))
     diag = TorusDiagram(strands, tuple(points), tuple(arcs), stab)
     source = None

@@ -290,6 +290,28 @@ def test_boolean_wraps_exit_2(capsys, monkeypatch):
     assert err == "error: diagram.arcs[0].wraps[1]: expected [wx, wy] integers\n"
 
 
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        (("arcs", 0, "wraps", 1, 0), "diagram.arcs[0].wraps[1]: "
+         "expected [wx, wy] integers, got one too large for a float"),
+        (("arcs", 0, "path", 1, 0), "diagram.arcs[0].path[1]: "
+         "expected a number, got an integer too large for a float"),
+        (("bridge_points", 0, "x"), "diagram.bridge_points[0].x: "
+         "expected a number, got an integer too large for a float"),
+    ],
+)
+def test_integer_too_large_for_a_float_exits_2(capsys, monkeypatch, path, message):
+    doc = _standard_2_document()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = 10**400
+    code, out, err = run(capsys, ["check", "-"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("verb", ["check", "invariants"])
 def test_negative_stabilization_count_exits_2(capsys, monkeypatch, verb):
     doc = _standard_2_document()

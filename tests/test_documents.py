@@ -375,9 +375,12 @@ _WRAPS_REFUSAL = re.compile(r"diagram\.arcs\[(\d+)\]\.wraps\[(\d+)\]: expected \
 
 
 def _is_new_refusal(doc, message):
-    """The two refusals the reader gained: a boolean wrap, a negative count."""
+    """The refusals the reader gained: a boolean wrap, a negative count, and an
+    integer too large for a float (the reference raises OverflowError)."""
     if message.startswith("diagram.stabilization_count: expected a non-negative integer"):
         return doc["stabilization_count"] < 0
+    if message.endswith("too large for a float"):
+        return _outcome(reference_diagram_from_dict, doc) == ("raised", "OverflowError")
     m = _WRAPS_REFUSAL.fullmatch(message)
     if m is None:
         return False
@@ -415,10 +418,12 @@ def _replacements(value, n_points):
         near = [not value, 0, 1]
     elif isinstance(value, int):
         near = [value - 1, value + 1, -value, 0, 1, -1, 2, n_points - 1, n_points,
-                10**20, float(value), False]
+                10**20, 10**400, False]
+        if value.bit_length() <= 1000:  # 10**400 is too large for a float
+            near.append(float(value))
     elif isinstance(value, float):
         near = [value + 1, value - 1, -value, 0.0, 1.0, 0.999999, -1e-06, math.nan,
-                math.inf, 0, int(value) if math.isfinite(value) else 0]
+                math.inf, 0, int(value) if math.isfinite(value) else 0, 10**400]
     elif isinstance(value, str):
         near = ["A", "B", "C", "D", "", "2", 1]
     elif isinstance(value, list):
