@@ -14,6 +14,7 @@ import json
 import sys
 
 from .diagram import (
+    BridgeParams,
     DiagramError,
     TorusDiagram,
     Violation,
@@ -21,9 +22,8 @@ from .diagram import (
     assemble,
     bridge_params,
     check_transverse,
+    compare_source,
     endpoint_faults,
-    pairwise_links,
-    verify_trivial,
 )
 from .documents import (
     DocumentError,
@@ -107,7 +107,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _load_diagram(args: argparse.Namespace) -> tuple[TorusDiagram, Factorization | None]:
     diag, source = parse_diagram(_read_text(args.input))
-    if getattr(args, "fact", None):
+    if args.fact:
         source = parse_factorization(_read_text(args.fact))
     return diag, source
 
@@ -124,54 +124,76 @@ def _violation_text(v: Violation) -> str:
     )
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    diag, source = _load_diagram(args)
+def _verify(diag: TorusDiagram, source: Factorization | None, first_fault: bool) -> tuple:
+    """Endpoints, transversality, A crossings, parameters and source, in order.
+
+    Returns (endpoint faults, transversality violations, A crossings,
+    params, params_error); params is None when ``bridge_params`` refused
+    the diagram, and params_error is then its message.  With
+    ``first_fault`` the first faulty stage raises a DiagramError that names
+    it instead.  A source that does not fit the parameters raises either way.
+    """
     faults = endpoint_faults(diag)
-    trans = check_transverse(diag)
+    if first_fault and faults:
+        raise DiagramError(f"diagram has {len(faults)} endpoint faults, first: {faults[0]}")
+    violations = check_transverse(diag).violations
+    if first_fault and violations:
+        raise DiagramError(
+            f"diagram is not transverse ({len(violations)} violations), "
+            f"first: {_violation_text(violations[0])}"
+        )
     crossings = a_crossings(diag)
-    payload: dict = {
-        "endpoints": not faults,
-        "transverse": trans.ok,
-        "a_crossings": len(crossings),
-    }
-    lines = [f"endpoints: {'ok' if not faults else 'FAIL'}"]
-    lines += [f"  {fault}" for fault in faults]
-    lines.append(f"transversality: {'ok' if trans.ok else 'FAIL'}")
-    lines += [f"  {_violation_text(v)}" for v in trans.violations]
-    lines.append(f"A crossings: {f'FAIL ({len(crossings)})' if crossings else 'none'}")
-    lines += [f"  {_crossing_text(c)}" for c in crossings]
-    ok = not faults and trans.ok and not crossings
+    if first_fault and crossings:
+        raise DiagramError(
+            f"diagram has {len(crossings)} A crossings, first: {_crossing_text(crossings[0])}"
+        )
     try:
         params = bridge_params(diag)
     except DiagramError as exc:
-        payload["params"] = None
-        lines.append(f"bridge parameters: unavailable ({exc})")
-        ok = False
-    else:
-        payload["params"] = {
-            "b": params.b,
-            "c1": params.c1,
-            "c2": params.c2,
-            "c3": params.c3,
-            "s": params.s,
-        }
-        lines.append(
-            f"parameters: (b; c1, c2, c3) = "
-            f"({params.b}; {params.c1}, {params.c2}, {params.c3}), s = {params.s}"
-        )
+        if first_fault:
+            raise
+        return faults, violations, crossings, None, str(exc)
     if source is not None:
-        links = pairwise_links(diag, source)
-        triv = verify_trivial(links, source)
-        payload["trivial"] = {
-            "L1": triv.l1_ok,
-            "L2": triv.l2_ok,
-            "L3": triv.l3_ok,
-        }
-        for name, flag in (("L1", triv.l1_ok), ("L2", triv.l2_ok), ("L3", triv.l3_ok)):
-            lines.append(f"triviality {name}: {'ok' if flag else 'FAIL'}")
-        ok = ok and triv.ok
+        compare_source(diag, params, source)
+    return faults, violations, crossings, params, ""
+
+
+def _params_text(p: BridgeParams) -> str:
+    return f"({p.b}; {p.c1}, {p.c2}, {p.c3}), s = {p.s}"
+
+
+def _cmd_check(args: argparse.Namespace) -> int:
+    diag, source = _load_diagram(args)
+    faults, violations, crossings, params, params_error = _verify(diag, source, first_fault=False)
+    payload: dict = {
+        "endpoints": not faults,
+        "transverse": not violations,
+        "a_crossings": len(crossings),
+        "params": dataclasses.asdict(params) if params else None,
+    }
+    lines = [f"endpoints: {'ok' if not faults else 'FAIL'}"]
+    lines += [f"  {fault}" for fault in faults]
+    lines.append(f"transversality: {'ok' if not violations else 'FAIL'}")
+    lines += [f"  {_violation_text(v)}" for v in violations]
+    lines.append(f"A crossings: {f'FAIL ({len(crossings)})' if crossings else 'none'}")
+    lines += [f"  {_crossing_text(c)}" for c in crossings]
+    ok = not faults and not violations and not crossings and params is not None
+    if params is None:
+        lines.append(f"bridge parameters: unavailable ({params_error})")
     else:
+        lines.append(f"parameters: (b; c1, c2, c3) = {_params_text(params)}")
+    if source is None:
         lines.append("triviality: skipped (no source factorization)")
+    elif params is None:
+        lines.append("triviality: skipped (bridge parameters unavailable)")
+    else:
+        # compare_source passed, and the tiles then fix L1 and L2; L3 is
+        # trivial exactly when the bands multiply to the full twist
+        trivial = {"L1": True, "L2": True, "L3": validate(source).product_ok}
+        payload["trivial"] = trivial
+        for name, flag in trivial.items():
+            lines.append(f"triviality {name}: {'ok' if flag else 'FAIL'}")
+        ok = ok and trivial["L3"]
     payload["ok"] = ok
     lines.append(f"result: {'pass' if ok else 'FAIL'}")
     _emit(args, payload, lines)
@@ -180,35 +202,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
     diag, source = _load_diagram(args)
-    faults = endpoint_faults(diag)
-    if faults:
-        raise DiagramError(f"diagram has {len(faults)} endpoint faults, first: {faults[0]}")
-    violations = check_transverse(diag).violations
-    if violations:
-        raise DiagramError(
-            f"diagram is not transverse ({len(violations)} violations), "
-            f"first: {_violation_text(violations[0])}"
-        )
-    crossings = a_crossings(diag)
-    if crossings:
-        raise DiagramError(
-            f"diagram has {len(crossings)} A crossings, first: {_crossing_text(crossings[0])}"
-        )
-    params = bridge_params(diag)
-    links = pairwise_links(diag, source) if source is not None else None
+    params = _verify(diag, source, first_fault=True)[3]
+    # L1 closes the trivial d-braid, whose self-linking is -d
+    sl1 = -diag.strands if source is not None else None
     smooth = source.is_smooth_quasipositive() if source is not None else True
-    ledger = make_ledger(params, diag.strands, links, smooth=smooth)
+    ledger = make_ledger(params, diag.strands, sl1, smooth=smooth)
     payload = {
         "degree": ledger.degree,
         "genus_expected": ledger.genus_expected,
         "euler_expected": ledger.euler_expected,
-        "params": {
-            "b": params.b,
-            "c1": params.c1,
-            "c2": params.c2,
-            "c3": params.c3,
-            "s": params.s,
-        },
+        "params": dataclasses.asdict(params),
         "sl": list(ledger.sl),
         "checks": ledger.checks,
         "ok": ledger.all_ok,
@@ -217,7 +220,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
         f"degree  d     = {ledger.degree}",
         f"genus         = {ledger.genus_expected}",
         f"euler char    = {ledger.euler_expected}",
-        f"params        = ({params.b}; {params.c1}, {params.c2}, {params.c3}), s = {params.s}",
+        f"params        = {_params_text(params)}",
         f"self-linking  = {ledger.sl}",
     ]
     for name, flag in sorted(ledger.checks.items()):
@@ -245,7 +248,7 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    diag, _source = _load_diagram(args)
+    diag, _source = parse_diagram(_read_text(args.input))
     _write_text(args.output, export_svg(diag))
     return 0
 
@@ -268,8 +271,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def diag_input(p: argparse.ArgumentParser) -> None:
         p.add_argument("input", help="diagram file ('-' for stdin)")
-        p.add_argument("--fact", help="factorization file for triviality checks")
         p.add_argument("--json", action="store_true", help="machine-readable output")
+
+    def verified_diag_input(p: argparse.ArgumentParser) -> None:
+        diag_input(p)
+        p.add_argument("--fact", help="factorization file for triviality checks")
 
     fact_input(sub.add_parser("verify", help="validate a factorization against the full twist"))
 
@@ -277,8 +283,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fact_input(p)
     p.add_argument("-o", "--output", help="diagram file ('-' or omit for stdout)")
 
-    diag_input(sub.add_parser("check", help="transversality, parameters and triviality"))
-    diag_input(sub.add_parser("invariants", help="numerical invariant ledger"))
+    verified_diag_input(sub.add_parser("check", help="transversality, parameters and triviality"))
+    verified_diag_input(sub.add_parser("invariants", help="numerical invariant ledger"))
 
     p = sub.add_parser("orbit", help="enumerate the Hurwitz orbit")
     fact_input(p)

@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass
 
 from .factorization import BandFactor, Factorization, validate
-from .garside import equal
-from .words import BraidWord, compose, full_twist, identity, invert
 
 Point = tuple[float, float]
 
@@ -95,17 +93,6 @@ class BridgeParams:
         return (self.b, self.c1, self.c2, self.c3)
 
 
-@dataclass(frozen=True)
-class TangleLink:
-    """Solid-torus presentation of a pairwise tangle union L_lambda."""
-
-    ambient: str  # 'H1', 'H2' or 'H3'
-    braid: BraidWord | None  # braid part; None when all components are split
-    components: tuple[str, ...]  # labels of split closed components
-    orientation_reversed: bool = False
-    framing: str | None = None
-
-
 # Tile layout constants (tile-local y in [0, 1)).
 _BOX_LO = (0.08, 0.32)  # g^{-1} box
 _Y_PLUS = 0.42
@@ -149,11 +136,6 @@ class TileFragment:
     b_arcs: tuple[tuple[int, int, tuple[Point, ...]], ...]
     c_arcs: tuple[tuple[int, int, tuple[Point, ...]], ...]
     a_crossing_count: int
-    l2_label: str
-
-
-def component_label(exponent: int) -> str:
-    return "unknot" if exponent == 1 else f"T(2,{exponent + 1})"
 
 
 def build_tile(factor: BandFactor) -> TileFragment:
@@ -235,7 +217,6 @@ def build_tile(factor: BandFactor) -> TileFragment:
         b_arcs=tuple(b_arcs),
         c_arcs=tuple(c_arcs),
         a_crossing_count=2 * len(g),
-        l2_label=component_label(k),
     )
 
 
@@ -479,20 +460,29 @@ def endpoint_faults(diag: TorusDiagram) -> list[str]:
     """Where arcs do not end on their bridge points, one message each.
 
     The diagram must be nonempty, each arc's first and last vertex must
-    reduce mod 1 to its start and end points (within 1e-6), and each point
-    must meet exactly one arc end of each color.
+    reduce mod 1 to its start and end points (within 1e-6), each arc must
+    run from a (-) point to a (+) point, and each point must meet exactly
+    one arc end of each color.
     """
     if not diag.bridge_points:
         return ["diagram has no bridge points"]
     faults = []
     ends = {p.ident: {"A": 0, "B": 0, "C": 0} for p in diag.bridge_points}
     for ai, arc in enumerate(diag.arcs):
-        for ident, (x, y) in ((arc.start, arc.path[0]), (arc.end, arc.path[-1])):
+        for ident, (x, y), sign, role in (
+            (arc.start, arc.path[0], -1, "starts"),
+            (arc.end, arc.path[-1], 1, "ends"),
+        ):
             p = diag.point(ident)
             if _torus_gap(x, p.x) > 1e-6 or _torus_gap(y, p.y) > 1e-6:
                 faults.append(
                     f"arc {ai} ({arc.color}) ends at ({x % 1:.6f}, {y % 1:.6f}), "
                     f"not at its bridge point {ident} ({p.x}, {p.y})"
+                )
+            if p.sign != sign:
+                faults.append(
+                    f"arc {ai} ({arc.color}) {role} at bridge point {ident}, "
+                    f"a ({'+' if p.sign > 0 else '-'}) point; arcs run from (-) to (+)"
                 )
             ends[ident][arc.color] += 1
     for ident, counts in ends.items():
@@ -503,7 +493,7 @@ def endpoint_faults(diag: TorusDiagram) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# bridge parameters and pairwise links
+# bridge parameters and the source factorization
 
 
 def _incidence(diag: TorusDiagram, color: str) -> dict[int, list[int]]:
@@ -551,81 +541,31 @@ def bridge_params(diag: TorusDiagram) -> BridgeParams:
     crossings; ``a_crossings`` is the verifier for that.
     """
     inc_a, inc_b, inc_c = (_incidence(diag, color) for color in "ABC")
+    b, s = diag.bridge_number, diag.stabilization_count
+    if s > b:
+        raise DiagramError(f"stabilization_count s = {s} exceeds the bridge number b = {b}")
     c1 = _pair_components(diag, inc_a, inc_b)
     c2 = _pair_components(diag, inc_b, inc_c)
     c3 = _pair_components(diag, inc_c, inc_a)
-    return BridgeParams(diag.bridge_number, c1, c2, c3, diag.stabilization_count)
+    return BridgeParams(b, c1, c2, c3, s)
 
 
-def pairwise_links(
-    diag: TorusDiagram, f: Factorization
-) -> tuple[TangleLink, TangleLink, TangleLink]:
-    """Solid-torus presentations of L1, L2, L3 for an assembled diagram.
+def compare_source(diag: TorusDiagram, params: BridgeParams, f: Factorization) -> None:
+    """Check that ``params`` of ``diag`` fit its source factorization.
 
-    L1 is the closure of the trivial d-braid; L2 is a split union of one
-    closed component per tile (unknot or T(2,k+1)) plus one unknot per
-    stabilization; L3 is the braid closure, in H_alpha, of
-    g_n s1^{-k_n} g_n^{-1} ... g_1 s1^{-k_1} g_1^{-1} with the beta curve
-    carrying the (1,1) framing.
+    The strand counts must agree, there must be one tile per band, and
+    L2 = B u C must have one component per band plus one per
+    stabilization.  The pairwise links L1 (the closure of the trivial
+    d-braid) and L2 (a split union of the band and stabilization
+    components) are then fixed by the tile construction, and L3 is
+    trivial exactly when the product of the bands is the full twist,
+    which ``validate`` decides; none of the three is read from the
+    diagram itself yet (ROADMAP item 1(b)).
     """
-    d = diag.strands
-    if f.strands != d:
+    if f.strands != diag.strands:
         raise DiagramError("factorization and diagram strand counts differ")
-    s = diag.stabilization_count
     if diag.tile_count != len(f.factors):
         raise DiagramError("diagram tile count does not match the factorization")
-    l1 = TangleLink("H1", identity(d), ())
-    labels = tuple(component_label(fac.exponent) for fac in f.factors) + ("unknot",) * s
-    c2 = _pair_components(diag, _incidence(diag, "B"), _incidence(diag, "C"))
-    if c2 != len(labels):
-        raise DiagramError(
-            f"L2 has {c2} split components, expected {len(labels)}"
-        )
-    l2 = TangleLink("H2", None, labels)
-    word = identity(d)
-    for fac in reversed(f.factors):
-        core = BraidWord(d, (-fac.sign,) * fac.exponent)
-        word = compose(word, compose(compose(fac.conjugator, core), invert(fac.conjugator)))
-    l3 = TangleLink("H1", word, (), orientation_reversed=True, framing="(1,1)")
-    return l1, l2, l3
-
-
-@dataclass(frozen=True)
-class TrivialityReport:
-    l1_ok: bool
-    l2_ok: bool
-    l3_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.l1_ok and self.l2_ok and self.l3_ok
-
-
-def verify_trivial(
-    links: tuple[TangleLink, TangleLink, TangleLink], f: Factorization
-) -> TrivialityReport:
-    """Certify the three pairwise links against the factorization.
-
-    L1 must present the identity braid; L2's split components must match
-    the band exponents (plus stabilization unknots); L3's word must equal
-    the inverse full twist, the algebraic certificate that its closure is
-    the d-component unlink.
-    """
-    l1, l2, l3 = links
-    d = f.strands
-    l1_ok = l1.braid is not None and equal(l1.braid, identity(d))
-    expected = [component_label(fac.exponent) for fac in f.factors]
-    comps = list(l2.components)
-    l2_ok = l2.braid is None and len(comps) >= len(expected)
-    if l2_ok:
-        pool = comps.copy()
-        for label in expected:
-            if label in pool:
-                pool.remove(label)
-            else:
-                l2_ok = False
-                break
-        if l2_ok:
-            l2_ok = all(extra == "unknot" for extra in pool)
-    l3_ok = l3.braid is not None and equal(l3.braid, invert(full_twist(d)))
-    return TrivialityReport(l1_ok, l2_ok, l3_ok)
+    expected = len(f.factors) + params.s
+    if params.c2 != expected:
+        raise DiagramError(f"L2 has {params.c2} split components, expected {expected}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import BridgeParams, TangleLink
+from .diagram import BridgeParams
 from .words import BraidError, BraidWord, exponent_sum
 
 
@@ -83,21 +83,20 @@ class InvariantLedger:
 def make_ledger(
     p: BridgeParams,
     d: int,
-    links: tuple[TangleLink, TangleLink, TangleLink] | None = None,
+    sl1: int | None = None,
     smooth: bool = True,
 ) -> InvariantLedger:
     """Assemble the invariant ledger for a stabilized diagram.
 
-    sl2 and sl3 take their Bennequin-equality values -c2 and -c3; sl1 is
-    computed independently from the L1 braid word when links are given,
-    which cross-checks the equality case.  For singular (non-smooth)
-    input the closed-surface identities are reported but not counted as
-    failures, since the Euler formula only applies to smooth degree-d
-    surfaces.
+    sl2 and sl3 take their Bennequin-equality values -c2 and -c3.  sl1 is
+    the self-linking of L1 when it is known apart from the parameters
+    (-d for a diagram built from a source factorization, whose L1 closes
+    the trivial d-braid), which cross-checks the equality case; otherwise
+    it is -c1.  For singular (non-smooth) input the closed-surface
+    identities are reported but not counted as failures, since the Euler
+    formula only applies to smooth degree-d surfaces.
     """
-    if links is not None and links[0].braid is not None:
-        sl1 = transverse_sl(links[0].braid)
-    else:
+    if sl1 is None:
         sl1 = -p.c1
     sl = (sl1, -p.c2, -p.c3)
     benn = bennequin_check(p, sl)

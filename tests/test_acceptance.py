@@ -18,8 +18,7 @@ from braidshadow.diagram import (
     assemble,
     bridge_params,
     check_transverse,
-    pairwise_links,
-    verify_trivial,
+    compare_source,
 )
 from braidshadow.documents import (
     parse_diagram,
@@ -41,7 +40,7 @@ from braidshadow.factorization import (
 )
 from braidshadow.garside import equal
 from braidshadow.handles import words_equal
-from braidshadow.invariants import genus_expected, sl_sum_check, transverse_sl
+from braidshadow.invariants import genus_expected, make_ledger, sl_sum_check, transverse_sl
 from braidshadow.svg import export_svg
 from braidshadow.words import BraidWord, full_twist, identity
 
@@ -111,8 +110,11 @@ def test_criterion_4_self_linking(corpus):
     for f, diag in corpus:
         d = f.strands
         params = bridge_params(diag)
-        links = pairwise_links(diag, f)
-        ok = ok and transverse_sl(links[0].braid) == -d == -params.c1
+        compare_source(diag, params, f)
+        # L1 closes the trivial d-braid
+        sl1 = transverse_sl(identity(d))
+        ok = ok and sl1 == -d == -params.c1
+        ok = ok and make_ledger(params, d, sl1).checks["sl1_matches_braid_word"]
         ok = ok and sl_sum_check(params, d)
         # the identity is insensitive to extra stabilizations
         for extra in (1, 5, 23):
@@ -169,7 +171,8 @@ def test_criterion_5_transversality(corpus):
 def test_criterion_6_triviality_and_mutation(corpus):
     ok = True
     for f, diag in corpus:
-        ok = ok and verify_trivial(pairwise_links(diag, f), f).ok
+        compare_source(diag, bridge_params(diag), f)
+        ok = ok and validate(f).product_ok
     # mutation: append sigma_2 to one conjugator after assembly; L3 must fail
     rng = random.Random(606)
     failures = 0
@@ -192,8 +195,9 @@ def test_criterion_6_triviality_and_mutation(corpus):
             factors[idx].sign,
         )
         mutated = Factorization(f.strands, tuple(factors))
-        report = verify_trivial(pairwise_links(diag, mutated), mutated)
-        if not report.l3_ok:
+        # the counts still match, so only the product can catch the mutation
+        compare_source(diag, bridge_params(diag), mutated)
+        if not validate(mutated).product_ok:
             failures += 1
         trials += 1
     ok = ok and failures == 100

@@ -10,7 +10,7 @@ from braidshadow.cli import run_cli
 from braidshadow.diagram import Arc, BridgePoint, TorusDiagram, assemble
 from braidshadow.documents import serialize_diagram, serialize_factorization
 from braidshadow.factorization import BandFactor, Factorization, standard_factorization
-from braidshadow.words import identity
+from braidshadow.words import BraidWord, identity
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -357,3 +357,135 @@ def test_one_parser_serves_many_calls(capsys, monkeypatch, tmp_path):
         in_process = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
         assert in_process == _fresh_process(argv, fresh, stdin), argv
     assert (tmp_path / "d2.json").read_text() == (fresh / "d2.json").read_text() == text
+
+
+_GOLDEN = json.loads(
+    open(os.path.join(os.path.dirname(__file__), "golden_reports.json"), encoding="utf-8").read()
+)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("argv", [["check"], ["check", "--json"], ["invariants"],
+                                  ["invariants", "--json"]])
+def test_reports_match_golden_output(capsys, monkeypatch, d, argv):
+    f = standard_factorization(d)
+    text = serialize_diagram(assemble(f), source=f)
+    code, out, err = run(capsys, [*argv, "-"], stdin=text, monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    assert out == _GOLDEN[f"{d} {' '.join(argv)}"]
+
+
+def test_arcs_running_from_plus_to_minus_are_refused(capsys, monkeypatch):
+    doc = _standard_2_document()
+    for point in doc["bridge_points"]:
+        point["sign"] = -point["sign"]
+    text = json.dumps(doc)
+    code, out, _ = run(capsys, ["check", "-"], stdin=text, monkeypatch=monkeypatch)
+    assert code == 1
+    assert "endpoints: FAIL" in out and "result: FAIL" in out
+    assert out.splitlines()[1:3] == [
+        "  arc 0 (B) starts at bridge point 2, a (+) point; arcs run from (-) to (+)",
+        "  arc 0 (B) ends at bridge point 0, a (-) point; arcs run from (-) to (+)",
+    ]
+    code, out, err = run(capsys, ["invariants", "-"], stdin=text, monkeypatch=monkeypatch)
+    assert (code, out) == (1, "")
+    assert err.startswith("failed: diagram has 24 endpoint faults, first: arc 0 (B) starts at")
+
+
+def _over_stabilized_document():
+    doc = _standard_2_document()
+    doc["stabilization_count"] = 9
+    del doc["source_factorization"]
+    return json.dumps(doc)
+
+
+def test_check_refuses_more_stabilizations_than_bridge_points(capsys, monkeypatch):
+    code, out, _ = run(
+        capsys, ["check", "-"], stdin=_over_stabilized_document(), monkeypatch=monkeypatch
+    )
+    assert code == 1
+    assert out.splitlines()[3:] == [
+        "bridge parameters: unavailable "
+        "(stabilization_count s = 9 exceeds the bridge number b = 4)",
+        "triviality: skipped (no source factorization)",
+        "result: FAIL",
+    ]
+
+
+def test_invariants_refuses_more_stabilizations_than_bridge_points(capsys, monkeypatch):
+    code, out, err = run(
+        capsys, ["invariants", "-"], stdin=_over_stabilized_document(), monkeypatch=monkeypatch
+    )
+    assert (code, out) == (1, "")
+    assert err == "failed: stabilization_count s = 9 exceeds the bridge number b = 4\n"
+
+
+def test_check_skips_triviality_when_parameters_are_unavailable(capsys, monkeypatch):
+    doc = _standard_2_document()
+    doc["arcs"][2]["end"] = 0  # bridge point 0 now meets two C arcs
+    code, out, err = run(capsys, ["check", "-"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[0] == "endpoints: FAIL"
+    assert lines[-3:] == [
+        "bridge parameters: unavailable (bridge point 0 touches 2 C arcs, expected 1)",
+        "triviality: skipped (bridge parameters unavailable)",
+        "result: FAIL",
+    ]
+
+
+def test_export_has_no_fact_option(capsys, monkeypatch, tmp_path):
+    fact = tmp_path / "f.json"
+    fact.write_text(serialize_factorization(standard_factorization(2)))
+    code, out, err = run(
+        capsys, ["export", "-", "--fact", str(fact)],
+        stdin=serialize_diagram(*_standard_2()), monkeypatch=monkeypatch,
+    )
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --fact" in err
+
+
+def _fact_file(tmp_path, f):
+    path = tmp_path / "fact.json"
+    path.write_text(serialize_factorization(f))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [["check"], ["check", "--json"], ["invariants"],
+                                  ["invariants", "--json"]])
+def test_fact_option_stands_in_for_the_embedded_source(capsys, monkeypatch, tmp_path, argv):
+    f = standard_factorization(3)
+    diag = assemble(f)
+    embedded = run(
+        capsys, [*argv, "-"], stdin=serialize_diagram(diag, source=f), monkeypatch=monkeypatch
+    )
+    given = run(
+        capsys, [*argv, "-", "--fact", _fact_file(tmp_path, f)],
+        stdin=serialize_diagram(diag), monkeypatch=monkeypatch,
+    )
+    assert given == embedded
+    assert embedded[0] == 0
+
+
+def test_fact_option_with_a_mutated_conjugator_fails_l3(capsys, monkeypatch, tmp_path):
+    f = standard_factorization(3)
+    text = serialize_diagram(assemble(f))
+    factors = list(f.factors)
+    g = factors[0].conjugator
+    factors[0] = BandFactor(BraidWord(3, g.letters + (2,)))
+    fact = _fact_file(tmp_path, Factorization(3, tuple(factors)))
+    code, out, _ = run(capsys, ["check", "-", "--fact", fact], stdin=text,
+                       monkeypatch=monkeypatch)
+    assert code == 1
+    assert out.splitlines()[-4:] == [
+        "triviality L1: ok", "triviality L2: ok", "triviality L3: FAIL", "result: FAIL",
+    ]
+
+
+@pytest.mark.parametrize("verb", ["check", "invariants"])
+def test_fact_option_on_the_wrong_strand_count_fails(capsys, monkeypatch, tmp_path, verb):
+    fact = _fact_file(tmp_path, standard_factorization(3))
+    code, out, err = run(capsys, [verb, "-", "--fact", fact],
+                         stdin=serialize_diagram(*_standard_2()), monkeypatch=monkeypatch)
+    assert (code, out) == (1, "")
+    assert err == "failed: factorization and diagram strand counts differ\n"

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,15 +10,16 @@ from braidshadow.diagram import (
     BridgePoint,
     DiagramError,
     TorusDiagram,
+    _incidence,
+    _pair_components,
     _seg_intersection,
     a_crossings,
     assemble,
     bridge_params,
     build_tile,
     check_transverse,
-    component_label,
-    pairwise_links,
-    verify_trivial,
+    compare_source,
+    endpoint_faults,
 )
 from braidshadow.factorization import (
     BandFactor,
@@ -25,9 +27,124 @@ from braidshadow.factorization import (
     random_factorization,
     singular_factor,
     standard_factorization,
+    validate,
 )
 from braidshadow.garside import equal
-from braidshadow.words import BraidWord, full_twist, identity, invert
+from braidshadow.words import BraidWord, compose, full_twist, identity, invert
+
+
+# -- reference: the pairwise-link certificates that compare_source replaced ----
+# Kept verbatim as the oracle for compare_source + validate.
+
+
+@dataclass(frozen=True)
+class TangleLink:
+    """Solid-torus presentation of a pairwise tangle union L_lambda."""
+
+    ambient: str  # 'H1', 'H2' or 'H3'
+    braid: BraidWord | None  # braid part; None when all components are split
+    components: tuple[str, ...]  # labels of split closed components
+    orientation_reversed: bool = False
+    framing: str | None = None
+
+
+def component_label(exponent: int) -> str:
+    return "unknot" if exponent == 1 else f"T(2,{exponent + 1})"
+
+
+def pairwise_links(
+    diag: TorusDiagram, f: Factorization
+) -> tuple[TangleLink, TangleLink, TangleLink]:
+    """Solid-torus presentations of L1, L2, L3 for an assembled diagram.
+
+    L1 is the closure of the trivial d-braid; L2 is a split union of one
+    closed component per tile (unknot or T(2,k+1)) plus one unknot per
+    stabilization; L3 is the braid closure, in H_alpha, of
+    g_n s1^{-k_n} g_n^{-1} ... g_1 s1^{-k_1} g_1^{-1} with the beta curve
+    carrying the (1,1) framing.
+    """
+    d = diag.strands
+    if f.strands != d:
+        raise DiagramError("factorization and diagram strand counts differ")
+    s = diag.stabilization_count
+    if diag.tile_count != len(f.factors):
+        raise DiagramError("diagram tile count does not match the factorization")
+    l1 = TangleLink("H1", identity(d), ())
+    labels = tuple(component_label(fac.exponent) for fac in f.factors) + ("unknot",) * s
+    c2 = _pair_components(diag, _incidence(diag, "B"), _incidence(diag, "C"))
+    if c2 != len(labels):
+        raise DiagramError(
+            f"L2 has {c2} split components, expected {len(labels)}"
+        )
+    l2 = TangleLink("H2", None, labels)
+    word = identity(d)
+    for fac in reversed(f.factors):
+        core = BraidWord(d, (-fac.sign,) * fac.exponent)
+        word = compose(word, compose(compose(fac.conjugator, core), invert(fac.conjugator)))
+    l3 = TangleLink("H1", word, (), orientation_reversed=True, framing="(1,1)")
+    return l1, l2, l3
+
+
+@dataclass(frozen=True)
+class TrivialityReport:
+    l1_ok: bool
+    l2_ok: bool
+    l3_ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.l1_ok and self.l2_ok and self.l3_ok
+
+
+def verify_trivial(
+    links: tuple[TangleLink, TangleLink, TangleLink], f: Factorization
+) -> TrivialityReport:
+    """Certify the three pairwise links against the factorization.
+
+    L1 must present the identity braid; L2's split components must match
+    the band exponents (plus stabilization unknots); L3's word must equal
+    the inverse full twist, the algebraic certificate that its closure is
+    the d-component unlink.
+    """
+    l1, l2, l3 = links
+    d = f.strands
+    l1_ok = l1.braid is not None and equal(l1.braid, identity(d))
+    expected = [component_label(fac.exponent) for fac in f.factors]
+    comps = list(l2.components)
+    l2_ok = l2.braid is None and len(comps) >= len(expected)
+    if l2_ok:
+        pool = comps.copy()
+        for label in expected:
+            if label in pool:
+                pool.remove(label)
+            else:
+                l2_ok = False
+                break
+        if l2_ok:
+            l2_ok = all(extra == "unknot" for extra in pool)
+    l3_ok = l3.braid is not None and equal(l3.braid, invert(full_twist(d)))
+    return TrivialityReport(l1_ok, l2_ok, l3_ok)
+
+
+# -- end of reference ------------------------------------------------------------
+
+
+def reference_verdicts(diag, f):
+    """(L1, L2, L3) from the reference, or the message it refuses with."""
+    try:
+        report = verify_trivial(pairwise_links(diag, f), f)
+    except DiagramError as exc:
+        return str(exc)
+    return (report.l1_ok, report.l2_ok, report.l3_ok)
+
+
+def source_verdicts(diag, f):
+    """(L1, L2, L3) as ``check`` reports them, or the message it refuses with."""
+    try:
+        compare_source(diag, bridge_params(diag), f)
+    except DiagramError as exc:
+        return str(exc)
+    return (True, True, validate(f).product_ok)
 
 
 def pipeline(f):
@@ -40,7 +157,6 @@ def test_tile_has_four_bridge_points_and_local_arcs():
     signs = [s for (_, _, s) in tile.bridge_points]
     assert signs == [1, 1, -1, -1]
     assert len(tile.b_arcs) == 2 and len(tile.c_arcs) == 2
-    assert tile.l2_label == "unknot"
     assert tile.a_crossing_count == 0
 
 
@@ -110,6 +226,7 @@ def test_cusp_tile_gives_trefoil_component():
     assert params.tuple3() == (2, 2, 1, 1)
     links = pairwise_links(diag, f)
     assert links[1].components == ("T(2,3)",)
+    assert source_verdicts(diag, f) == (True, True, True)
     assert check_transverse(diag).ok
 
 
@@ -129,6 +246,7 @@ def test_verify_trivial_passes_for_standard():
         diag, _ = pipeline(f)
         report = verify_trivial(pairwise_links(diag, f), f)
         assert report.ok
+        assert source_verdicts(diag, f) == (True, True, True)
 
 
 def test_verify_trivial_detects_mutated_conjugator():
@@ -140,6 +258,82 @@ def test_verify_trivial_detects_mutated_conjugator():
     mutated = Factorization(3, tuple(factors))
     report = verify_trivial(pairwise_links(diag, mutated), mutated)
     assert not report.l3_ok
+    assert source_verdicts(diag, mutated) == (True, True, False)
+
+
+def _source_mutations(f, rng):
+    """One source of each kind: a letter appended to a conjugator, a letter
+    removed from one, a factor dropped, and two factors swapped."""
+    factors = list(f.factors)
+    out = []
+    i = rng.randrange(len(factors))
+    g = factors[i].conjugator
+    out.append(factors[:i] + [replace(factors[i], conjugator=BraidWord(
+        f.strands, g.letters + (rng.choice((1, -1)) * rng.randint(1, f.strands - 1),)
+    ))] + factors[i + 1:])
+    words = [k for k, fac in enumerate(factors) if fac.conjugator.letters]
+    if words:
+        i = rng.choice(words)
+        letters = list(factors[i].conjugator.letters)
+        del letters[rng.randrange(len(letters))]
+        out.append(factors[:i] + [replace(factors[i], conjugator=BraidWord(
+            f.strands, tuple(letters)
+        ))] + factors[i + 1:])
+    i = rng.randrange(len(factors))
+    out.append(factors[:i] + factors[i + 1:])
+    i, j = rng.sample(range(len(factors)), 2)
+    swapped = factors.copy()
+    swapped[i], swapped[j] = factors[j], factors[i]
+    out.append(swapped)
+    return [Factorization(f.strands, tuple(m)) for m in out]
+
+
+def test_source_comparison_matches_reference_on_corpus_and_mutations():
+    rng = random.Random(0xB51D)
+    corpus = [standard_factorization(d) for d in (2, 3, 4)]
+    corpus += [
+        random_factorization(3, rng, moves=rng.randint(1, 15), max_conjugator_length=4)
+        for _ in range(100)
+    ]
+    mutation_rng = random.Random(8)
+    verdicts = set()
+    for f in corpus:
+        diag = assemble(f)
+        for source in [f, standard_factorization(f.strands + 1)] + _source_mutations(
+            f, mutation_rng
+        ):
+            verdict = source_verdicts(diag, source)
+            assert verdict == reference_verdicts(diag, source)
+            verdicts.add(verdict)
+    assert verdicts == {
+        (True, True, True),
+        (True, True, False),
+        "factorization and diagram strand counts differ",
+        "diagram tile count does not match the factorization",
+    }
+
+
+def test_source_comparison_refuses_a_wrong_l2_count():
+    f = standard_factorization(3)
+    diag, params = pipeline(f)
+    with pytest.raises(DiagramError, match="L2 has 17 split components, expected 18"):
+        compare_source(diag, replace(params, c2=17), f)
+
+
+def test_assembled_arcs_run_from_minus_to_plus():
+    rng = random.Random(0xB51D)
+    factorizations = [standard_factorization(d) for d in range(2, 6)]
+    factorizations.append(Factorization(2, (singular_factor(identity(2), 2),)))
+    factorizations += [
+        random_factorization(3, rng, moves=rng.randint(1, 15), max_conjugator_length=4)
+        for _ in range(20)
+    ]
+    for f in factorizations:
+        diag = assemble(f)
+        assert endpoint_faults(diag) == []
+        assert all(
+            diag.point(a.start).sign == -1 and diag.point(a.end).sign == 1 for a in diag.arcs
+        )
 
 
 def test_check_transverse_locates_bad_segment():

@@ -1,11 +1,6 @@
 import pytest
 
-from braidshadow.diagram import (
-    BridgeParams,
-    assemble,
-    bridge_params,
-    pairwise_links,
-)
+from braidshadow.diagram import BridgeParams, assemble, bridge_params
 from braidshadow.factorization import standard_factorization
 from braidshadow.invariants import (
     bennequin_check,
@@ -63,8 +58,7 @@ def test_ledger_all_ok_for_standard_diagrams(d):
     f = standard_factorization(d)
     diag = assemble(f)
     params = bridge_params(diag)
-    links = pairwise_links(diag, f)
-    ledger = make_ledger(params, d, links)
+    ledger = make_ledger(params, d, -d)
     assert ledger.all_ok
     assert ledger.genus_expected == (d - 1) * (d - 2) // 2
     assert ledger.euler_expected == 3 * d - d * d
@@ -78,6 +72,14 @@ def test_ledger_flags_failures():
     ledger = make_ledger(bad, 2)
     assert not ledger.checks["euler"]
     assert not ledger.all_ok
+
+
+def test_ledger_sl1_defaults_to_minus_c1():
+    p = BridgeParams(24, 3, 18, 3, 12)
+    assert make_ledger(p, 3).sl == (-3, -18, -3)
+    ledger = make_ledger(p, 3, -4)
+    assert ledger.sl == (-4, -18, -3)
+    assert not ledger.checks["sl1_matches_braid_word"]
 
 
 def test_ledger_for_singular_input_skips_smooth_identities():
