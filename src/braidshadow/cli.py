@@ -112,15 +112,21 @@ def _load_diagram(args: argparse.Namespace) -> tuple[TorusDiagram, Factorization
     return diag, source
 
 
-def _crossing_text(crossing: tuple) -> str:
-    ai, _si, _t, bi, (x, y) = crossing
-    return f"A arcs {ai} and {bi} cross at ({x % 1:.6f}, {y % 1:.6f})"
+def _unit(v: tuple, scale: tuple[int, int]) -> tuple[float, float]:
+    """Lattice coordinates as fractions of a period."""
+    return (v[0] / scale[0], v[1] / scale[1])
 
 
-def _violation_text(v: Violation) -> str:
+def _crossing_text(crossing: tuple, scale: tuple[int, int]) -> str:
+    ai, _si, _t, bi, pt = crossing
+    x, y = (float(c % 1) for c in _unit(pt, scale))
+    return f"A arcs {ai} and {bi} cross at ({x:.6f}, {y:.6f})"
+
+
+def _violation_text(v: Violation, scale: tuple[int, int]) -> str:
     return (
         f"arc {v.arc_index} ({v.color}) segment {v.segment_index}: "
-        f"{v.reason} [{v.start} -> {v.end}]"
+        f"{v.reason} [{_unit(v.start, scale)} -> {_unit(v.end, scale)}]"
     )
 
 
@@ -128,10 +134,12 @@ def _verify(diag: TorusDiagram, source: Factorization | None, first_fault: bool)
     """Endpoints, transversality, A crossings, parameters and source, in order.
 
     Returns (endpoint faults, transversality violations, A crossings,
-    params, params_error); params is None when ``bridge_params`` refused
-    the diagram, and params_error is then its message.  With
-    ``first_fault`` the first faulty stage raises a DiagramError that names
-    it instead.  A source that does not fit the parameters raises either way.
+    params, params_error, trivial); params is None when ``bridge_params``
+    refused the diagram, and params_error is then its message.  trivial
+    maps L1, L2, L3 to their verdicts, or is None without a source or
+    params.  With ``first_fault`` the first faulty stage raises a
+    DiagramError that names it instead.  A source that does not fit the
+    parameters raises either way.
     """
     faults = endpoint_faults(diag)
     if first_fault and faults:
@@ -140,22 +148,31 @@ def _verify(diag: TorusDiagram, source: Factorization | None, first_fault: bool)
     if first_fault and violations:
         raise DiagramError(
             f"diagram is not transverse ({len(violations)} violations), "
-            f"first: {_violation_text(violations[0])}"
+            f"first: {_violation_text(violations[0], diag.scale)}"
         )
     crossings = a_crossings(diag)
     if first_fault and crossings:
         raise DiagramError(
-            f"diagram has {len(crossings)} A crossings, first: {_crossing_text(crossings[0])}"
+            f"diagram has {len(crossings)} A crossings, "
+            f"first: {_crossing_text(crossings[0], diag.scale)}"
         )
     try:
         params = bridge_params(diag)
     except DiagramError as exc:
         if first_fault:
             raise
-        return faults, violations, crossings, None, str(exc)
+        return faults, violations, crossings, None, str(exc), None
+    trivial = None
     if source is not None:
         compare_source(diag, params, source)
-    return faults, violations, crossings, params, ""
+        # compare_source passed, and the tiles then fix L1 and L2; L3 is
+        # trivial exactly when the bands multiply to the full twist
+        trivial = {"L1": True, "L2": True, "L3": validate(source).product_ok}
+        if first_fault and not trivial["L3"]:
+            raise DiagramError(
+                "source bands do not multiply to the full twist, so L3 is not trivial"
+            )
+    return faults, violations, crossings, params, "", trivial
 
 
 def _params_text(p: BridgeParams) -> str:
@@ -164,7 +181,9 @@ def _params_text(p: BridgeParams) -> str:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     diag, source = _load_diagram(args)
-    faults, violations, crossings, params, params_error = _verify(diag, source, first_fault=False)
+    faults, violations, crossings, params, params_error, trivial = _verify(
+        diag, source, first_fault=False
+    )
     payload: dict = {
         "endpoints": not faults,
         "transverse": not violations,
@@ -174,9 +193,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     lines = [f"endpoints: {'ok' if not faults else 'FAIL'}"]
     lines += [f"  {fault}" for fault in faults]
     lines.append(f"transversality: {'ok' if not violations else 'FAIL'}")
-    lines += [f"  {_violation_text(v)}" for v in violations]
+    lines += [f"  {_violation_text(v, diag.scale)}" for v in violations]
     lines.append(f"A crossings: {f'FAIL ({len(crossings)})' if crossings else 'none'}")
-    lines += [f"  {_crossing_text(c)}" for c in crossings]
+    lines += [f"  {_crossing_text(c, diag.scale)}" for c in crossings]
     ok = not faults and not violations and not crossings and params is not None
     if params is None:
         lines.append(f"bridge parameters: unavailable ({params_error})")
@@ -187,9 +206,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     elif params is None:
         lines.append("triviality: skipped (bridge parameters unavailable)")
     else:
-        # compare_source passed, and the tiles then fix L1 and L2; L3 is
-        # trivial exactly when the bands multiply to the full twist
-        trivial = {"L1": True, "L2": True, "L3": validate(source).product_ok}
         payload["trivial"] = trivial
         for name, flag in trivial.items():
             lines.append(f"triviality {name}: {'ok' if flag else 'FAIL'}")

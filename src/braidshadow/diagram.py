@@ -1,16 +1,19 @@
 """Torus shadow diagrams of bridge-trisected surfaces.
 
-The flat torus is the unit square with opposite sides identified.  A
-diagram built from a band factorization stacks one rectangular tile per
-band, in reverse order (last factor on top), so that reading the diagram
-top to bottom spells g_n s1^{-k_n} g_n^{-1} ... g_1 s1^{-k_1} g_1^{-1}.
+The flat torus is the unit square with opposite sides identified.  Every
+coordinate is an integer on the diagram's lattice of ``scale = (Nx, Ny)``
+points per period, (X, Y) standing for (X/Nx, Y/Ny), so the verifiers
+below decide with integer arithmetic alone.  A diagram built from a band
+factorization stacks one rectangular tile per band, in reverse order
+(last factor on top), so that reading the diagram top to bottom spells
+g_n s1^{-k_n} g_n^{-1} ... g_1 s1^{-k_1} g_1^{-1}.
 
 Arc paths are stored as PL vertex lists in *lifted* coordinates: the
-first vertex lies in [0,1)^2 and later vertices may leave the square;
-reducing mod 1 gives the torus picture.  Every arc is oriented from its
-(-) bridge point to its (+) bridge point.  Transversality is the
-color-wise monotonicity of those oriented arcs: A strictly up, B strictly
-left, C strictly decreasing in y - x.
+first vertex lies in [0,Nx) x [0,Ny) and later vertices may leave it;
+reducing mod (Nx, Ny) gives the torus picture.  Every arc is oriented
+from its (-) bridge point to its (+) bridge point.  Transversality is
+the color-wise monotonicity of those oriented arcs: A strictly up, B
+strictly left, C strictly decreasing in y - x.
 
 Orientation convention: within a tile the (+) pair sits on the lower
 band level and the (-) pair above it, and each mini-stabilization cuts
@@ -21,27 +24,23 @@ strand.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .factorization import BandFactor, Factorization, validate
 
-Point = tuple[float, float]
+Point = tuple[int, int]
 
 
 class DiagramError(ValueError):
     """Raised when a diagram is malformed or an operation's input is unusable."""
 
 
-def _r6(v: float) -> float:
-    return round(v, 6)
-
-
 @dataclass(frozen=True)
 class BridgePoint:
     ident: int
-    x: float
-    y: float
+    x: int  # in [0, Nx)
+    y: int  # in [0, Ny)
     sign: int  # +1 or -1
 
 
@@ -59,15 +58,13 @@ class Arc:
 @dataclass(frozen=True)
 class TorusDiagram:
     strands: int
+    scale: tuple[int, int]  # (Nx, Ny): lattice points per period
     bridge_points: tuple[BridgePoint, ...]
     arcs: tuple[Arc, ...]
     stabilization_count: int = 0
 
     def point(self, ident: int) -> BridgePoint:
         return self.bridge_points[ident]
-
-    def arcs_of(self, color: str) -> list[Arc]:
-        return [a for a in self.arcs if a.color == color]
 
     @property
     def bridge_number(self) -> int:
@@ -93,15 +90,15 @@ class BridgeParams:
         return (self.b, self.c1, self.c2, self.c3)
 
 
-# Tile layout constants (tile-local y in [0, 1)).
-_BOX_LO = (0.08, 0.32)  # g^{-1} box
-_Y_PLUS = 0.42
-_Y_MINUS = 0.58
-_BOX_HI = (0.68, 0.92)  # g box
+# Tile layout: column p sits at X = 4(p + 1) of Nx = 4(d + 1).  Each
+# braid-box letter, and the band between the two boxes, takes a step of 4
+# rows cut at rows 1 and 3, so the quarter points of a letter's diagonal
+# are lattice points, and a tile with conjugator g is 4(2|g| + 1) rows high.
+_STEP = 4
 
 
-def _column_x(strands: int, pos: int) -> float:
-    return _r6((pos + 1) / (strands + 1))
+def _column_x(pos: int) -> int:
+    return _STEP * (pos + 1)
 
 
 @dataclass(frozen=True)
@@ -116,7 +113,7 @@ class Cut:
 
 @dataclass(frozen=True)
 class TileFragment:
-    """One band's tile in tile-local coordinates, already mini-stabilized.
+    """One band's tile, already mini-stabilized, in lattice rows 0..height.
 
     ``bridge_points``: (x, y, sign) entries, first the band's four in the
     order [+0, +1, -0, -1] (columns 0 and 1 of the band), then one (+, -)
@@ -129,9 +126,8 @@ class TileFragment:
     stabilization each.
     """
 
-    strands: int
-    exponent: int
-    bridge_points: tuple[tuple[float, float, int], ...]
+    height: int
+    bridge_points: tuple[tuple[int, int, int], ...]
     a_strands: tuple[tuple[Point | Cut, ...], ...]
     b_arcs: tuple[tuple[int, int, tuple[Point, ...]], ...]
     c_arcs: tuple[tuple[int, int, tuple[Point, ...]], ...]
@@ -155,42 +151,42 @@ def build_tile(factor: BandFactor) -> TileFragment:
     d = factor.strands
     g = factor.conjugator.letters
     k = factor.exponent
-    x0, x1 = _column_x(d, 0), _column_x(d, 1)
-    points = [(x0, _Y_PLUS, 1), (x1, _Y_PLUS, 1), (x0, _Y_MINUS, -1), (x1, _Y_MINUS, -1)]
+    nx = _column_x(d)
+    x0, x1 = _column_x(0), _column_x(1)
+    # the band's step sits between the boxes, cut like a letter's
+    y_plus, y_minus = _STEP * len(g) + 1, _STEP * len(g) + 3
+    points = [(x0, y_plus, 1), (x1, y_plus, 1), (x0, y_minus, -1), (x1, y_minus, -1)]
     b_arcs = [
-        (2, 0, ((x0, _Y_MINUS), (_r6(x0 - 1.0), _Y_PLUS))),
-        (3, 1, ((x1, _Y_MINUS), (_r6(x1 - 1.0), _Y_PLUS))),
+        (2, 0, ((x0, y_minus), (x0 - nx, y_plus))),
+        (3, 1, ((x1, y_minus), (x1 - nx, y_plus))),
     ]
     c_arcs = [
-        (2, 1, ((x0, _Y_MINUS), (_r6(x1 + 1.0), _Y_PLUS))),
-        (3, 0, ((x1, _Y_MINUS), (_r6(x0 + float(k)), _Y_PLUS))),
+        (2, 1, ((x0, y_minus), (x1 + nx, y_plus))),
+        (3, 0, ((x1, y_minus), (x0 + k * nx, y_plus))),
     ]
-    strands: list[list[Point | Cut]] = [[(_column_x(d, p), 0.0)] for p in range(d)]
+    strands: list[list[Point | Cut]] = [[(_column_x(p), 0)] for p in range(d)]
 
-    def add(strand: int, x: float, y: float) -> None:
-        v = (_r6(x), _r6(y))
-        if strands[strand][-1] != v:
-            strands[strand].append(v)
+    def add(strand: int, x: int, y: int) -> None:
+        if strands[strand][-1] != (x, y):
+            strands[strand].append((x, y))
 
     def stabilize(strand: int, plus: Point, minus: Point) -> None:
         i = len(points)
         points.extend([(*plus, 1), (*minus, -1)])
-        b_arcs.append((i + 1, i, (minus, (_r6(plus[0] - 1.0), plus[1]))))
-        c_arcs.append((i + 1, i, (minus, (_r6(plus[0] + 1.0), plus[1]))))
+        b_arcs.append((i + 1, i, (minus, (plus[0] - nx, plus[1]))))
+        c_arcs.append((i + 1, i, (minus, (plus[0] + nx, plus[1]))))
         strands[strand].append(Cut(i, i + 1))
 
-    def run_box(word: tuple[int, ...], y_lo: float, y_hi: float) -> None:
-        """Draw a braid box; ``cur[pos]`` is the strand at column pos."""
-        m = len(word)
+    def run_box(word: tuple[int, ...], y0: int) -> None:
+        """Draw a braid box from row y0; ``cur[pos]`` is the strand at column pos."""
         for step, letter in enumerate(word):
             i = abs(letter) - 1
-            xa, xb = _column_x(d, i), _column_x(d, i + 1)
-            ya = y_lo + (y_hi - y_lo) * step / m
-            yb = y_lo + (y_hi - y_lo) * (step + 1) / m
+            xa, xb = _column_x(i), _column_x(i + 1)
+            ya = y0 + _STEP * step
+            yb = ya + _STEP
             right, left = cur[i], cur[i + 1]
             add(right, xa, ya)
-            plus, minus = ((_r6(xa + (xb - xa) * t), _r6(ya + (yb - ya) * t)) for t in (0.25, 0.75))
-            stabilize(right, plus, minus)
+            stabilize(right, (xa + 1, ya + 1), (xa + 3, ya + 3))
             add(right, xb, yb)
             add(left, xb, ya)
             add(left, xa, yb)
@@ -200,18 +196,18 @@ def build_tile(factor: BandFactor) -> TileFragment:
     # is g s1^{-k} g^{-1}.  Bottom box letters bottom-to-top: letters of g;
     # top box: reversed(g).  (Shadow crossings ignore letter signs.)
     cur = list(range(d))
-    run_box(g, *_BOX_LO)
+    run_box(g, 0)
     # the band cuts the strands at columns 0 and 1
     strands[cur[0]].append(Cut(0, 2))
     strands[cur[1]].append(Cut(1, 3))
-    run_box(tuple(reversed(g)), *_BOX_HI)
+    run_box(tuple(reversed(g)), _STEP * (len(g) + 1))
+    height = _STEP * (2 * len(g) + 1)
     for p in range(d):
-        add(cur[p], _column_x(d, p), 1.0)
+        add(cur[p], _column_x(p), height)
     if any(cur[p] != p for p in range(d)):
         raise DiagramError("tile permutation did not close up")
     return TileFragment(
-        strands=d,
-        exponent=k,
+        height=height,
         bridge_points=tuple(points),
         a_strands=tuple(tuple(s) for s in strands),
         b_arcs=tuple(b_arcs),
@@ -220,15 +216,12 @@ def build_tile(factor: BandFactor) -> TileFragment:
     )
 
 
-def _shift(path, scale: float, offset: float) -> tuple[Point, ...]:
-    return tuple((x, _r6(y * scale + offset)) for (x, y) in path)
-
-
 def assemble(f: Factorization) -> TorusDiagram:
     """Stack tiles in reverse order into a crossing-free torus diagram.
 
     Tiles come mini-stabilized from ``build_tile``, so the diagram has no
-    A crossings and ``stabilization_count`` is 2 * sum(|g_i|).  The
+    A crossings and ``stabilization_count`` is 2 * sum(|g_i|).  Each tile
+    keeps its own height, so Ny is the sum of the tile heights.  The
     factorization must validate (product equal to the full twist) and
     every band must be positive.
     """
@@ -241,7 +234,6 @@ def assemble(f: Factorization) -> TorusDiagram:
         raise DiagramError("factorization does not multiply to the full twist")
 
     d = f.strands
-    h = 1.0 / len(f.factors)
     points: list[BridgePoint] = []
     arcs: list[Arc] = []
     stabilizations = 0
@@ -253,15 +245,16 @@ def assemble(f: Factorization) -> TorusDiagram:
     head: list[tuple[list[Point], int] | None] = [None] * d
 
     # factors in order: factor 1 is the bottom tile, factor n the top
-    for t, factor in enumerate(f.factors):
+    y0 = 0
+    for factor in f.factors:
         tile = build_tile(factor)
-        y0 = t * h
         base = len(points)
         for (x, y, sign) in tile.bridge_points:
-            points.append(BridgePoint(len(points), x, _r6(y * h + y0), sign))
+            points.append(BridgePoint(len(points), x, y + y0, sign))
         for color, local in (("B", tile.b_arcs), ("C", tile.c_arcs)):
             for (mi, pi, path) in local:
-                arcs.append(Arc(color, base + mi, base + pi, _shift(path, h, y0)))
+                lifted = tuple((x, y + y0) for (x, y) in path)
+                arcs.append(Arc(color, base + mi, base + pi, lifted))
         for col, strand in enumerate(tile.a_strands):
             path = open_path[col]
             for item in strand:
@@ -275,11 +268,12 @@ def assemble(f: Factorization) -> TorusDiagram:
                     path = [(minus.x, minus.y)]
                     open_start[col] = minus.ident
                 else:
-                    v = (item[0], _r6(item[1] * h + y0))
+                    v = (item[0], item[1] + y0)
                     if not path or path[-1] != v:
                         path.append(v)
             open_path[col] = path
         stabilizations += tile.a_crossing_count
+        y0 += tile.height
 
     for col in range(d):
         if head[col] is None:
@@ -289,12 +283,12 @@ def assemble(f: Factorization) -> TorusDiagram:
         first, plus_id = head[col]
         merged = open_path[col]
         for (x, y) in first:
-            v = (x, _r6(y + 1.0))
+            v = (x, y + y0)
             if merged[-1] != v:
                 merged.append(v)
         arcs.append(Arc("A", open_start[col], plus_id, tuple(merged)))
 
-    return TorusDiagram(d, tuple(points), tuple(arcs), stabilizations)
+    return TorusDiagram(d, (_column_x(d), y0), tuple(points), tuple(arcs), stabilizations)
 
 
 # ---------------------------------------------------------------------------
@@ -302,30 +296,33 @@ def assemble(f: Factorization) -> TorusDiagram:
 
 
 def _seg_intersection(p, q, r, s):
-    """Proper interior intersection of segments pq and rs, or None."""
+    """Proper interior intersection of segments pq and rs, or None.
+
+    Exact: (t, u, point), t and u the Fractions of the way along pq and
+    rs, and the point a pair of Fractions in lattice coordinates.
+    """
     d1x, d1y = q[0] - p[0], q[1] - p[1]
     d2x, d2y = s[0] - r[0], s[1] - r[1]
     denom = d1x * d2y - d1y * d2x
-    if abs(denom) < 1e-12:
+    if denom == 0:
         return None
     ex, ey = r[0] - p[0], r[1] - p[1]
-    t = (ex * d2y - ey * d2x) / denom
-    u = (ex * d1y - ey * d1x) / denom
-    eps = 1e-9
-    if eps < t < 1 - eps and eps < u < 1 - eps:
-        return t, u, (p[0] + t * d1x, p[1] + t * d1y)
+    tn = ex * d2y - ey * d2x
+    un = ex * d1y - ey * d1x
+    if denom < 0:
+        denom, tn, un = -denom, -tn, -un
+    if 0 < tn < denom and 0 < un < denom:
+        t = Fraction(tn, denom)
+        return t, Fraction(un, denom), (p[0] + t * d1x, p[1] + t * d1y)
     return None
 
 
-_PAD = 1e-9
+def _shifts(lo1: int, hi1: int, lo2: int, hi2: int, n: int) -> range:
+    """Shifts by whole periods n that bring [lo2, hi2] to meet [lo1, hi1]."""
+    return range(-((hi2 - lo1) // n) * n, ((hi1 - lo2) // n + 1) * n, n)
 
 
-def _shifts(lo1: float, hi1: float, lo2: float, hi2: float) -> range:
-    """Integer shifts m for which [lo2 + m, hi2 + m] meets [lo1, hi1]."""
-    return range(math.ceil(lo1 - hi2 - _PAD), math.floor(hi1 - lo2 + _PAD) + 1)
-
-
-def _pair_crossings(seg1, seg2) -> list:
+def _pair_crossings(seg1, seg2, nx: int, ny: int) -> list:
     """Crossings of segment ``seg1`` with every lattice translate of ``seg2``.
 
     Segments are (arc, index, p, q, x-interval, y-interval).  Two vertical
@@ -339,37 +336,37 @@ def _pair_crossings(seg1, seg2) -> list:
     if ai == bi and abs(si - sj) <= 1:
         return []
     out = []
-    for mx in _shifts(*x1, *x2):
-        for my in _shifts(*y1, *y2):
-            hit = _seg_intersection(p, q, (r[0] + mx, r[1] + my), (s[0] + mx, s[1] + my))
+    for dx in _shifts(*x1, *x2, nx):
+        for dy in _shifts(*y1, *y2, ny):
+            hit = _seg_intersection(p, q, (r[0] + dx, r[1] + dy), (s[0] + dx, s[1] + dy))
             if hit is not None:
                 t, _u, pt = hit
                 out.append((ai, si, t, bi, pt))
     return out
 
 
-def _candidate_pairs(segs) -> list[tuple[int, int]]:
-    """Sorted index pairs (u, v), u < v, whose y-intervals meet mod 1.
+def _candidate_pairs(segs, ny: int) -> list[tuple[int, int]]:
+    """Sorted index pairs (u, v), u < v, whose closed y-intervals meet mod Ny.
 
-    Each interval is reduced so its low end lies in [0, 1) and padded by
-    ``_PAD``; one that reaches past 1 is entered again one period down, so
-    pairs meeting across the y = 0 seam overlap too.  A sweep up y keeps
-    the open intervals; each one opening pairs with all that are open.  A
-    segment spanning a whole period pairs with every other, which also
-    keeps the two entries of one segment at least ``_PAD`` apart.
+    Each interval is moved by whole periods so its low end lies in
+    [0, Ny); one that reaches Ny is entered again one period down, so
+    pairs meeting across the y = 0 seam meet too.  A sweep up y keeps the
+    open intervals; each one opening pairs with all that are open.  A
+    segment spanning a whole period pairs with every other, so the two
+    entries of any other segment are disjoint.
     """
     n = len(segs)
     events = []
     pairs = set()
     for u, (*_, (lo, hi)) in enumerate(segs):
-        lo0 = lo % 1.0 - _PAD
-        hi0 = lo0 + (hi - lo) + 2 * _PAD
-        if hi0 - lo0 > 1.0 - _PAD:
+        if hi - lo >= ny:
             pairs.update((v, u) if v < u else (u, v) for v in range(n) if v != u)
             continue
+        lo0 = lo % ny
+        hi0 = lo0 + (hi - lo)
         events += [(lo0, 0, u), (hi0, 1, u)]
-        if hi0 >= 1.0:
-            events += [(lo0 - 1.0, 0, u), (hi0 - 1.0, 1, u)]
+        if hi0 >= ny:
+            events += [(lo0 - ny, 0, u), (hi0 - ny, 1, u)]
     events.sort()  # at equal heights intervals open before others close
     active: set[int] = set()
     for _y, closing, u in events:
@@ -385,13 +382,14 @@ def a_crossings(diag: TorusDiagram):
     """All transverse crossings among A arcs on the torus.
 
     Returns a list of (arc_i, seg_i, t_i, arc_j, point): segment seg_i of
-    arc_i crosses a segment of arc_j at parameter t_i along seg_i, with the
-    point in the lifted coordinates of arc_i's segment.  Two segments are
-    tested against each other over every integer shift in x and y that
-    brings their bounding boxes together; a sweep over y first discards the
-    pairs whose y-intervals do not meet mod 1.  The list is ordered by
-    (segment of arc_i, segment of arc_j, x shift, y shift), segments
-    numbered in arc order, so arc_i <= arc_j.
+    arc_i crosses a segment of arc_j at the Fraction t_i along seg_i, with
+    the point in the lifted lattice coordinates of arc_i's segment (a pair
+    of Fractions).  Two segments are tested against each other over every
+    shift by whole periods in x and y that brings their bounding boxes
+    together; a sweep over y first discards the pairs whose y-intervals do
+    not meet mod Ny.  The list is ordered by (segment of arc_i, segment of
+    arc_j, x shift, y shift), segments numbered in arc order, so
+    arc_i <= arc_j.
     """
     segs = [
         (ai, si, p, q, sorted((p[0], q[0])), sorted((p[1], q[1])))
@@ -400,8 +398,8 @@ def a_crossings(diag: TorusDiagram):
         for si, (p, q) in enumerate(arc.segments())
     ]
     out = []
-    for u, v in _candidate_pairs(segs):
-        out += _pair_crossings(segs[u], segs[v])
+    for u, v in _candidate_pairs(segs, diag.scale[1]):
+        out += _pair_crossings(segs[u], segs[v], *diag.scale)
     return out
 
 
@@ -425,47 +423,42 @@ class TransversalityReport:
     violations: tuple[Violation, ...]
 
 
-_EPS = 1e-9
-
-
 def check_transverse(diag: TorusDiagram) -> TransversalityReport:
     """Color-wise monotonicity of every oriented arc.
 
     A arcs (oriented - to +) must strictly gain height, B arcs strictly
     lose x, and C arcs strictly lose y - x (the slope-1 foliation
-    coordinate).
+    coordinate, in fractions of a period: dy/Ny < dx/Nx).
     """
+    nx, ny = diag.scale
     violations: list[Violation] = []
     for ai, arc in enumerate(diag.arcs):
         for si, (p, q) in enumerate(arc.segments()):
             if arc.color == "A":
-                bad = q[1] - p[1] <= _EPS
+                bad = q[1] <= p[1]
                 reason = "A segment not moving strictly upward"
             elif arc.color == "B":
-                bad = q[0] - p[0] >= -_EPS
+                bad = q[0] >= p[0]
                 reason = "B segment not moving strictly left"
             else:
-                bad = (q[1] - q[0]) - (p[1] - p[0]) >= -_EPS
+                bad = (q[1] - p[1]) * nx >= (q[0] - p[0]) * ny
                 reason = "C segment not moving strictly down-right"
             if bad:
                 violations.append(Violation(ai, arc.color, si, p, q, reason))
     return TransversalityReport(ok=not violations, violations=tuple(violations))
 
 
-def _torus_gap(a: float, b: float) -> float:
-    return abs((a - b + 0.5) % 1.0 - 0.5)
-
-
 def endpoint_faults(diag: TorusDiagram) -> list[str]:
     """Where arcs do not end on their bridge points, one message each.
 
-    The diagram must be nonempty, each arc's first and last vertex must
-    reduce mod 1 to its start and end points (within 1e-6), each arc must
-    run from a (-) point to a (+) point, and each point must meet exactly
-    one arc end of each color.
+    The diagram must be nonempty, each arc's first and last vertex must be
+    congruent mod (Nx, Ny) to its start and end points, each arc must run
+    from a (-) point to a (+) point, and each point must meet exactly one
+    arc end of each color.
     """
     if not diag.bridge_points:
         return ["diagram has no bridge points"]
+    nx, ny = diag.scale
     faults = []
     ends = {p.ident: {"A": 0, "B": 0, "C": 0} for p in diag.bridge_points}
     for ai, arc in enumerate(diag.arcs):
@@ -474,10 +467,10 @@ def endpoint_faults(diag: TorusDiagram) -> list[str]:
             (arc.end, arc.path[-1], 1, "ends"),
         ):
             p = diag.point(ident)
-            if _torus_gap(x, p.x) > 1e-6 or _torus_gap(y, p.y) > 1e-6:
+            if (x - p.x) % nx or (y - p.y) % ny:
                 faults.append(
-                    f"arc {ai} ({arc.color}) ends at ({x % 1:.6f}, {y % 1:.6f}), "
-                    f"not at its bridge point {ident} ({p.x}, {p.y})"
+                    f"arc {ai} ({arc.color}) ends at ({x % nx / nx:.6f}, {y % ny / ny:.6f}), "
+                    f"not at its bridge point {ident} ({p.x / nx}, {p.y / ny})"
                 )
             if p.sign != sign:
                 faults.append(

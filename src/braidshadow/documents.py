@@ -2,19 +2,22 @@
 
 Both documents carry an explicit ``format_version``.  Generator letters
 are stored exactly as in memory (positive i for sigma_i, negative for
-its inverse).  Arc vertices are stored reduced into [0,1)^2 together
-with integer wrap counts per vertex, so the lifted PL path is
-``(x + wx, y + wy)``; coordinates are fixed to 6 decimal places.
+its inverse).  A diagram document (version 2) stores its lattice
+``scale`` [Nx, Ny] and every coordinate as a lattice integer, arc
+vertices lifted, exactly as in memory.  Version 1 diagram documents
+(6-decimal fractions of a period, with integer wraps per vertex) are
+still read, onto a lattice of 10**6 points per period.  Factorization
+documents, alone or embedded, are version 1.
 
 Documents are written directly, in exactly the text that
-``json.dumps(..., indent=2, sort_keys=True)`` gives for them, because the
-``json`` module cannot use its C encoder for indented output.
+``json.dumps(..., indent=2, sort_keys=True)`` gives for them (every
+number in them is an integer), because the ``json`` module cannot use
+its C encoder for indented output.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from typing import Any
 
 from .diagram import Arc, BridgePoint, TorusDiagram
@@ -22,6 +25,11 @@ from .factorization import BandFactor, Factorization
 from .words import BraidError, BraidWord
 
 FORMAT_VERSION = "1"
+DIAGRAM_VERSION = "2"
+_V1_SCALE = 10**6
+# the largest float plus half its spacing: X / N rounds to a finite float
+# exactly when |X| < N * _FLOAT_BOUND
+_FLOAT_BOUND = 2**1024 - 2**970
 
 
 class DocumentError(ValueError):
@@ -53,23 +61,15 @@ def _load_json(text: str) -> dict:
     return doc
 
 
-def _check_version(doc: dict, where: str) -> None:
+def _check_version(doc: dict, where: str, supported: tuple[str, ...] = (FORMAT_VERSION,)) -> str:
     version = _require(doc, "format_version", where)
-    if version != FORMAT_VERSION:
-        raise DocumentError(
-            f"{where}: unsupported format_version {version!r} (expected {FORMAT_VERSION!r})"
-        )
+    if version not in supported:
+        expected = " or ".join(map(repr, supported))
+        raise DocumentError(f"{where}: unsupported format_version {version!r} (expected {expected})")
+    return version
 
 
 # -- writing ----------------------------------------------------------------
-
-
-def _number(v: Any) -> str:
-    """A scalar as ``json.dumps`` writes it; ints and finite floats directly."""
-    t = type(v)
-    if t is int or (t is float and math.isfinite(v)):
-        return repr(v)
-    return json.dumps(v)
 
 
 def _array(items: list[str], indent: str) -> str:
@@ -84,9 +84,9 @@ def _factorization_text(f: Factorization, indent: str) -> str:
     factors = [
         f"{i2}{{\n"
         f'{i3}"conjugator": '
-        f"{_array([i4 + _number(x) for x in factor.conjugator.letters], i3)},\n"
-        f'{i3}"exponent": {_number(factor.exponent)},\n'
-        f'{i3}"sign": {_number(factor.sign)}\n'
+        f"{_array([i4 + str(x) for x in factor.conjugator.letters], i3)},\n"
+        f'{i3}"exponent": {factor.exponent},\n'
+        f'{i3}"sign": {factor.sign}\n'
         f"{i2}}}"
         for factor in f.factors
     ]
@@ -94,7 +94,7 @@ def _factorization_text(f: Factorization, indent: str) -> str:
         "{\n"
         f'{i1}"factors": {_array(factors, i1)},\n'
         f'{i1}"format_version": {json.dumps(FORMAT_VERSION)},\n'
-        f'{i1}"strands": {_number(f.strands)},\n'
+        f'{i1}"strands": {f.strands},\n'
         f'{i1}"type": "factorization"\n'
         f"{indent}}}"
     )
@@ -154,29 +154,24 @@ def serialize_diagram(diag: TorusDiagram, source: Factorization | None = None) -
     # keys at every level in sorted order, as sort_keys=True writes them
     arcs = []
     for arc in diag.arcs:
-        path, wraps = [], []
-        for x, y in arc.path:
-            wx, wy = math.floor(x), math.floor(y)
-            path.append(
-                f"        [\n          {_number(round(x - wx, 6))},\n"
-                f"          {_number(round(y - wy, 6))}\n        ]"
-            )
-            wraps.append(f"        [\n          {wx},\n          {wy}\n        ]")
+        path = [
+            f"        [\n          {x},\n          {y}\n        ]"
+            for x, y in arc.path
+        ]
         arcs.append(
             "    {\n"
             f'      "color": {json.dumps(arc.color)},\n'
-            f'      "end": {_number(arc.end)},\n'
+            f'      "end": {arc.end},\n'
             f'      "path": {_array(path, "      ")},\n'
-            f'      "start": {_number(arc.start)},\n'
-            f'      "wraps": {_array(wraps, "      ")}\n'
+            f'      "start": {arc.start}\n'
             "    }"
         )
     points = [
         "    {\n"
-        f'      "id": {_number(p.ident)},\n'
-        f'      "sign": {_number(p.sign)},\n'
-        f'      "x": {_number(p.x)},\n'
-        f'      "y": {_number(p.y)}\n'
+        f'      "id": {p.ident},\n'
+        f'      "sign": {p.sign},\n'
+        f'      "x": {p.x},\n'
+        f'      "y": {p.y}\n'
         "    }"
         for p in diag.bridge_points
     ]
@@ -188,16 +183,18 @@ def serialize_diagram(diag: TorusDiagram, source: Factorization | None = None) -
         "{\n"
         f'  "arcs": {_array(arcs, "  ")},\n'
         f'  "bridge_points": {_array(points, "  ")},\n'
-        f'  "format_version": {json.dumps(FORMAT_VERSION)},\n'
+        f'  "format_version": {json.dumps(DIAGRAM_VERSION)},\n'
+        f'  "scale": {_array([f"    {n}" for n in diag.scale], "  ")},\n'
         f"{source_line}"
-        f'  "stabilization_count": {_number(diag.stabilization_count)},\n'
-        f'  "strands": {_number(diag.strands)},\n'
+        f'  "stabilization_count": {diag.stabilization_count},\n'
+        f'  "strands": {diag.strands},\n'
         '  "type": "diagram"\n'
         "}\n"
     )
 
 
 def _coord(v: Any, loc: str) -> float:
+    """A version-1 coordinate: any JSON number that fits a float."""
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise DocumentError(f"{loc}: expected a number, got {v!r}")
     try:
@@ -208,25 +205,34 @@ def _coord(v: Any, loc: str) -> float:
         ) from None
 
 
-def _bridge_point(raw: Any, i: int, loc: str) -> BridgePoint:
+def _bridge_point(raw: Any, i: int, loc: str, scale: tuple[int, int], version: str) -> BridgePoint:
     """Bridge point ``i``, every field checked in order."""
     if not isinstance(raw, dict):
         raise DocumentError(f"{loc}: expected an object")
     ident = _intfield(raw, "id", loc)
     if ident != i:
         raise DocumentError(f"{loc}: ids must be 0..n-1 in order, got {ident}")
-    x = _coord(_require(raw, "x", loc), f"{loc}.x")
-    y = _coord(_require(raw, "y", loc), f"{loc}.y")
-    if not (0 <= x < 1 and 0 <= y < 1):
-        raise DocumentError(f"{loc}: coordinates must lie in [0,1)")
+    nx, ny = scale
+    if version == "1":
+        x = _coord(_require(raw, "x", loc), f"{loc}.x")
+        y = _coord(_require(raw, "y", loc), f"{loc}.y")
+        if not (0 <= x < 1 and 0 <= y < 1):
+            raise DocumentError(f"{loc}: coordinates must lie in [0,1)")
+        x, y = round(x * nx) % nx, round(y * ny) % ny
+    else:
+        x, y = _intfield(raw, "x", loc), _intfield(raw, "y", loc)
+        if not (0 <= x < nx and 0 <= y < ny):
+            raise DocumentError(f"{loc}: coordinates must lie in [0,{nx}) x [0,{ny})")
     sign = _intfield(raw, "sign", loc)
     if sign not in (1, -1):
         raise DocumentError(f"{loc}.sign: expected +1 or -1")
     return BridgePoint(ident, x, y, sign)
 
 
-def _arc_fields(raw: Any, loc: str, n_points: int) -> tuple[str, int, int, list, list]:
-    """An arc's color, ends, path and wraps, every field checked in order."""
+def _arc(raw: Any, loc: str, n_points: int, scale: tuple[int, int], version: str) -> Arc:
+    """An arc, every field checked in order.  Version 1 stores each path
+    vertex as [x, y] in [0,1)^2 with integer wraps, lifted here onto the
+    10**6 lattice."""
     if not isinstance(raw, dict):
         raise DocumentError(f"{loc}: expected an object")
     color = _require(raw, "color", loc)
@@ -238,88 +244,70 @@ def _arc_fields(raw: Any, loc: str, n_points: int) -> tuple[str, int, int, list,
         if not 0 <= ident < n_points:
             raise DocumentError(f"{loc}: unknown bridge point id {ident}")
     path = _require(raw, "path", loc)
-    wraps = _require(raw, "wraps", loc)
-    if (
-        not isinstance(path, list)
-        or not isinstance(wraps, list)
-        or len(path) != len(wraps)
-        or len(path) < 2
-    ):
-        raise DocumentError(f"{loc}: path and wraps must be equal-length lists (>= 2)")
-    return color, start, end, path, wraps
+    v1 = version == "1"
+    # where each vertex's integers are: the wraps in version 1, else the path
+    name, shape = ("wraps", "[wx, wy]") if v1 else ("path", "[X, Y]")
+    ints = _require(raw, "wraps", loc) if v1 else path
+    if not (isinstance(path, list) and isinstance(ints, list) and len(path) == len(ints) >= 2):
+        raise DocumentError(f"{loc}: path and wraps must be equal-length lists (>= 2)" if v1
+                            else f"{loc}.path: expected a list of >= 2 vertices")
+    nx, ny = scale
+    bx, by = nx * _FLOAT_BOUND, ny * _FLOAT_BOUND
+    lifted = []
+    for j, (v, w) in enumerate(zip(path, ints)):
+        if v1 and not (isinstance(v, list) and len(v) == 2):
+            raise DocumentError(f"{loc}.path[{j}]: expected [x, y]")
+        if not (type(w) is list and len(w) == 2 and type(w[0]) is int and type(w[1]) is int):
+            raise DocumentError(f"{loc}.{name}[{j}]: expected {shape} integers")
+        x, y = w
+        if v1:
+            x0, y0 = _coord(v[0], f"{loc}.path[{j}]"), _coord(v[1], f"{loc}.path[{j}]")
+            if not (0 <= x0 < 1 and 0 <= y0 < 1):
+                raise DocumentError(f"{loc}.path[{j}]: base coordinates must lie in [0,1)")
+            x, y = round(x0 * nx) + x * nx, round(y0 * ny) + y * ny
+        if not (-bx < x < bx and -by < y < by):
+            raise DocumentError(
+                f"{loc}.{name}[{j}]: expected {shape} integers, got one too large for a float"
+            )
+        lifted.append((x, y))
+    return Arc(color, start, end, tuple(lifted))
 
 
 def diagram_from_dict(doc: dict) -> tuple[TorusDiagram, Factorization | None]:
-    # The loops test the common case inline and hand anything else to the
-    # field-by-field checks, which raise the error or accept the odd value.
     where = "diagram"
-    _check_version(doc, where)
+    version = _check_version(doc, where, (DIAGRAM_VERSION, "1"))
     strands = _intfield(doc, "strands", where)
+    if strands < 2:
+        raise DocumentError(f"{where}.strands: expected an integer >= 2, got {strands}")
     stab = _intfield(doc, "stabilization_count", where)
     if stab < 0:
         raise DocumentError(
             f"{where}.stabilization_count: expected a non-negative integer, got {stab}"
         )
+    scale = (_V1_SCALE, _V1_SCALE)
+    if version == DIAGRAM_VERSION:
+        scale = _require(doc, "scale", where)
+        if not (
+            isinstance(scale, list) and len(scale) == 2
+            and all(type(n) is int and n > 0 for n in scale)
+        ):
+            raise DocumentError(f"{where}.scale: expected [Nx, Ny] positive integers")
+        scale = (scale[0], scale[1])
     raw_points = _require(doc, "bridge_points", where)
     if not isinstance(raw_points, list):
         raise DocumentError(f"{where}.bridge_points: expected a list")
-    points = []
-    for i, raw in enumerate(raw_points):
-        if isinstance(raw, dict):
-            x, y, sign = raw.get("x"), raw.get("y"), raw.get("sign")
-            ident = raw.get("id")
-            if (
-                type(ident) is int and ident == i
-                and type(x) is float and type(y) is float
-                and 0 <= x < 1 and 0 <= y < 1
-                and type(sign) is int and (sign == 1 or sign == -1)
-            ):
-                points.append(BridgePoint(i, x, y, sign))
-                continue
-        points.append(_bridge_point(raw, i, f"{where}.bridge_points[{i}]"))
-    n_points = len(points)
+    points = [
+        _bridge_point(raw, i, f"{where}.bridge_points[{i}]", scale, version)
+        for i, raw in enumerate(raw_points)
+    ]
     raw_arcs = _require(doc, "arcs", where)
     if not isinstance(raw_arcs, list):
         raise DocumentError(f"{where}.arcs: expected a list")
-    arcs = []
-    for i, raw in enumerate(raw_arcs):
-        color = start = end = path = wraps = None
-        if isinstance(raw, dict):
-            color, start, end = raw.get("color"), raw.get("start"), raw.get("end")
-            path, wraps = raw.get("path"), raw.get("wraps")
-        if not (
-            (color == "A" or color == "B" or color == "C")
-            and type(start) is int and 0 <= start < n_points
-            and type(end) is int and 0 <= end < n_points
-            and isinstance(path, list) and isinstance(wraps, list)
-            and len(path) == len(wraps) and len(path) >= 2
-        ):
-            color, start, end, path, wraps = _arc_fields(raw, f"{where}.arcs[{i}]", n_points)
-        lifted = []
-        try:
-            for j, (v, w) in enumerate(zip(path, wraps)):
-                if not (isinstance(v, list) and len(v) == 2):
-                    raise DocumentError(f"{where}.arcs[{i}].path[{j}]: expected [x, y]")
-                if not (isinstance(w, list) and len(w) == 2
-                        and type(w[0]) is int and type(w[1]) is int):
-                    raise DocumentError(f"{where}.arcs[{i}].wraps[{j}]: expected [wx, wy] integers")
-                x, y = v
-                if type(x) is not float:
-                    x = _coord(x, f"{where}.arcs[{i}].path[{j}]")
-                if type(y) is not float:
-                    y = _coord(y, f"{where}.arcs[{i}].path[{j}]")
-                if not (0 <= x < 1 and 0 <= y < 1):
-                    raise DocumentError(
-                        f"{where}.arcs[{i}].path[{j}]: base coordinates must lie in [0,1)"
-                    )
-                lifted.append((round(x + w[0], 6), round(y + w[1], 6)))
-        except OverflowError:
-            raise DocumentError(
-                f"{where}.arcs[{i}].wraps[{j}]: "
-                "expected [wx, wy] integers, got one too large for a float"
-            ) from None
-        arcs.append(Arc(color, start, end, tuple(lifted)))
-    diag = TorusDiagram(strands, tuple(points), tuple(arcs), stab)
+    arcs = [
+        _arc(raw, f"{where}.arcs[{i}]", len(points), scale, version)
+        for i, raw in enumerate(raw_arcs)
+    ]
+    diag = TorusDiagram(strands, scale, tuple(points), tuple(arcs), stab)
     source = None
     if "source_factorization" in doc:
         source = factorization_from_dict(

@@ -127,12 +127,15 @@ def validate(f: Factorization) -> ValidationReport:
     d = f.strands
     total = sum(factor.signed_exponent() for factor in f.factors)
     smooth = f.is_smooth_quasipositive()
+    sum_ok = total == d * (d - 1)
     return ValidationReport(
         strands=d,
         factor_count=len(f.factors),
         exponent_total=total,
-        product_ok=equal(expand(f), full_twist(d)),
-        sum_ok=(total == d * (d - 1)),
+        # the exponent sum of the full twist is d(d-1), so a wrong sum
+        # decides the product without expanding the bands
+        product_ok=sum_ok and equal(expand(f), full_twist(d)),
+        sum_ok=sum_ok,
         smooth=smooth,
         count_ok=(len(f.factors) == d * d - d) if smooth else None,
         assembly_compatible=f.all_positive(),

@@ -2,14 +2,13 @@
 
 The unit square is drawn with a frame (opposite sides identified); A, B
 and C arcs are polylines in red, blue and green.  Lifted arc segments
-are drawn once per integer translate that meets the square, clipped to
-the frame, so wrapping arcs reappear on the opposite side.  Output is
-deterministic: byte-identical for identical diagrams.
+are drawn once per translate by whole periods that meets the square,
+decided on the integer lattice, clipped to the frame, so wrapping arcs
+reappear on the opposite side.  Output is deterministic: byte-identical
+for identical diagrams.
 """
 
 from __future__ import annotations
-
-import math
 
 from .diagram import TorusDiagram
 
@@ -33,36 +32,37 @@ def export_svg(diag: TorusDiagram) -> str:
         f'height="{_SIZE:.2f}" fill="white" stroke="black" stroke-width="1"/>',
         '<g clip-path="url(#square)" fill="none" stroke-width="1.5">',
     ]
-    # x maps to _MARGIN + x * _SIZE; y is flipped, since diagram y grows
-    # upward and SVG y downward
+    # x maps to _MARGIN + x / Nx * _SIZE; y is flipped, since diagram y
+    # grows upward and SVG y downward
+    nx, ny = diag.scale
     for arc in diag.arcs:
         head = f'<polyline stroke="{_COLORS[arc.color]}" points="'
         path = arc.path
         for (px, py), (qx, qy) in zip(path, path[1:]):
-            # every integer translate of the segment that meets [0,1)^2
-            mxs = range(math.floor(-max(px, qx)), math.ceil(1 - min(px, qx)) + 1)
+            # every translate of the segment that meets the closed square
+            mxs = range(-max(px, qx) // nx, 2 - min(px, qx) // nx)
             ys = []
-            for my in range(math.floor(-max(py, qy)), math.ceil(1 - min(py, qy)) + 1):
-                y1, y2 = py + my, qy + my
-                if (y1 < 0 and y2 < 0) or (y1 > 1 and y2 > 1):
+            for my in range(-max(py, qy) // ny, 2 - min(py, qy) // ny):
+                y1, y2 = py + my * ny, qy + my * ny
+                if (y1 < 0 and y2 < 0) or (y1 > ny and y2 > ny):
                     continue
-                ys.append((f"{_MARGIN + (1.0 - y1) * _SIZE:.2f}",
-                           f"{_MARGIN + (1.0 - y2) * _SIZE:.2f}"))
+                ys.append((f"{_MARGIN + (ny - y1) / ny * _SIZE:.2f}",
+                           f"{_MARGIN + (ny - y2) / ny * _SIZE:.2f}"))
             if not ys:
                 continue
             for mx in mxs:
-                x1, x2 = px + mx, qx + mx
-                if (x1 < 0 and x2 < 0) or (x1 > 1 and x2 > 1):
+                x1, x2 = px + mx * nx, qx + mx * nx
+                if (x1 < 0 and x2 < 0) or (x1 > nx and x2 > nx):
                     continue
-                sx1 = f"{_MARGIN + x1 * _SIZE:.2f}"
-                sx2 = f"{_MARGIN + x2 * _SIZE:.2f}"
+                sx1 = f"{_MARGIN + x1 / nx * _SIZE:.2f}"
+                sx2 = f"{_MARGIN + x2 / nx * _SIZE:.2f}"
                 for sy1, sy2 in ys:
                     out.append(f'{head}{sx1},{sy1} {sx2},{sy2}"/>')
     out.append("</g>")
     for pt in diag.bridge_points:
         fill = "black" if pt.sign > 0 else "white"
-        sx = f"{_MARGIN + pt.x * _SIZE:.2f}"
-        sy = f"{_MARGIN + (1.0 - pt.y) * _SIZE:.2f}"
+        sx = f"{_MARGIN + pt.x / nx * _SIZE:.2f}"
+        sy = f"{_MARGIN + (ny - pt.y) / ny * _SIZE:.2f}"
         out.append(
             f'<circle cx="{sx}" cy="{sy}" r="3" '
             f'fill="{fill}" stroke="black" stroke-width="1"/>'

@@ -127,27 +127,28 @@ def test_criterion_4_self_linking(corpus):
 
 
 def _violating_fixtures():
-    """Ten hand-built diagrams, each with one known-bad segment."""
+    """Ten hand-built diagrams, each with one known-bad segment, on a
+    lattice of tenths."""
     fixtures = []
 
     def one_arc(color, path, expect_seg):
         points = (
-            BridgePoint(0, path[0][0] % 1, path[0][1] % 1, -1),
-            BridgePoint(1, path[-1][0] % 1, path[-1][1] % 1, 1),
+            BridgePoint(0, path[0][0] % 10, path[0][1] % 10, -1),
+            BridgePoint(1, path[-1][0] % 10, path[-1][1] % 10, 1),
         )
-        diag = TorusDiagram(2, points, (Arc(color, 0, 1, tuple(path)),))
+        diag = TorusDiagram(2, (10, 10), points, (Arc(color, 0, 1, tuple(path)),))
         fixtures.append((diag, 0, expect_seg))
 
-    one_arc("A", [(0.2, 0.6), (0.2, 0.3)], 0)                      # descends
-    one_arc("A", [(0.3, 0.2), (0.3, 0.2)], 0)                      # stalls
-    one_arc("A", [(0.1, 0.1), (0.1, 0.5), (0.4, 0.4)], 1)          # turns down
-    one_arc("B", [(0.8, 0.5), (0.9, 0.4)], 0)                      # moves right
-    one_arc("B", [(0.8, 0.5), (0.8, 0.3)], 0)                      # vertical
-    one_arc("B", [(0.9, 0.5), (0.5, 0.5), (0.6, 0.4)], 1)          # backtracks
-    one_arc("C", [(0.2, 0.5), (0.1, 0.7)], 0)                      # y-x grows
-    one_arc("C", [(0.2, 0.5), (0.3, 0.6)], 0)                      # y-x constant
-    one_arc("C", [(0.2, 0.8), (0.6, 0.7), (0.5, 0.9)], 1)          # second leg bad
-    one_arc("A", [(0.5, 0.1), (0.6, 0.4), (0.9, 0.4)], 1)          # flat top
+    one_arc("A", [(2, 6), (2, 3)], 0)                   # descends
+    one_arc("A", [(3, 2), (3, 2)], 0)                   # stalls
+    one_arc("A", [(1, 1), (1, 5), (4, 4)], 1)           # turns down
+    one_arc("B", [(8, 5), (9, 4)], 0)                   # moves right
+    one_arc("B", [(8, 5), (8, 3)], 0)                   # vertical
+    one_arc("B", [(9, 5), (5, 5), (6, 4)], 1)           # backtracks
+    one_arc("C", [(2, 5), (1, 7)], 0)                   # y-x grows
+    one_arc("C", [(2, 5), (3, 6)], 0)                   # y-x constant
+    one_arc("C", [(2, 8), (6, 7), (5, 9)], 1)           # second leg bad
+    one_arc("A", [(5, 1), (6, 4), (9, 4)], 1)           # flat top
     return fixtures
 
 
@@ -259,25 +260,21 @@ def test_criterion_8_oracle_agreement():
 
 
 def _random_diagram_document(rng):
+    nx, ny = rng.randint(1, 10**6), rng.randint(1, 10**6)
     npts = rng.randrange(2, 8) * 2
     points = tuple(
-        BridgePoint(
-            i,
-            round(rng.random(), 6),
-            round(rng.random(), 6),
-            1 if i % 2 == 0 else -1,
-        )
+        BridgePoint(i, rng.randrange(nx), rng.randrange(ny), 1 if i % 2 == 0 else -1)
         for i in range(npts)
     )
     arcs = []
     for _ in range(rng.randrange(1, 6)):
         start, end = rng.randrange(npts), rng.randrange(npts)
         path = tuple(
-            (round(rng.uniform(-2, 3), 6), round(rng.uniform(-2, 3), 6))
+            (rng.randint(-2 * nx, 3 * nx), rng.randint(-2 * ny, 3 * ny))
             for _ in range(rng.randrange(2, 5))
         )
         arcs.append(Arc(rng.choice("ABC"), start, end, path))
-    return TorusDiagram(rng.randrange(2, 6), points, tuple(arcs), rng.randrange(4))
+    return TorusDiagram(rng.randrange(2, 6), (nx, ny), points, tuple(arcs), rng.randrange(4))
 
 
 def test_criterion_9_io_round_trips():

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import braidshadow
 from braidshadow.cli import run_cli
@@ -11,6 +14,15 @@ from braidshadow.diagram import Arc, BridgePoint, TorusDiagram, assemble
 from braidshadow.documents import serialize_diagram, serialize_factorization
 from braidshadow.factorization import BandFactor, Factorization, standard_factorization
 from braidshadow.words import BraidWord, identity
+
+_TESTS = os.path.dirname(os.path.abspath(__file__))
+
+
+def _v1_document(d):
+    """The version-1 ``build --standard d`` document, as written before the
+    integer lattice."""
+    with open(os.path.join(_TESTS, f"v1_standard_{d}.json"), encoding="utf-8") as fh:
+        return fh.read()
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -145,10 +157,12 @@ def test_check_fails_empty_diagram(capsys, monkeypatch):
 def test_check_fails_moved_bridge_point(capsys, monkeypatch):
     _, diagram_text, _ = run(capsys, ["build", "--standard", "2"])
     doc = json.loads(diagram_text)
-    doc["bridge_points"][0].update(x=0.9, y=0.1)
+    assert doc["scale"] == [12, 8]
+    doc["bridge_points"][0].update(x=10, y=1)
     code, out, _ = run(capsys, ["check", "-"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
     assert code == 1
-    assert "endpoints: FAIL" in out and "not at its bridge point 0" in out
+    assert "endpoints: FAIL" in out
+    assert "not at its bridge point 0 (0.8333333333333334, 0.125)" in out
     assert "transversality: ok" in out and "A crossings: none" in out
 
 
@@ -163,7 +177,7 @@ def test_invariants_refuses_empty_diagram(capsys, monkeypatch):
 def test_invariants_refuses_moved_bridge_point(capsys, monkeypatch):
     _, diagram_text, _ = run(capsys, ["build", "--standard", "2"])
     doc = json.loads(diagram_text)
-    doc["bridge_points"][0].update(x=0.9, y=0.1)
+    doc["bridge_points"][0].update(x=10, y=1)
     code, out, err = run(
         capsys, ["invariants", "-"], stdin=json.dumps(doc), monkeypatch=monkeypatch
     )
@@ -172,23 +186,27 @@ def test_invariants_refuses_moved_bridge_point(capsys, monkeypatch):
 
 
 def test_invariants_refuses_non_transverse_diagram(capsys, monkeypatch):
-    points = (BridgePoint(0, 0.2, 0.6, -1), BridgePoint(1, 0.2, 0.3, 1))
+    # on a lattice of tenths
+    points = (BridgePoint(0, 2, 6, -1), BridgePoint(1, 2, 3, 1))
     arcs = (
-        Arc("A", 0, 1, ((0.2, 0.6), (0.2, 1.3))),
-        Arc("B", 0, 1, ((0.2, 0.6), (-0.8, 1.3))),
-        Arc("C", 0, 1, ((0.2, 0.6), (0.2, 1.3))),
+        Arc("A", 0, 1, ((2, 6), (2, 13))),
+        Arc("B", 0, 1, ((2, 6), (-8, 13))),
+        Arc("C", 0, 1, ((2, 6), (2, 13))),
     )
-    text = serialize_diagram(TorusDiagram(2, points, arcs))
+    text = serialize_diagram(TorusDiagram(2, (10, 10), points, arcs))
     code, out, _ = run(capsys, ["check", "-"], stdin=text, monkeypatch=monkeypatch)
     assert code == 1
     assert "endpoints: ok" in out and "transversality: FAIL" in out
     code, out, err = run(capsys, ["invariants", "-"], stdin=text, monkeypatch=monkeypatch)
     assert code == 1 and out == ""
-    assert "not transverse (1 violations), first: arc 2 (C) segment 0" in err
+    assert err == (
+        "failed: diagram is not transverse (1 violations), first: arc 2 (C) segment 0: "
+        "C segment not moving strictly down-right [(0.2, 0.6) -> (0.2, 1.3)]\n"
+    )
 
 
 def _assert_both_refuse_crossing(capsys, monkeypatch, points, arcs, report):
-    text = serialize_diagram(TorusDiagram(2, points, arcs))
+    text = serialize_diagram(TorusDiagram(2, (10, 10), points, arcs))
     code, out, _ = run(capsys, ["check", "-"], stdin=text, monkeypatch=monkeypatch)
     assert code == 1
     assert "endpoints: ok" in out and "transversality: ok" in out
@@ -200,20 +218,21 @@ def _assert_both_refuse_crossing(capsys, monkeypatch, points, arcs, report):
 
 
 def test_check_and_invariants_refuse_a_crossing(capsys, monkeypatch):
-    # two A arcs crossing once at (0.3, 0.4); B and C arcs close them up
+    # two A arcs crossing once at (0.3, 0.4), on a lattice of tenths; B and
+    # C arcs close them up
     points = (
-        BridgePoint(0, 0.2, 0.2, -1),
-        BridgePoint(1, 0.4, 0.6, 1),
-        BridgePoint(2, 0.4, 0.2, -1),
-        BridgePoint(3, 0.2, 0.6, 1),
+        BridgePoint(0, 2, 2, -1),
+        BridgePoint(1, 4, 6, 1),
+        BridgePoint(2, 4, 2, -1),
+        BridgePoint(3, 2, 6, 1),
     )
     arcs = (
-        Arc("A", 0, 1, ((0.2, 0.2), (0.4, 0.6))),
-        Arc("A", 2, 3, ((0.4, 0.2), (0.2, 0.6))),
-        Arc("B", 0, 3, ((0.2, 0.2), (-0.8, 0.6))),
-        Arc("B", 2, 1, ((0.4, 0.2), (-0.6, 0.6))),
-        Arc("C", 0, 1, ((0.2, 0.2), (1.4, 0.6))),
-        Arc("C", 2, 3, ((0.4, 0.2), (1.2, 0.6))),
+        Arc("A", 0, 1, ((2, 2), (4, 6))),
+        Arc("A", 2, 3, ((4, 2), (2, 6))),
+        Arc("B", 0, 3, ((2, 2), (-8, 6))),
+        Arc("B", 2, 1, ((4, 2), (-6, 6))),
+        Arc("C", 0, 1, ((2, 2), (14, 6))),
+        Arc("C", 2, 3, ((4, 2), (12, 6))),
     )
     _assert_both_refuse_crossing(
         capsys, monkeypatch, points, arcs, "A arcs 0 and 1 cross at (0.300000, 0.400000)"
@@ -223,18 +242,18 @@ def test_check_and_invariants_refuse_a_crossing(capsys, monkeypatch):
 def test_check_and_invariants_refuse_a_crossing_across_the_x_seam(capsys, monkeypatch):
     # A arcs 0 -> 1 and 2 -> 3 cross once at (0, 0.4), on the x = 0 seam
     points = (
-        BridgePoint(0, 0.9, 0.2, -1),
-        BridgePoint(1, 0.1, 0.6, 1),
-        BridgePoint(2, 0.1, 0.2, -1),
-        BridgePoint(3, 0.9, 0.6, 1),
+        BridgePoint(0, 9, 2, -1),
+        BridgePoint(1, 1, 6, 1),
+        BridgePoint(2, 1, 2, -1),
+        BridgePoint(3, 9, 6, 1),
     )
     arcs = (
-        Arc("A", 0, 1, ((0.9, 0.2), (1.1, 0.6))),
-        Arc("A", 2, 3, ((0.1, 0.2), (-0.1, 0.6))),
-        Arc("B", 0, 3, ((0.9, 0.2), (-0.1, 0.6))),
-        Arc("B", 2, 1, ((0.1, 0.2), (-0.9, 0.6))),
-        Arc("C", 0, 1, ((0.9, 0.2), (2.1, 0.6))),
-        Arc("C", 2, 3, ((0.1, 0.2), (0.9, 0.6))),
+        Arc("A", 0, 1, ((9, 2), (11, 6))),
+        Arc("A", 2, 3, ((1, 2), (-1, 6))),
+        Arc("B", 0, 3, ((9, 2), (-1, 6))),
+        Arc("B", 2, 1, ((1, 2), (-9, 6))),
+        Arc("C", 0, 1, ((9, 2), (21, 6))),
+        Arc("C", 2, 3, ((1, 2), (9, 6))),
     )
     _assert_both_refuse_crossing(
         capsys, monkeypatch, points, arcs, "A arcs 0 and 1 cross at (0.000000, 0.400000)"
@@ -283,11 +302,18 @@ def test_non_object_source_factorization_exits_2(capsys, monkeypatch, verb, valu
 
 
 def test_boolean_wraps_exit_2(capsys, monkeypatch):
-    doc = _standard_2_document()
+    doc = json.loads(_v1_document(2))
     doc["arcs"][0]["wraps"][1] = [True, False]
     code, out, err = run(capsys, ["check", "-"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
     assert (code, out) == (2, "")
     assert err == "error: diagram.arcs[0].wraps[1]: expected [wx, wy] integers\n"
+
+
+def _set(doc, path, value):
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
 
 
 @pytest.mark.parametrize(
@@ -302,11 +328,8 @@ def test_boolean_wraps_exit_2(capsys, monkeypatch):
     ],
 )
 def test_integer_too_large_for_a_float_exits_2(capsys, monkeypatch, path, message):
-    doc = _standard_2_document()
-    node = doc
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = 10**400
+    doc = json.loads(_v1_document(2))
+    _set(doc, path, 10**400)
     code, out, err = run(capsys, ["check", "-"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
@@ -489,3 +512,157 @@ def test_fact_option_on_the_wrong_strand_count_fails(capsys, monkeypatch, tmp_pa
                          stdin=serialize_diagram(*_standard_2()), monkeypatch=monkeypatch)
     assert (code, out) == (1, "")
     assert err == "failed: factorization and diagram strand counts differ\n"
+
+
+def _with_mutated_source(text):
+    """The document with sigma_2 appended to factor 0's conjugator in its source."""
+    doc = json.loads(text)
+    doc["source_factorization"]["factors"][0]["conjugator"].append(2)
+    return json.dumps(doc)
+
+
+def test_check_fails_l3_for_a_source_that_misses_the_full_twist(capsys, monkeypatch):
+    text = _with_mutated_source(serialize_diagram(*_standard_3()))
+    code, out, err = run(capsys, ["check", "-"], stdin=text, monkeypatch=monkeypatch)
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-2:] == ["triviality L3: FAIL", "result: FAIL"]
+
+
+def test_invariants_fails_for_a_source_that_misses_the_full_twist(capsys, monkeypatch):
+    text = _with_mutated_source(serialize_diagram(*_standard_3()))
+    code, out, err = run(capsys, ["invariants", "-"], stdin=text, monkeypatch=monkeypatch)
+    assert (code, out) == (1, "")
+    assert err == (
+        "failed: source bands do not multiply to the full twist, so L3 is not trivial\n"
+    )
+
+
+def _standard_3():
+    f = standard_factorization(3)
+    return assemble(f), f
+
+
+@pytest.mark.parametrize("strands", [0, -3])
+@pytest.mark.parametrize("verb", ["check", "invariants", "export"])
+def test_diagram_strands_below_two_exit_2(capsys, monkeypatch, verb, strands):
+    doc = _standard_2_document()
+    del doc["source_factorization"]
+    doc["strands"] = strands
+    code, out, err = run(capsys, [verb, "-"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == f"error: diagram.strands: expected an integer >= 2, got {strands}\n"
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("argv", [["check"], ["check", "--json"], ["invariants"],
+                                  ["invariants", "--json"]])
+def test_version_1_documents_report_as_before(capsys, monkeypatch, d, argv):
+    code, out, err = run(capsys, [*argv, "-"], stdin=_v1_document(d), monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    assert out == _GOLDEN[f"{d} {' '.join(argv)}"]
+
+
+def test_v1_and_v2_documents_export_one_circle_per_bridge_point(capsys, monkeypatch):
+    for text in (_v1_document(3), serialize_diagram(*_standard_3())):
+        code, out, _ = run(capsys, ["export", "-"], stdin=text, monkeypatch=monkeypatch)
+        assert code == 0 and out.count("<circle") == 48
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("scale",), [12, 0], "diagram.scale: expected [Nx, Ny] positive integers"),
+        (("scale",), [12.0, 8], "diagram.scale: expected [Nx, Ny] positive integers"),
+        (("bridge_points", 0, "x"), 0.25,
+         "diagram.bridge_points[0].x: expected an integer, got 0.25"),
+        (("bridge_points", 0, "y"), 8, "diagram.bridge_points[0]: coordinates must lie in "
+         "[0,12) x [0,8)"),
+        (("arcs", 0, "path", 1), [-8, True], "diagram.arcs[0].path[1]: expected [X, Y] integers"),
+        (("arcs", 0, "path"), [[4, 3]], "diagram.arcs[0].path: expected a list of >= 2 vertices"),
+        # X / Nx would overflow a float, though X itself is read exactly
+        (("arcs", 0, "path", 1, 0), -12 * 2**1024, "diagram.arcs[0].path[1]: expected [X, Y] "
+         "integers, got one too large for a float"),
+        (("format_version",), "3", "diagram: unsupported format_version '3' "
+         "(expected '2' or '1')"),
+    ],
+    ids=["scale-zero", "scale-float", "point-float", "point-outside", "vertex-bool",
+         "one-vertex", "vertex-overflow", "version-3"],
+)
+def test_version_2_refusals_name_the_field(capsys, monkeypatch, path, value, message):
+    doc = _standard_2_document()
+    _set(doc, path, value)
+    code, out, err = run(capsys, ["check", "-"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+# Replacements for the fuzz below.  Path coordinates are never replaced by a
+# value many periods away that the reader accepts: the A-crossing and SVG
+# loops run once per period a segment spans, so 10**20 would run for hours.
+def _cli_replacements(value, in_path):
+    wrong_kind = [None, "1", [], {}, True, 0.5]
+    if isinstance(value, bool):
+        near = [not value, 0, 1]
+    elif isinstance(value, int):
+        near = [value - 1, value + 1, -value, 0, 1, -1, 2, 12, 8, 10**400]
+        if value.bit_length() <= 1000:  # 10**400 is too large for a float
+            near.append(float(value))
+        if not in_path:
+            near.append(10**20)
+    elif isinstance(value, str):
+        near = ["A", "B", "C", "D", "", "1", "2", 1]
+    elif isinstance(value, list):
+        near = [value[:-1], value + value[-1:], value[::-1], [True, False], [1, 2, 3], 5]
+    else:
+        near = [5]
+    return near + wrong_kind
+
+
+@st.composite
+def _mutated_v2_documents(draw):
+    doc = _standard_2_document()
+    for _ in range(draw(st.integers(1, 3))):
+        fields = []
+        stack = [(doc, ())]
+        while stack:
+            node, trail = stack.pop()
+            keys = sorted(node) if isinstance(node, dict) else range(len(node))
+            for key in keys:
+                fields.append((node, key, "path" in trail or key == "path"))
+                if isinstance(node[key], (dict, list)):
+                    stack.append((node[key], trail + (key,)))
+        node, key, in_path = draw(st.sampled_from(fields))
+        if isinstance(node, dict) and draw(st.integers(0, 9)) == 0:
+            del node[key]
+        else:
+            node[key] = draw(st.sampled_from(_cli_replacements(node[key], in_path)))
+    return json.dumps(doc)
+
+
+@given(_mutated_v2_documents())
+@settings(max_examples=200, deadline=None)
+def test_mutated_version_2_documents_exit_0_1_or_2(text):
+    for argv in (["check", "-"], ["invariants", "-"], ["export", "-"]):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            saved, sys.stdin = sys.stdin, io.StringIO(text)
+            try:
+                code = run_cli(argv)
+            finally:
+                sys.stdin = saved
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("verb", ["check", "invariants"])
+def test_a_source_band_exponent_too_large_to_expand_fails(capsys, monkeypatch, verb):
+    # its exponent sum is wrong, which decides the product without the word
+    doc = _standard_2_document()
+    doc["source_factorization"]["factors"][0]["exponent"] = 10**60
+    code, out, err = run(capsys, [verb, "-"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
+    assert code == 1
+    if verb == "check":
+        assert (out.splitlines()[-2:], err) == (["triviality L3: FAIL", "result: FAIL"], "")
+    else:
+        assert (out, err) == ("", "failed: source bands do not multiply to the full twist, "
+                                  "so L3 is not trivial\n")

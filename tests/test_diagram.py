@@ -1,6 +1,7 @@
 import math
 import random
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -338,27 +339,30 @@ def test_assembled_arcs_run_from_minus_to_plus():
 
 def test_check_transverse_locates_bad_segment():
     points = (
-        BridgePoint(0, 0.2, 0.6, -1),
-        BridgePoint(1, 0.2, 0.3, 1),
+        BridgePoint(0, 2, 6, -1),
+        BridgePoint(1, 2, 3, 1),
     )
-    # A arc heading downward: every segment violates
-    arc = Arc("A", 0, 1, ((0.2, 0.6), (0.2, 0.3)))
-    diag = TorusDiagram(2, points, (arc,))
+    # A arc heading downward, on a lattice of tenths: every segment violates
+    arc = Arc("A", 0, 1, ((2, 6), (2, 3)))
+    diag = TorusDiagram(2, (10, 10), points, (arc,))
     report = check_transverse(diag)
     assert not report.ok
     v = report.violations[0]
     assert (v.arc_index, v.color, v.segment_index) == (0, "A", 0)
 
 
-def _shift_range(a1, b1, a2, b2, eps=1e-9):
-    """Integer m for which [min(a2, b2) + m, max(a2, b2) + m] meets [min(a1, b1), max(a1, b1)]."""
-    lo = math.ceil(min(a1, b1) - max(a2, b2) - eps)
-    return range(lo, math.floor(max(a1, b1) - min(a2, b2) + eps) + 1)
+def _shift_range(a1, b1, a2, b2, n):
+    """Integer m for which [min(a2, b2) + m n, max(a2, b2) + m n] meets
+    [min(a1, b1), max(a1, b1)]."""
+    lo = math.ceil(Fraction(min(a1, b1) - max(a2, b2), n))
+    return range(lo, math.floor(Fraction(max(a1, b1) - min(a2, b2), n)) + 1)
 
 
 def _all_pairs_crossings(diag):
     """Reference for ``a_crossings``: test every pair of A segments, over
-    every integer shift in x and y that brings their bounding boxes together."""
+    every shift by whole periods in x and y that brings their bounding boxes
+    together."""
+    nx, ny = diag.scale
     segs = []
     for ai, arc in enumerate(diag.arcs):
         if arc.color != "A":
@@ -374,10 +378,11 @@ def _all_pairs_crossings(diag):
                 continue
             if ai == bi and abs(si - sj) <= 1:
                 continue
-            for mx in _shift_range(p[0], q[0], r[0], s[0]):
-                for my in _shift_range(p[1], q[1], r[1], s[1]):
+            for mx in _shift_range(p[0], q[0], r[0], s[0], nx):
+                for my in _shift_range(p[1], q[1], r[1], s[1], ny):
+                    dx, dy = mx * nx, my * ny
                     hit = _seg_intersection(
-                        p, q, (r[0] + mx, r[1] + my), (s[0] + mx, s[1] + my)
+                        p, q, (r[0] + dx, r[1] + dy), (s[0] + dx, s[1] + dy)
                     )
                     if hit is not None:
                         t, _u, pt = hit
@@ -385,21 +390,22 @@ def _all_pairs_crossings(diag):
     return out
 
 
-# Quarter-grid values repeat often, which gives horizontal, vertical,
-# touching and collinear segments; the range wraps both axes and allows
-# segments a whole period or more long.
+# On a lattice of 1000 per period, quarter-period values repeat often, which
+# gives horizontal, vertical, touching and collinear segments; the range
+# wraps both axes and allows segments a whole period or more long.  A y
+# period of 500 makes the lattice anisotropic.
 _coord = st.one_of(
-    st.integers(-6, 10).map(lambda k: k / 4),
-    st.floats(-1.5, 2.5, allow_nan=False, allow_infinity=False),
+    st.integers(-6, 10).map(lambda k: 250 * k),
+    st.integers(-1500, 2500),
 )
 _polyline = st.lists(st.tuples(_coord, _coord), min_size=2, max_size=6)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_polyline, min_size=1, max_size=5))
-def test_a_crossings_matches_all_pairs_oracle(paths):
+@given(st.lists(_polyline, min_size=1, max_size=5), st.sampled_from([1000, 500]))
+def test_a_crossings_matches_all_pairs_oracle(paths, ny):
     arcs = tuple(Arc("A", 0, 0, tuple(path)) for path in paths)
-    diag = TorusDiagram(2, (), arcs)
+    diag = TorusDiagram(2, (1000, ny), (), arcs)
     assert a_crossings(diag) == _all_pairs_crossings(diag)
 
 
@@ -412,15 +418,33 @@ def test_a_crossings_matches_oracle_on_standard(d):
 def test_a_crossings_across_both_seams():
     # arcs 0 and 1 cross only after shifting arc 1 by (+1, 0); arcs 2 and 3
     # only after shifting arc 3 by (0, +1)
+    # only after shifting arc 3 by (0, +1); on a lattice of (10, 20)
     arcs = (
-        Arc("A", 0, 0, ((0.9, 0.2), (1.1, 0.6))),
-        Arc("A", 0, 0, ((0.1, 0.2), (-0.1, 0.6))),
-        Arc("A", 0, 0, ((0.5, 0.9), (0.5, 1.1))),
-        Arc("A", 0, 0, ((0.4, 0.0), (0.6, 0.1))),
+        Arc("A", 0, 0, ((9, 4), (11, 12))),
+        Arc("A", 0, 0, ((1, 4), (-1, 12))),
+        Arc("A", 0, 0, ((5, 18), (5, 22))),
+        Arc("A", 0, 0, ((4, 0), (6, 2))),
     )
-    diag = TorusDiagram(2, (), arcs)
+    diag = TorusDiagram(2, (10, 20), (), arcs)
     found = a_crossings(diag)
     assert found == _all_pairs_crossings(diag)
     assert [(ai, bi) for (ai, _si, _t, bi, _pt) in found] == [(0, 1), (2, 3)]
-    assert found[0][4] == pytest.approx((1.0, 0.4))
-    assert found[1][4] == pytest.approx((0.5, 1.05))
+    assert found[0][4] == (10, 8) and found[1][4] == (5, 21)
+    assert (found[0][2], found[1][2]) == (Fraction(1, 2), Fraction(3, 4))
+
+
+def test_exact_tests_decide_what_a_tolerance_could_not():
+    # an A segment climbing one row of 10**12, and a C segment along the
+    # slope-1 foliation to the last lattice step
+    n = 10**12
+    points = (BridgePoint(0, 0, 0, -1), BridgePoint(1, 0, 1, 1))
+    arcs = (
+        Arc("A", 0, 1, ((0, 0), (n // 2, 1))),
+        Arc("C", 0, 1, ((0, 0), (n, n + 1), (2 * n, 2 * n + 1))),
+    )
+    report = check_transverse(TorusDiagram(2, (n, n), points, arcs))
+    assert [(v.color, v.segment_index) for v in report.violations] == [("C", 0), ("C", 1)]
+    # two A segments crossing 10**-12 of the way along the first
+    arcs = (Arc("A", 0, 0, ((0, 0), (n, n))), Arc("A", 0, 0, ((2, 0), (0, 2))))
+    found = a_crossings(TorusDiagram(2, (n, n), (), arcs))
+    assert [(ai, t, bi, pt) for (ai, _si, t, bi, pt) in found] == [(0, Fraction(1, n), 1, (1, 1))]

@@ -2,8 +2,10 @@ import copy
 import functools
 import json
 import math
+import os
 import random
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -131,13 +133,17 @@ def test_diagram_round_trip_random():
 
 
 def test_diagram_coordinates_serialized_in_unit_square():
+    # in fractions of a period: bridge points and the first vertex of every
+    # arc lie in [0, 1)^2
     diag = assemble(standard_factorization(3))
     doc = json.loads(serialize_diagram(diag))
+    nx, ny = doc["scale"]
+    assert (nx, ny) == diag.scale == (16, 72)  # Ny = 4(n + s)
     for arc in doc["arcs"]:
-        for (x, y) in arc["path"]:
-            assert 0 <= x < 1 and 0 <= y < 1
+        x, y = arc["path"][0]
+        assert 0 <= x < nx and 0 <= y < ny
     for p in doc["bridge_points"]:
-        assert 0 <= p["x"] < 1 and 0 <= p["y"] < 1
+        assert 0 <= p["x"] < nx and 0 <= p["y"] < ny
 
 
 def test_diagram_parse_rejects_unknown_bridge_id():
@@ -151,9 +157,24 @@ def test_diagram_parse_rejects_unknown_bridge_id():
 def test_diagram_parse_rejects_out_of_range_coordinates():
     diag = assemble(standard_factorization(2))
     doc = json.loads(serialize_diagram(diag))
-    doc["bridge_points"][0]["x"] = 1.5
-    with pytest.raises(DocumentError, match=r"\[0,1\)"):
+    doc["bridge_points"][0]["x"] = 12
+    with pytest.raises(DocumentError, match=r"\[0,12\) x \[0,8\)"):
         parse_diagram(json.dumps(doc))
+
+
+def test_vertices_are_read_while_their_period_count_fits_a_float():
+    doc = json.loads(serialize_diagram(assemble(standard_factorization(2))))
+    bound = 12 * (2**1024 - 2**970)  # Nx = 12
+    for x in (bound - 1, -bound + 1):
+        x / 12  # fits a float
+        doc["arcs"][0]["path"][1][0] = x
+        assert diagram_from_dict(doc)[0].arcs[0].path[1][0] == x
+    for x in (bound, -bound):
+        with pytest.raises(OverflowError):
+            x / 12
+        doc["arcs"][0]["path"][1][0] = x
+        with pytest.raises(DocumentError, match=r"arcs\[0\]\.path\[1\]: .* too large for a float$"):
+            diagram_from_dict(doc)
 
 
 # -- the direct writer against json.dumps --------------------------------------
@@ -178,12 +199,125 @@ def factorization_to_dict(f):
     }
 
 
+def diagram_to_dict(diag, source=None):
+    doc = {
+        "format_version": "2",
+        "type": "diagram",
+        "strands": diag.strands,
+        "scale": list(diag.scale),
+        "stabilization_count": diag.stabilization_count,
+        "bridge_points": [
+            {"id": p.ident, "x": p.x, "y": p.y, "sign": p.sign}
+            for p in diag.bridge_points
+        ],
+        "arcs": [
+            {"color": arc.color, "start": arc.start, "end": arc.end,
+             "path": [list(v) for v in arc.path]}
+            for arc in diag.arcs
+        ],
+    }
+    if source is not None:
+        doc["source_factorization"] = factorization_to_dict(source)
+    return doc
+
+
+def reference_serialize_diagram(diag, source=None):
+    return json.dumps(diagram_to_dict(diag, source), indent=2, sort_keys=True) + "\n"
+
+
+# Hand-built diagrams: not necessarily valid, but every field has the type the
+# writer expects.  Lifted lattice coordinates lie within ``reach`` periods of
+# the unit square and gather at the period edges; a large ``reach`` gives
+# vertices many periods away.
+def _coords(n, reach):
+    return st.one_of(
+        st.integers(-reach * n, reach * n),
+        st.sampled_from([0, 1, n - 1, n, n + 1, -1, -n, 2 * n]),
+    )
+
+
+@st.composite
+def hand_built_diagrams(draw, reach=10**6):
+    strands = draw(st.integers(1, 6))
+    scale = tuple(draw(st.one_of(st.sampled_from([1, 4, 12, 10**6]), st.integers(1, 10**4)))
+                  for _ in range(2))
+    n_points = draw(st.integers(0, 6))
+    points = tuple(
+        BridgePoint(
+            i,
+            draw(st.integers(0, scale[0] - 1)),
+            draw(st.integers(0, scale[1] - 1)),
+            draw(st.sampled_from([1, -1])),
+        )
+        for i in range(n_points)
+    )
+    vertex = st.tuples(_coords(scale[0], reach), _coords(scale[1], reach))
+    arcs = tuple(
+        Arc(
+            draw(st.sampled_from("ABC")),
+            draw(st.integers(0, max(n_points - 1, 0))),
+            draw(st.integers(0, max(n_points - 1, 0))),
+            tuple(draw(st.lists(vertex, max_size=6))),
+        )
+        for _ in range(draw(st.integers(0, 5)))
+    )
+    return TorusDiagram(strands, scale, points, arcs, draw(st.integers(0, 9)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_serialize_diagram_matches_json_reference_on_standard(d):
+    f = standard_factorization(d)
+    diag = assemble(f)
+    assert serialize_diagram(diag) == reference_serialize_diagram(diag)
+    assert serialize_diagram(diag, source=f) == reference_serialize_diagram(diag, f)
+
+
+# factorizations() draws empty conjugators often
+@given(hand_built_diagrams(), st.one_of(st.none(), factorizations()))
+@settings(max_examples=200, deadline=None)
+def test_serialize_diagram_matches_json_reference(diag, source):
+    assert serialize_diagram(diag, source) == reference_serialize_diagram(diag, source)
+
+
+@given(hand_built_diagrams())
+@settings(max_examples=200, deadline=None)
+def test_hand_built_diagrams_round_trip(diag):
+    readable = diag.strands >= 2 and all(
+        len(arc.path) >= 2 and arc.start < len(diag.bridge_points) for arc in diag.arcs
+    )
+    if readable:
+        assert parse_diagram(serialize_diagram(diag)) == (diag, None)
+
+
+@given(factorizations())
+@settings(max_examples=200, deadline=None)
+def test_serialize_factorization_matches_json_reference(f):
+    expected = json.dumps(factorization_to_dict(f), indent=2, sort_keys=True) + "\n"
+    assert serialize_factorization(f) == expected
+
+
+def test_serialize_diagram_writes_extreme_integer_points_as_json_does():
+    points = (BridgePoint(0, 0, 10**400 - 1, 1), BridgePoint(1, 0, -(2**64), -1))
+    arcs = (Arc("A", 0, 1, ((0, -(10**400)), (3 * 10**30, -2))),)
+    diag = TorusDiagram(2, (1, 10**400), points, arcs)
+    assert serialize_diagram(diag) == reference_serialize_diagram(diag)
+
+
+# -- the reader against its version-1 form ---------------------------------------
+#
+# The version-1 writer and diagram_from_dict before the integer lattice, kept
+# as the reference for reading version-1 documents.  Their diagrams are the
+# unit picture: float coordinates, fractions of a period, and scale (1, 1).
+# The reader reads the source factorization with the current
+# factorization_from_dict.
+
+
 def _vertex_out(x, y):
     wx, wy = math.floor(x), math.floor(y)
     return [round(x - wx, 6), round(y - wy, 6)], [int(wx), int(wy)]
 
 
-def diagram_to_dict(diag, source=None):
+def v1_diagram_to_dict(diag, source=None):
     arcs = []
     for arc in diag.arcs:
         path, wraps = [], []
@@ -214,82 +348,6 @@ def diagram_to_dict(diag, source=None):
     if source is not None:
         doc["source_factorization"] = factorization_to_dict(source)
     return doc
-
-
-def reference_serialize_diagram(diag, source=None):
-    return json.dumps(diagram_to_dict(diag, source), indent=2, sort_keys=True) + "\n"
-
-
-# Hand-built diagrams: not necessarily valid, but every field has the type the
-# writer expects.  Lifted coordinates, within ``reach`` of the unit square, mix
-# 1e-06-style floats and integers; a large ``reach`` gives large wraps.
-def _coords(reach):
-    return st.one_of(
-        st.floats(-reach, reach, allow_nan=False),
-        st.integers(-reach, reach),
-        st.sampled_from([0.0, 1e-06, 5e-07, 0.999999, 0.9999996, -1e-06, 1.0, 1 / 3]),
-        st.integers(-10**6, 10**6).map(lambda k: k * 1e-06),
-    )
-
-
-@st.composite
-def hand_built_diagrams(draw, reach=10**6):
-    strands = draw(st.integers(1, 6))
-    n_points = draw(st.integers(0, 6))
-    points = tuple(
-        BridgePoint(
-            i,
-            draw(st.one_of(st.floats(0, 1, exclude_max=True), st.just(0))),
-            draw(st.one_of(st.floats(0, 1, exclude_max=True), st.just(0))),
-            draw(st.sampled_from([1, -1])),
-        )
-        for i in range(n_points)
-    )
-    coord = _coords(reach)
-    arcs = tuple(
-        Arc(
-            draw(st.sampled_from("ABC")),
-            draw(st.integers(0, max(n_points - 1, 0))),
-            draw(st.integers(0, max(n_points - 1, 0))),
-            tuple(draw(st.lists(st.tuples(coord, coord), max_size=6))),
-        )
-        for _ in range(draw(st.integers(0, 5)))
-    )
-    return TorusDiagram(strands, points, arcs, draw(st.integers(0, 9)))
-
-
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-def test_serialize_diagram_matches_json_reference_on_standard(d):
-    f = standard_factorization(d)
-    diag = assemble(f)
-    assert serialize_diagram(diag) == reference_serialize_diagram(diag)
-    assert serialize_diagram(diag, source=f) == reference_serialize_diagram(diag, f)
-
-
-# factorizations() draws empty conjugators often
-@given(hand_built_diagrams(), st.one_of(st.none(), factorizations()))
-@settings(max_examples=200, deadline=None)
-def test_serialize_diagram_matches_json_reference(diag, source):
-    assert serialize_diagram(diag, source) == reference_serialize_diagram(diag, source)
-
-
-@given(factorizations())
-@settings(max_examples=200, deadline=None)
-def test_serialize_factorization_matches_json_reference(f):
-    expected = json.dumps(factorization_to_dict(f), indent=2, sort_keys=True) + "\n"
-    assert serialize_factorization(f) == expected
-
-
-def test_serialize_diagram_writes_non_finite_and_integer_points_as_json_does():
-    points = (BridgePoint(0, math.nan, math.inf, 1), BridgePoint(1, 0, -math.inf, -1))
-    diag = TorusDiagram(2, points, (Arc("A", 0, 1, ((0, 0), (3, -2))),))
-    assert serialize_diagram(diag) == reference_serialize_diagram(diag)
-
-
-# -- the reader against its old form ---------------------------------------------
-#
-# diagram_from_dict before its loops were inlined, kept as the reference.  It
-# reads the source factorization with the current factorization_from_dict.
 
 
 def reference_diagram_from_dict(doc):
@@ -353,13 +411,25 @@ def reference_diagram_from_dict(doc):
                 raise DocumentError(f"{vloc}: base coordinates must lie in [0,1)")
             lifted.append((round(x + w[0], 6), round(y + w[1], 6)))
         arcs.append(Arc(color, start, end, tuple(lifted)))
-    diag = TorusDiagram(strands, tuple(points), tuple(arcs), stab)
+    diag = TorusDiagram(strands, (1, 1), tuple(points), tuple(arcs), stab)
     source = None
     if "source_factorization" in doc:
         source = factorization_from_dict(
             doc["source_factorization"], f"{where}.source_factorization"
         )
     return diag, source
+
+
+def unit_picture(diag):
+    """A lattice diagram as the version-1 writer's input: fractions of a period."""
+    nx, ny = diag.scale
+    return TorusDiagram(
+        diag.strands,
+        (1, 1),
+        tuple(BridgePoint(p.ident, p.x / nx, p.y / ny, p.sign) for p in diag.bridge_points),
+        tuple(replace(a, path=tuple((x / nx, y / ny) for x, y in a.path)) for a in diag.arcs),
+        diag.stabilization_count,
+    )
 
 
 def _outcome(read, doc):
@@ -375,10 +445,13 @@ _WRAPS_REFUSAL = re.compile(r"diagram\.arcs\[(\d+)\]\.wraps\[(\d+)\]: expected \
 
 
 def _is_new_refusal(doc, message):
-    """The refusals the reader gained: a boolean wrap, a negative count, and an
-    integer too large for a float (the reference raises OverflowError)."""
+    """The refusals the reader gained: a boolean wrap, a negative count, fewer
+    than two strands, and an integer too large for a float (the reference
+    raises OverflowError)."""
     if message.startswith("diagram.stabilization_count: expected a non-negative integer"):
         return doc["stabilization_count"] < 0
+    if message.startswith("diagram.strands: expected an integer >= 2"):
+        return doc["strands"] < 2
     if message.endswith("too large for a float"):
         return _outcome(reference_diagram_from_dict, doc) == ("raised", "OverflowError")
     m = _WRAPS_REFUSAL.fullmatch(message)
@@ -388,10 +461,55 @@ def _is_new_refusal(doc, message):
     return any(type(t) is bool for t in w)
 
 
+_V1 = 10**6
+
+
+def _assert_read_onto_the_v1_lattice(doc, diag, ref):
+    """``diag`` holds X = round(x * 10**6) + wx * 10**6 for every version-1
+    coordinate x with wrap wx, and lies within a lattice step of the
+    reference's rounded floats."""
+    assert (diag.strands, diag.scale, diag.stabilization_count) == (
+        ref.strands, (_V1, _V1), ref.stabilization_count)
+    assert [(p.ident, p.sign) for p in diag.bridge_points] == [
+        (p.ident, p.sign) for p in ref.bridge_points]
+    for p, q in zip(diag.bridge_points, ref.bridge_points):
+        assert (p.x, p.y) == (round(q.x * _V1) % _V1, round(q.y * _V1) % _V1)
+    assert len(diag.arcs) == len(ref.arcs)
+    for raw, arc, ref_arc in zip(doc["arcs"], diag.arcs, ref.arcs):
+        assert (arc.color, arc.start, arc.end) == (ref_arc.color, ref_arc.start, ref_arc.end)
+        assert arc.path == tuple(
+            (round(float(x) * _V1) + wx * _V1, round(float(y) * _V1) + wy * _V1)
+            for (x, y), (wx, wy) in zip(raw["path"], raw["wraps"])
+        )
+        for v, ref_v in zip(arc.path, ref_arc.path):
+            for c, ref_c in zip(v, ref_v):
+                assert math.isclose(c / _V1, ref_c, rel_tol=2**-50, abs_tol=2e-6)
+
+
+def _compare_readers(doc):
+    new = _outcome(diagram_from_dict, doc)
+    old = _outcome(reference_diagram_from_dict, doc)
+    if "format_version" in doc and doc["format_version"] != "1":
+        # version 2 is read now, and the message names the versions read
+        assert new[0] == old[0] == "refused"
+    elif new[0] == old[0] == "ok":
+        assert new[1][1] == old[1][1]
+        _assert_read_onto_the_v1_lattice(doc, new[1][0], old[1][0])
+    elif new != old:
+        assert new[0] == "refused" and _is_new_refusal(doc, new[1]), (new, old)
+
+
 @functools.cache
-def _standard_document(d):
+def _standard_v1_document(d):
+    """The version-1 document of standard d: the one written before the
+    integer lattice for d = 2, 3, else the reference writer's."""
+    if d in (2, 3):
+        with open(os.path.join(os.path.dirname(__file__), f"v1_standard_{d}.json"),
+                  encoding="utf-8") as fh:
+            return fh.read()
     f = standard_factorization(d)
-    return serialize_diagram(assemble(f), source=f)
+    doc = v1_diagram_to_dict(unit_picture(assemble(f)), f)
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _fields(doc):
@@ -434,16 +552,9 @@ def _replacements(value, n_points):
     return near + wrong_kind + [_DELETE]
 
 
-def _compare_readers(doc):
-    new = _outcome(diagram_from_dict, doc)
-    old = _outcome(reference_diagram_from_dict, doc)
-    if new != old:
-        assert new[0] == "refused" and _is_new_refusal(doc, new[1]), (new, old)
-
-
 def test_diagram_from_dict_matches_reference_reader_on_each_field_change():
-    # every single-field change to the standard d = 2 document
-    doc = json.loads(_standard_document(2))
+    # every single-field change to the version-1 standard d = 2 document
+    doc = json.loads(_standard_v1_document(2))
     n_points = len(doc["bridge_points"])
     for node, key in _fields(doc):
         kept = node[key]
@@ -458,12 +569,50 @@ def test_diagram_from_dict_matches_reference_reader_on_each_field_change():
             node[key] = kept
 
 
+# Version-1 hand-built diagrams: lifted float coordinates, within ``reach`` of
+# the unit square, mix 1e-06-style floats and integers.
+def _v1_coords(reach):
+    return st.one_of(
+        st.floats(-reach, reach, allow_nan=False),
+        st.integers(-reach, reach),
+        st.sampled_from([0.0, 1e-06, 5e-07, 0.999999, 0.9999996, -1e-06, 1.0, 1 / 3]),
+        st.integers(-10**6, 10**6).map(lambda k: k * 1e-06),
+    )
+
+
+@st.composite
+def hand_built_v1_diagrams(draw, reach=10**6):
+    strands = draw(st.integers(1, 6))
+    n_points = draw(st.integers(0, 6))
+    points = tuple(
+        BridgePoint(
+            i,
+            draw(st.one_of(st.floats(0, 1, exclude_max=True), st.just(0))),
+            draw(st.one_of(st.floats(0, 1, exclude_max=True), st.just(0))),
+            draw(st.sampled_from([1, -1])),
+        )
+        for i in range(n_points)
+    )
+    coord = _v1_coords(reach)
+    arcs = tuple(
+        Arc(
+            draw(st.sampled_from("ABC")),
+            draw(st.integers(0, max(n_points - 1, 0))),
+            draw(st.integers(0, max(n_points - 1, 0))),
+            tuple(draw(st.lists(st.tuples(coord, coord), max_size=6))),
+        )
+        for _ in range(draw(st.integers(0, 5)))
+    )
+    return TorusDiagram(strands, (1, 1), points, arcs, draw(st.integers(0, 9)))
+
+
 @st.composite
 def mutated_documents(draw):
     if draw(st.booleans()):
-        doc = json.loads(_standard_document(draw(st.sampled_from([2, 3]))))
+        doc = json.loads(_standard_v1_document(draw(st.sampled_from([2, 3]))))
     else:
-        doc = json.loads(serialize_diagram(draw(hand_built_diagrams())))
+        doc = v1_diagram_to_dict(draw(hand_built_v1_diagrams()))
+        doc = json.loads(json.dumps(doc))  # as json.loads gives it: NaN, lists
     n_points = len(doc["bridge_points"])
     for _ in range(draw(st.integers(1, 3))):
         node, key = draw(st.sampled_from(_fields(doc)))
@@ -484,6 +633,8 @@ def test_diagram_from_dict_matches_reference_reader(doc):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_diagram_from_dict_matches_reference_reader_on_standard(d):
-    f = standard_factorization(d)
-    doc = json.loads(serialize_diagram(assemble(f), source=f))
-    assert diagram_from_dict(doc) == reference_diagram_from_dict(doc)
+    doc = json.loads(_standard_v1_document(d))
+    diag, source = diagram_from_dict(doc)
+    ref, ref_source = reference_diagram_from_dict(doc)
+    assert source == ref_source == standard_factorization(d)
+    _assert_read_onto_the_v1_lattice(doc, diag, ref)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +31,7 @@ def test_svg_is_deterministic():
 
 
 def test_empty_diagram_renders_frame_only():
-    diag = TorusDiagram(2, (), ())
+    diag = TorusDiagram(2, (12, 8), (), ())
     svg = export_svg(diag)
     assert "<rect" in svg
     assert "<circle" not in svg and "<polyline" not in svg
@@ -44,22 +45,25 @@ def test_cusp_tile_has_blue_and_green_wrapping_arcs():
     assert svg.count('stroke="green"') > svg.count('stroke="blue"')
 
 
-# export_svg's loop before _px/_py were inlined, kept as the reference.
+# export_svg's loop before _px/_py were inlined, kept as the reference; it
+# tests every translate of a segment by whole periods and draws those that
+# meet the closed square.
 
 _SIZE = 400.0
 _MARGIN = 20.0
 _COLORS = {"A": "red", "B": "blue", "C": "green"}
 
 
-def _px(x):
-    return f"{_MARGIN + x * _SIZE:.2f}"
+def _px(x, nx):
+    return f"{_MARGIN + x / nx * _SIZE:.2f}"
 
 
-def _py(y):
-    return f"{_MARGIN + (1.0 - y) * _SIZE:.2f}"
+def _py(y, ny):
+    return f"{_MARGIN + (ny - y) / ny * _SIZE:.2f}"
 
 
 def reference_export_svg(diag):
+    nx, ny = diag.scale
     total = 2 * _MARGIN + _SIZE
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -77,32 +81,32 @@ def reference_export_svg(diag):
     for arc in diag.arcs:
         color = _COLORS[arc.color]
         for (p, q) in zip(arc.path, arc.path[1:]):
-            mx_lo = math.floor(-max(p[0], q[0]))
-            mx_hi = math.ceil(1 - min(p[0], q[0]))
-            my_lo = math.floor(-max(p[1], q[1]))
-            my_hi = math.ceil(1 - min(p[1], q[1]))
+            mx_lo = math.floor(Fraction(-max(p[0], q[0]), nx))
+            mx_hi = math.ceil(Fraction(nx - min(p[0], q[0]), nx))
+            my_lo = math.floor(Fraction(-max(p[1], q[1]), ny))
+            my_hi = math.ceil(Fraction(ny - min(p[1], q[1]), ny))
             for mx in range(mx_lo, mx_hi + 1):
                 for my in range(my_lo, my_hi + 1):
-                    x1, y1 = p[0] + mx, p[1] + my
-                    x2, y2 = q[0] + mx, q[1] + my
-                    if max(x1, x2) < 0 or min(x1, x2) > 1:
+                    x1, y1 = p[0] + mx * nx, p[1] + my * ny
+                    x2, y2 = q[0] + mx * nx, q[1] + my * ny
+                    if max(x1, x2) < 0 or min(x1, x2) > nx:
                         continue
-                    if max(y1, y2) < 0 or min(y1, y2) > 1:
+                    if max(y1, y2) < 0 or min(y1, y2) > ny:
                         continue
                     out.append(
                         f'<polyline stroke="{color}" points="'
-                        f'{_px(x1)},{_py(y1)} {_px(x2)},{_py(y2)}"/>'
+                        f'{_px(x1, nx)},{_py(y1, ny)} {_px(x2, nx)},{_py(y2, ny)}"/>'
                     )
     out.append("</g>")
     for pt in diag.bridge_points:
         fill = "black" if pt.sign > 0 else "white"
         out.append(
-            f'<circle cx="{_px(pt.x)}" cy="{_py(pt.y)}" r="3" '
+            f'<circle cx="{_px(pt.x, nx)}" cy="{_py(pt.y, ny)}" r="3" '
             f'fill="{fill}" stroke="black" stroke-width="1"/>'
         )
         label = "+" if pt.sign > 0 else "−"
         out.append(
-            f'<text x="{_px(pt.x)}" y="{float(_py(pt.y)) - 5:.2f}" '
+            f'<text x="{_px(pt.x, nx)}" y="{float(_py(pt.y, ny)) - 5:.2f}" '
             f'font-size="9" text-anchor="middle">{label}{pt.ident}</text>'
         )
     out.append("</svg>")
