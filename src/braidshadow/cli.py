@@ -27,6 +27,7 @@ from .diagram import (
 )
 from .documents import (
     DocumentError,
+    check_expandable,
     parse_diagram,
     parse_factorization,
     serialize_diagram,
@@ -249,7 +250,8 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 def _cmd_orbit(args: argparse.Namespace) -> int:
     if args.budget < 1:
         raise DocumentError(f"--budget: node budget must be >= 1, got {args.budget}")
-    f = _load_factorization(args)
+    # the orbit keys every band, whatever the exponent sum
+    f = check_expandable(_load_factorization(args))
     orbit = hurwitz_orbit(f, args.budget)
     payload = {
         "size": orbit.size,

@@ -30,6 +30,9 @@ _V1_SCALE = 10**6
 # the largest float plus half its spacing: X / N rounds to a finite float
 # exactly when |X| < N * _FLOAT_BOUND
 _FLOAT_BOUND = 2**1024 - 2**970
+# the largest band exponent let through to an expansion: a band is expanded
+# letter by letter, and the word problem is linear in the word's length
+MAX_EXPONENT = 10**6
 
 
 class DocumentError(ValueError):
@@ -137,9 +140,25 @@ def factorization_from_dict(doc: dict, where: str = "factorization") -> Factoriz
         except BraidError as exc:
             raise DocumentError(f"{loc}: {exc}") from exc
     try:
-        return Factorization(strands, tuple(factors))
+        f = Factorization(strands, tuple(factors))
     except BraidError as exc:
         raise DocumentError(f"{where}: {exc}") from exc
+    # validate expands the bands only when their exponent sum is the full
+    # twist's: a wrong sum decides the product unexpanded
+    if sum(factor.signed_exponent() for factor in f.factors) == strands * (strands - 1):
+        check_expandable(f, where)
+    return f
+
+
+def check_expandable(f: Factorization, where: str = "factorization") -> Factorization:
+    """Refuse a band exponent too large to expand into a word, naming its field."""
+    for i, factor in enumerate(f.factors):
+        if factor.exponent > MAX_EXPONENT:
+            raise DocumentError(
+                f"{where}.factors[{i}].exponent: {factor.exponent} is too large to expand "
+                f"(at most {MAX_EXPONENT})"
+            )
+    return f
 
 
 def parse_factorization(text: str) -> Factorization:

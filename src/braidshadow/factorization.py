@@ -217,25 +217,36 @@ class HurwitzOrbit:
 
 
 def hurwitz_orbit(f: Factorization, bound: int) -> HurwitzOrbit:
-    """Enumerate the Hurwitz orbit of f, stopping once ``bound`` nodes are seen."""
+    """Enumerate the Hurwitz orbit of f, stopping once ``bound`` nodes are seen.
+
+    A move keeps one of its two bands and replaces the other by a b a^{-1}
+    (right) or b^{-1} a b (left) as a group element, so the moved band's
+    key is a function of the direction and the keys of a and b alone,
+    whatever their exponents, signs or conjugator words.  Each distinct
+    (direction, key a, key b) triple is therefore keyed once, in a memo
+    that lives for this call, and a node is built only when its key is new.
+    """
     if bound < 1:
         raise ValueError(f"node budget must be >= 1, got {bound}")
     start_key = factorization_key(f)
     seen: dict[tuple[FactorKey, ...], Factorization] = {start_key: f}
     queue: deque[tuple[Factorization, tuple[FactorKey, ...]]] = deque([(f, start_key)])
+    moved: dict[tuple[str, FactorKey, FactorKey], FactorKey] = {}
     truncated = False
     while queue:
         node, node_key = queue.popleft()
         n = len(node.factors)
         for i in range(1, n):
+            key_a, key_b = node_key[i - 1], node_key[i]
             for direction in ("right", "left"):
-                nxt = hurwitz_move(node, i, direction)
-                # A move keeps one of its two bands as it was, so only the
-                # moved band needs a new key.
-                if direction == "right":
-                    pair = (factor_canonical_key(nxt.factors[i - 1]), node_key[i - 1])
-                else:
-                    pair = (node_key[i], factor_canonical_key(nxt.factors[i]))
+                nxt = None
+                memo = (direction, key_a, key_b)
+                if memo not in moved:
+                    nxt = hurwitz_move(node, i, direction)
+                    moved[memo] = factor_canonical_key(
+                        nxt.factors[i - 1 if direction == "right" else i]
+                    )
+                pair = (moved[memo], key_a) if direction == "right" else (key_b, moved[memo])
                 key = node_key[: i - 1] + pair + node_key[i + 1 :]
                 if key in seen:
                     continue
@@ -243,6 +254,8 @@ def hurwitz_orbit(f: Factorization, bound: int) -> HurwitzOrbit:
                     truncated = True
                     queue.clear()
                     break
+                if nxt is None:
+                    nxt = hurwitz_move(node, i, direction)
                 seen[key] = nxt
                 queue.append((nxt, key))
             if truncated:

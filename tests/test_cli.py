@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -12,7 +13,12 @@ import braidshadow
 from braidshadow.cli import run_cli
 from braidshadow.diagram import Arc, BridgePoint, TorusDiagram, assemble
 from braidshadow.documents import serialize_diagram, serialize_factorization
-from braidshadow.factorization import BandFactor, Factorization, standard_factorization
+from braidshadow.factorization import (
+    BandFactor,
+    Factorization,
+    random_factorization,
+    standard_factorization,
+)
 from braidshadow.words import BraidWord, identity
 
 _TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -666,3 +672,67 @@ def test_a_source_band_exponent_too_large_to_expand_fails(capsys, monkeypatch, v
     else:
         assert (out, err) == ("", "failed: source bands do not multiply to the full twist, "
                                   "so L3 is not trivial\n")
+
+
+def _huge_exponent_source():
+    """Standard d = 2 with bands at exponents 10**20 and -(10**20 - 2): its
+    exponent sum is right, so deciding it would expand both bands."""
+    doc = json.loads(serialize_factorization(standard_factorization(2)))
+    doc["factors"][0]["exponent"] = 10**20
+    doc["factors"][1].update(exponent=10**20 - 2, sign=-1)
+    return doc
+
+
+_TOO_LARGE = ".factors[0].exponent: 100000000000000000000 is too large to expand (at most 1000000)\n"
+
+
+@pytest.mark.parametrize("verb", ["verify", "orbit"])
+def test_a_band_exponent_too_large_to_expand_exits_2(capsys, monkeypatch, verb):
+    text = json.dumps(_huge_exponent_source())
+    code, out, err = run(capsys, [verb, "-"], stdin=text, monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", "error: factorization" + _TOO_LARGE)
+
+
+@pytest.mark.parametrize("verb", ["check", "invariants"])
+@pytest.mark.parametrize("embedded", [True, False])
+def test_a_source_band_exponent_too_large_to_expand_exits_2(capsys, monkeypatch, tmp_path,
+                                                             verb, embedded):
+    doc, argv, where = _standard_2_document(), [verb, "-"], "factorization"
+    if embedded:
+        doc["source_factorization"] = _huge_exponent_source()
+        where = "diagram.source_factorization"
+    else:
+        fact = tmp_path / "huge.json"
+        fact.write_text(json.dumps(_huge_exponent_source()))
+        argv += ["--fact", str(fact)]
+    code, out, err = run(capsys, argv, stdin=json.dumps(doc), monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", f"error: {where}" + _TOO_LARGE)
+
+
+def test_orbit_refuses_a_band_too_large_to_key_whatever_its_sum(capsys, monkeypatch):
+    # verify decides a wrong sum without the words; the orbit keys every band
+    doc = json.loads(serialize_factorization(standard_factorization(2)))
+    doc["factors"][0]["exponent"] = 10**20
+    text = json.dumps(doc)
+    code, out, _ = run(capsys, ["verify", "-"], stdin=text, monkeypatch=monkeypatch)
+    assert code == 1 and out.endswith("result: INVALID\n")
+    code, out, err = run(capsys, ["orbit", "-"], stdin=text, monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", "error: factorization" + _TOO_LARGE)
+
+
+@pytest.mark.parametrize("argv, start", [
+    (["orbit", "--standard", "3", "--budget", "300", "--json"], None),
+    (["orbit", "-", "--budget", "40", "--json"], ("random 4 seed 11", 4, 11)),
+])
+def test_orbit_matches_golden_output(capsys, monkeypatch, argv, start):
+    """Byte for byte the output of the orbit BFS before its key-pair memo."""
+    name = " ".join(argv)
+    stdin = None
+    if start is not None:
+        label, d, seed = start
+        f = random_factorization(d, random.Random(seed), moves=10, max_conjugator_length=4)
+        stdin = serialize_factorization(f)
+        name = name.replace(" -", f" {label}", 1)
+    code, out, err = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    assert out == _GOLDEN[name]

@@ -12,11 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 from braidshadow.diagram import Arc, BridgePoint, TorusDiagram, assemble
 from braidshadow.documents import (
+    MAX_EXPONENT,
     DocumentError,
     _check_version,
     _coord,
     _intfield,
     _require,
+    check_expandable,
     diagram_from_dict,
     factorization_from_dict,
     parse_diagram,
@@ -99,6 +101,35 @@ def test_parse_rejects_bad_exponent_and_sign():
         parse_factorization(
             json.dumps({**base, "factors": [{"conjugator": [], "exponent": 1, "sign": 0}]})
         )
+
+
+def _d2_with_exponents(top, bottom, sign):
+    return {"format_version": "1", "strands": 2, "factors": [
+        {"conjugator": [], "exponent": top, "sign": 1},
+        {"conjugator": [], "exponent": bottom, "sign": sign}]}
+
+
+def test_exponents_are_read_up_to_the_expansion_bound_when_the_sum_is_right():
+    # s1^E s1^-(E-2) has the full twist's exponent sum, so validate would expand it
+    f = factorization_from_dict(_d2_with_exponents(MAX_EXPONENT, MAX_EXPONENT - 2, -1))
+    assert [b.exponent for b in f.factors] == [MAX_EXPONENT, MAX_EXPONENT - 2]
+    doc = _d2_with_exponents(MAX_EXPONENT + 1, MAX_EXPONENT - 1, -1)
+    with pytest.raises(DocumentError, match=r"^source\.factors\[0\]\.exponent: 1000001 is too large "
+                                            r"to expand \(at most 1000000\)$"):
+        factorization_from_dict(doc, "source")
+    doc = _d2_with_exponents(1, MAX_EXPONENT + 1, 1)
+    doc["factors"].insert(0, {"conjugator": [1], "exponent": MAX_EXPONENT, "sign": -1})
+    with pytest.raises(DocumentError, match=r"^factorization\.factors\[2\]\.exponent"):
+        factorization_from_dict(doc)
+
+
+def test_an_exponent_too_large_to_expand_is_read_when_the_sum_is_wrong():
+    # a wrong sum decides the product unexpanded; only the orbit keys it
+    f = parse_factorization(json.dumps(_d2_with_exponents(10**60, 1, 1)))
+    assert f.factors[0].exponent == 10**60
+    with pytest.raises(DocumentError, match=r"^factorization\.factors\[0\]\.exponent: 10{60} is"):
+        check_expandable(f)
+    assert check_expandable(standard_factorization(3)) == standard_factorization(3)
 
 
 def test_parse_reports_json_location():

@@ -3,6 +3,7 @@ from collections import deque
 
 import pytest
 
+from braidshadow import factorization
 from braidshadow.factorization import (
     BandFactor,
     Factorization,
@@ -138,6 +139,41 @@ def _reference_orbit(f, bound):
     return HurwitzOrbit(tuple(seen[key] for key in keys), keys, truncated)
 
 
+def _band(d, conjugator, exponent=1, sign=1):
+    return BandFactor(BraidWord(d, conjugator), exponent, sign)
+
+
+def _paired(f, at, conjugator, exponent):
+    """f with g s1^e g^-1, g s1^-e g^-1 inserted before factor ``at``."""
+    pair = (_band(f.strands, conjugator, exponent), _band(f.strands, conjugator, exponent, -1))
+    return Factorization(f.strands, f.factors[:at] + pair + f.factors[at:])
+
+
+# Delta_3^2 = s1 s2 s1 . s1 s2 s1 with the middle s1 s1 as one band, then
+# with that band split into s1^3 . s1^-1
+_CUSP_3 = Factorization(3, (_band(3, ()), _band(3, (1, 2)), _band(3, (), 2),
+                            _band(3, (1, 2)), _band(3, ())))
+_FLIPPED_3 = Factorization(3, _CUSP_3.factors[:2] + (_band(3, (), 3), _band(3, (), 1, -1))
+                           + _CUSP_3.factors[3:])
+_FLIPPED_2 = Factorization(2, (_band(2, (), 3), _band(2, (), 1, -1)))  # orbit of two
+_PAIRED_4 = _paired(random_factorization(4, random.Random(13), moves=10, max_conjugator_length=4),
+                    5, (3, 2), 2)
+_NON_SMOOTH_STARTS = [
+    _FLIPPED_2,
+    _CUSP_3,
+    _FLIPPED_3,
+    _paired(standard_factorization(3), 2, (2,), 1),
+    _paired(_CUSP_3, 1, (2, -1), 3),
+    _PAIRED_4,
+]
+
+
+@pytest.mark.parametrize("start", _NON_SMOOTH_STARTS)
+def test_non_smooth_starts_multiply_to_the_full_twist(start):
+    report = validate(start)
+    assert report.product_ok and not report.smooth
+
+
 @pytest.mark.parametrize(
     "start, bound",
     [
@@ -145,10 +181,52 @@ def _reference_orbit(f, bound):
         (standard_factorization(3), 200),
         (random_factorization(4, random.Random(11), moves=10, max_conjugator_length=4), 40),
         (random_factorization(4, random.Random(12), moves=10, max_conjugator_length=4), 40),
+        *((start, 100) for start in _NON_SMOOTH_STARTS),
+        # every budget, so that truncation falls both on a move whose moved
+        # key was known and on one keyed afresh
+        *((_FLIPPED_3, bound) for bound in range(1, 61)),
     ],
 )
 def test_orbit_matches_reference_bfs(start, bound):
     assert hurwitz_orbit(start, bound) == _reference_orbit(start, bound)
+
+
+def _adjacent_triples(keys):
+    return {(direction, key[i - 1], key[i])
+            for key in keys for i in range(1, len(key)) for direction in ("right", "left")}
+
+
+@pytest.mark.parametrize("start, bound", [
+    (standard_factorization(2), 10),
+    (_FLIPPED_2, 10),
+    (standard_factorization(3), 300),
+    (_CUSP_3, 100),
+    (_FLIPPED_3, 100),
+    (_PAIRED_4, 60),
+])
+def test_orbit_keys_each_distinct_band_move_once(monkeypatch, start, bound):
+    # the moved band's key depends only on the direction and the two keys,
+    # so beyond the start's n bands each distinct triple is keyed once
+    calls = []
+    keyed = factorization.factor_canonical_key
+    monkeypatch.setattr(factorization, "factor_canonical_key",
+                        lambda band: calls.append(band) or keyed(band))
+    orbit = hurwitz_orbit(start, bound)
+    # every triple met belongs to some node of the orbit; without truncation
+    # every node's triples are met
+    bound_calls = len(start) + len(_adjacent_triples(orbit.keys))
+    assert len(calls) <= bound_calls
+    if not orbit.truncated:
+        assert len(calls) == bound_calls
+
+
+def test_standard_3_orbit_normal_form_count_is_pinned(monkeypatch):
+    calls = []
+    nf = factorization.normal_form
+    monkeypatch.setattr(factorization, "normal_form", lambda word: calls.append(word) or nf(word))
+    orbit = hurwitz_orbit(standard_factorization(3), 300)
+    assert orbit.size == 300 and orbit.truncated
+    assert len(calls) <= 78  # 1,693 when every move was keyed
 
 
 def test_orbit_budget_validation():
