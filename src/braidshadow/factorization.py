@@ -12,18 +12,11 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 
-from .garside import NormalForm, equal, normal_form
-from .words import (
-    BraidError,
-    BraidWord,
-    compose,
-    exponent_sum,
-    free_reduce,
-    full_twist,
-    identity,
-    invert,
-)
+from .garside import equal, normal_form
+from .words import BraidError, BraidWord, free_reduce, full_twist, invert
 
 
 @dataclass(frozen=True)
@@ -48,8 +41,9 @@ class BandFactor:
 
     def word(self) -> BraidWord:
         """Expanded word g sigma_1^{sign*exponent} g^{-1} (no reduction)."""
-        core = BraidWord(self.strands, (self.sign,) * self.exponent)
-        return compose(compose(self.conjugator, core), invert(self.conjugator))
+        g = self.conjugator.letters
+        core = (self.sign,) * self.exponent
+        return BraidWord(self.strands, g + core + tuple(-x for x in reversed(g)))
 
     def signed_exponent(self) -> int:
         return self.sign * self.exponent
@@ -90,10 +84,8 @@ class Factorization:
 
 def expand(f: Factorization) -> BraidWord:
     """Concatenation of all expanded band factors, in order."""
-    out = identity(f.strands)
-    for factor in f.factors:
-        out = compose(out, factor.word())
-    return out
+    letters = chain.from_iterable(band.word().letters for band in f.factors)
+    return BraidWord(f.strands, tuple(letters))
 
 
 @dataclass(frozen=True)
@@ -173,15 +165,20 @@ def hurwitz_move(f: Factorization, i: int, direction: str = "right") -> Factoriz
     if direction not in ("left", "right"):
         raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
     a, b = f.factors[i - 1], f.factors[i]
-    if direction == "right":
-        new_conj = free_reduce(compose(a.word(), b.conjugator))
-        moved = BandFactor(new_conj, b.exponent, b.sign)
-        pair = (moved, a)
-    else:
-        new_conj = free_reduce(compose(invert(b.word()), a.conjugator))
-        moved = BandFactor(new_conj, a.exponent, a.sign)
-        pair = (b, moved)
+    moved = _moved_band(a, b, direction)
+    pair = (moved, a) if direction == "right" else (b, moved)
     return Factorization(f.strands, f.factors[: i - 1] + pair + f.factors[i + 1 :])
+
+
+def _moved_band(a: BandFactor, b: BandFactor, direction: str) -> BandFactor:
+    """The band a Hurwitz move writes in place of b or a: a b a^{-1} (right)
+    or b^{-1} a b (left), with a free-reduced conjugator."""
+    if direction == "right":
+        head, kept = a.word(), b
+    else:
+        head, kept = invert(b.word()), a
+    conjugator = free_reduce(BraidWord(a.strands, head.letters + kept.conjugator.letters))
+    return BandFactor(conjugator, kept.exponent, kept.sign)
 
 
 FactorKey = tuple[int, tuple[tuple[int, ...], ...]]
@@ -197,23 +194,45 @@ def factorization_key(f: Factorization) -> tuple[FactorKey, ...]:
     return tuple(factor_canonical_key(factor) for factor in f.factors)
 
 
+NodeKey = tuple[FactorKey, ...]
+OrbitMove = tuple[NodeKey, int, str]  # (parent key, slot, direction)
+
+
 @dataclass(frozen=True)
 class HurwitzOrbit:
     """BFS closure of a factorization under Hurwitz moves.
 
-    ``elements`` holds one witness per canonical node, sorted by canonical
-    key so the output is independent of exploration order; ``keys`` holds
-    those keys, in the same order.  ``truncated`` is set when the node
-    budget was exhausted before closure.
+    ``keys`` holds the canonical key of every node reached, sorted so the
+    output is independent of exploration order.  ``truncated`` is set when
+    the node budget was exhausted before closure.  Each entry of
+    ``witnesses`` is the witness of the key at its position, or the move
+    (parent key, slot, direction) that first reached that key.  ``elements``
+    replays those moves with :func:`hurwitz_move` on its first read, each
+    parent before its child, so each witness is the one a BFS building every
+    node would find; nothing else builds one.  Equality compares keys and
+    truncation.
     """
 
-    elements: tuple[Factorization, ...]
-    keys: tuple[tuple[FactorKey, ...], ...]
+    witnesses: tuple[Factorization | OrbitMove, ...] = field(compare=False, repr=False)
+    keys: tuple[NodeKey, ...]
     truncated: bool
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self.keys)
+
+    @cached_property
+    def elements(self) -> tuple[Factorization, ...]:
+        built = dict(zip(self.keys, self.witnesses))
+        for key in self.keys:
+            path, node = [], key
+            while not isinstance(built[node], Factorization):
+                path.append(node)
+                node = built[node][0]
+            for node in reversed(path):
+                parent, slot, direction = built[node]
+                built[node] = hurwitz_move(built[parent], slot, direction)
+        return tuple(built[key] for key in self.keys)
 
 
 def hurwitz_orbit(f: Factorization, bound: int) -> HurwitzOrbit:
@@ -222,30 +241,31 @@ def hurwitz_orbit(f: Factorization, bound: int) -> HurwitzOrbit:
     A move keeps one of its two bands and replaces the other by a b a^{-1}
     (right) or b^{-1} a b (left) as a group element, so the moved band's
     key is a function of the direction and the keys of a and b alone,
-    whatever their exponents, signs or conjugator words.  Each distinct
-    (direction, key a, key b) triple is therefore keyed once, in a memo
-    that lives for this call, and a node is built only when its key is new.
+    whatever their exponents, signs or conjugator words.  The BFS therefore
+    runs on key tuples: the first band seen with a key represents every band
+    with that key, each distinct (direction, key a, key b) triple is keyed
+    once, by moving two representatives, in a memo that lives for this
+    call, and a new node records only the move that first reached it.
     """
     if bound < 1:
         raise ValueError(f"node budget must be >= 1, got {bound}")
     start_key = factorization_key(f)
-    seen: dict[tuple[FactorKey, ...], Factorization] = {start_key: f}
-    queue: deque[tuple[Factorization, tuple[FactorKey, ...]]] = deque([(f, start_key)])
+    # reversed, so that the first band with each key is the one kept
+    bands = dict(zip(reversed(start_key), reversed(f.factors)))
+    seen: dict[NodeKey, Factorization | OrbitMove] = {start_key: f}
+    queue: deque[NodeKey] = deque([start_key])
     moved: dict[tuple[str, FactorKey, FactorKey], FactorKey] = {}
     truncated = False
     while queue:
-        node, node_key = queue.popleft()
-        n = len(node.factors)
-        for i in range(1, n):
+        node_key = queue.popleft()
+        for i in range(1, len(node_key)):
             key_a, key_b = node_key[i - 1], node_key[i]
             for direction in ("right", "left"):
-                nxt = None
                 memo = (direction, key_a, key_b)
                 if memo not in moved:
-                    nxt = hurwitz_move(node, i, direction)
-                    moved[memo] = factor_canonical_key(
-                        nxt.factors[i - 1 if direction == "right" else i]
-                    )
+                    band = _moved_band(bands[key_a], bands[key_b], direction)
+                    moved[memo] = factor_canonical_key(band)
+                    bands.setdefault(moved[memo], band)
                 pair = (moved[memo], key_a) if direction == "right" else (key_b, moved[memo])
                 key = node_key[: i - 1] + pair + node_key[i + 1 :]
                 if key in seen:
@@ -254,16 +274,12 @@ def hurwitz_orbit(f: Factorization, bound: int) -> HurwitzOrbit:
                     truncated = True
                     queue.clear()
                     break
-                if nxt is None:
-                    nxt = hurwitz_move(node, i, direction)
-                seen[key] = nxt
-                queue.append((nxt, key))
+                seen[key] = (node_key, i, direction)
+                queue.append(key)
             if truncated:
                 break
     keys = tuple(sorted(seen))
-    return HurwitzOrbit(
-        elements=tuple(seen[key] for key in keys), keys=keys, truncated=truncated
-    )
+    return HurwitzOrbit(tuple(seen[key] for key in keys), keys, truncated)
 
 
 def random_factorization(

@@ -26,11 +26,11 @@ class BraidWord:
             raise BraidError(f"strand count must be >= 1, got {self.strands}")
         letters = tuple(self.letters)
         object.__setattr__(self, "letters", letters)
-        for x in letters:
-            if x == 0 or abs(x) > self.strands - 1:
-                raise BraidError(
-                    f"letter {x} out of range for {self.strands} strands"
-                )
+        top = self.strands - 1
+        # one pass each in C; the loop only names the first bad letter
+        if letters and (min(letters) < -top or max(letters) > top or 0 in letters):
+            bad = next(x for x in letters if x == 0 or abs(x) > top)
+            raise BraidError(f"letter {bad} out of range for {self.strands} strands")
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -2,8 +2,10 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from braidshadow import factorization
+from braidshadow.cli import run_cli
 from braidshadow.factorization import (
     BandFactor,
     Factorization,
@@ -18,7 +20,15 @@ from braidshadow.factorization import (
     validate,
 )
 from braidshadow.garside import equal
-from braidshadow.words import BraidError, BraidWord, full_twist, identity
+from braidshadow.words import (
+    BraidError,
+    BraidWord,
+    compose,
+    free_reduce,
+    full_twist,
+    identity,
+    invert,
+)
 
 
 def test_band_factor_word():
@@ -139,6 +149,60 @@ def _reference_orbit(f, bound):
     return HurwitzOrbit(tuple(seen[key] for key in keys), keys, truncated)
 
 
+def _reference_word(band):
+    """g s1^(sign*exponent) g^-1 through compose and invert."""
+    core = BraidWord(band.strands, (band.sign,) * band.exponent)
+    return compose(compose(band.conjugator, core), invert(band.conjugator))
+
+
+def _reference_expand(f):
+    """The bands' words composed one at a time."""
+    out = identity(f.strands)
+    for band in f.factors:
+        out = compose(out, _reference_word(band))
+    return out
+
+
+def _reference_hurwitz_move(f, i, direction):
+    """The Hurwitz move with each conjugator composed and then free-reduced."""
+    a, b = f.factors[i - 1], f.factors[i]
+    if direction == "right":
+        new_conj = free_reduce(compose(_reference_word(a), b.conjugator))
+        pair = (BandFactor(new_conj, b.exponent, b.sign), a)
+    else:
+        new_conj = free_reduce(compose(invert(_reference_word(b)), a.conjugator))
+        pair = (b, BandFactor(new_conj, a.exponent, a.sign))
+    return Factorization(f.strands, f.factors[: i - 1] + pair + f.factors[i + 1 :])
+
+
+@st.composite
+def _factorizations(draw):
+    """Band lists at d = 2..5, any conjugators, exponents 1..3, both signs;
+    the moves and expand never need the product to be the full twist."""
+    d = draw(st.integers(2, 5))
+    letter = st.integers(1, d - 1).flatmap(lambda i: st.sampled_from([i, -i]))
+    band = st.builds(
+        lambda g, e, sign: BandFactor(BraidWord(d, tuple(g)), e, sign),
+        st.lists(letter, max_size=6), st.integers(1, 3), st.sampled_from([1, -1]),
+    )
+    return Factorization(d, tuple(draw(st.lists(band, min_size=2, max_size=6))))
+
+
+_CUBED_NEGATIVE = BandFactor(BraidWord(3, (2, -1)), 3, -1)
+
+
+@given(_factorizations())
+@example(Factorization(3, (_CUBED_NEGATIVE, BandFactor(BraidWord(3, (1,)), 2), _CUBED_NEGATIVE)))
+@settings(max_examples=200, deadline=None)
+def test_moves_and_expand_agree_with_composed_oracles(f):
+    assert expand(f) == _reference_expand(f)
+    for band in f.factors:
+        assert band.word() == _reference_word(band)
+    for i in range(1, len(f)):
+        for direction in ("right", "left"):
+            assert hurwitz_move(f, i, direction) == _reference_hurwitz_move(f, i, direction)
+
+
 def _band(d, conjugator, exponent=1, sign=1):
     return BandFactor(BraidWord(d, conjugator), exponent, sign)
 
@@ -188,7 +252,11 @@ def test_non_smooth_starts_multiply_to_the_full_twist(start):
     ],
 )
 def test_orbit_matches_reference_bfs(start, bound):
-    assert hurwitz_orbit(start, bound) == _reference_orbit(start, bound)
+    orbit, reference = hurwitz_orbit(start, bound), _reference_orbit(start, bound)
+    # equality of orbits compares keys and truncation, so witnesses are
+    # compared on their own
+    assert (orbit.elements, orbit.keys, orbit.truncated) == (
+        reference.elements, reference.keys, reference.truncated)
 
 
 def _adjacent_triples(keys):
@@ -227,6 +295,36 @@ def test_standard_3_orbit_normal_form_count_is_pinned(monkeypatch):
     orbit = hurwitz_orbit(standard_factorization(3), 300)
     assert orbit.size == 300 and orbit.truncated
     assert len(calls) <= 78  # 1,693 when every move was keyed
+
+
+def _count_moves(monkeypatch):
+    calls = []
+    move = factorization.hurwitz_move
+    monkeypatch.setattr(factorization, "hurwitz_move",
+                        lambda *args: calls.append(args) or move(*args))
+    return calls
+
+
+@pytest.mark.parametrize("start, bound", [
+    (standard_factorization(3), 300),
+    (_FLIPPED_3, 100),
+    (_PAIRED_4, 60),
+])
+def test_orbit_builds_witnesses_only_when_elements_are_read(monkeypatch, start, bound):
+    calls = _count_moves(monkeypatch)
+    orbit = hurwitz_orbit(start, bound)
+    assert orbit.size == len(orbit.keys) and orbit.truncated in (True, False)
+    assert not calls
+    elements = orbit.elements
+    # every node but the start is one move from its parent's witness
+    assert len(calls) == orbit.size - 1 == len(elements) - 1
+    assert orbit.elements is elements and len(calls) == orbit.size - 1
+
+
+def test_orbit_verb_builds_no_witness(monkeypatch, capsys):
+    calls = _count_moves(monkeypatch)
+    assert run_cli(["orbit", "--standard", "3", "--budget", "300", "--json"]) == 0
+    assert '"size": 300' in capsys.readouterr().out and not calls
 
 
 def test_orbit_budget_validation():

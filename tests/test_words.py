@@ -32,6 +32,9 @@ def test_letter_validation():
         BraidWord(2, (0,))
     with pytest.raises(BraidError):
         BraidWord(0, ())
+    # the range check names the first bad letter, however far in
+    with pytest.raises(BraidError, match=r"^letter 5 out of range for 3 strands$"):
+        BraidWord(3, (1,) * 1000 + (5, 0))
 
 
 def test_compose_and_strand_mismatch():
