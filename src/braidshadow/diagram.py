@@ -70,10 +70,6 @@ class TorusDiagram:
     def bridge_number(self) -> int:
         return len(self.bridge_points) // 2
 
-    @property
-    def tile_count(self) -> int:
-        return (self.bridge_number - self.stabilization_count) // 2
-
 
 @dataclass(frozen=True)
 class BridgeParams:
@@ -121,9 +117,7 @@ class TileFragment:
     tile at column p, bottom to top: its vertices, with a ``Cut`` wherever
     a bridge pair interrupts it (the cut's own points are not repeated as
     vertices).  B and C arcs are complete and local:
-    (minus_index, plus_index, path).  ``a_crossing_count`` is the number of
-    crossings the braid boxes would have without the stabilizations, one
-    stabilization each.
+    (minus_index, plus_index, path).
     """
 
     height: int
@@ -131,7 +125,6 @@ class TileFragment:
     a_strands: tuple[tuple[Point | Cut, ...], ...]
     b_arcs: tuple[tuple[int, int, tuple[Point, ...]], ...]
     c_arcs: tuple[tuple[int, int, tuple[Point, ...]], ...]
-    a_crossing_count: int
 
 
 def build_tile(factor: BandFactor) -> TileFragment:
@@ -212,7 +205,6 @@ def build_tile(factor: BandFactor) -> TileFragment:
         a_strands=tuple(tuple(s) for s in strands),
         b_arcs=tuple(b_arcs),
         c_arcs=tuple(c_arcs),
-        a_crossing_count=2 * len(g),
     )
 
 
@@ -220,9 +212,10 @@ def assemble(f: Factorization) -> TorusDiagram:
     """Stack tiles in reverse order into a crossing-free torus diagram.
 
     Tiles come mini-stabilized from ``build_tile``, so the diagram has no
-    A crossings and ``stabilization_count`` is 2 * sum(|g_i|).  Each tile
-    keeps its own height, so Ny is the sum of the tile heights.  The
-    factorization must validate (product equal to the full twist) and
+    A crossings, and every bridge pair beyond a tile's four is a
+    stabilization: ``stabilization_count`` is b - 2n = 2 * sum(|g_i|).
+    Each tile keeps its own height, so Ny is the sum of the tile heights.
+    The factorization must validate (product equal to the full twist) and
     every band must be positive.
     """
     if f.strands < 2:
@@ -236,7 +229,6 @@ def assemble(f: Factorization) -> TorusDiagram:
     d = f.strands
     points: list[BridgePoint] = []
     arcs: list[Arc] = []
-    stabilizations = 0
     # Per strand: the open A path, the (-) point it starts at (None while it
     # still starts at y = 0), and the piece from y = 0 to the first cut with
     # that cut's (+) point, which closes the last arc across the top edge.
@@ -272,7 +264,6 @@ def assemble(f: Factorization) -> TorusDiagram:
                     if not path or path[-1] != v:
                         path.append(v)
             open_path[col] = path
-        stabilizations += tile.a_crossing_count
         y0 += tile.height
 
     for col in range(d):
@@ -288,7 +279,8 @@ def assemble(f: Factorization) -> TorusDiagram:
                 merged.append(v)
         arcs.append(Arc("A", open_start[col], plus_id, tuple(merged)))
 
-    return TorusDiagram(d, (_column_x(d), y0), tuple(points), tuple(arcs), stabilizations)
+    s = len(points) // 2 - 2 * len(f.factors)
+    return TorusDiagram(d, (_column_x(d), y0), tuple(points), tuple(arcs), s)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +490,7 @@ def _incidence(diag: TorusDiagram, color: str) -> dict[int, list[int]]:
         inc[arc.start].append(ai)
         inc[arc.end].append(ai)
     for ident, lst in inc.items():
-        if len(lst) != 1 and not (len(lst) == 2 and diag.arcs[lst[0]] is diag.arcs[lst[1]]):
+        if len(lst) != 1:
             raise DiagramError(
                 f"bridge point {ident} touches {len(lst)} {color} arcs, expected 1"
             )
@@ -507,57 +499,66 @@ def _incidence(diag: TorusDiagram, color: str) -> dict[int, list[int]]:
 
 def _pair_components(
     diag: TorusDiagram, inc_a: dict[int, list[int]], inc_b: dict[int, list[int]]
-) -> int:
+) -> list[int]:
     """Closed components of the union of two tangle shadows, given their
-    incidences from ``_incidence``."""
+    incidences from ``_incidence``: the number of bridge points on each."""
     seen: set[int] = set()
-    comps = 0
+    sizes = []
     for start in inc_a:
         if start in seen:
             continue
-        comps += 1
-        node, use_a = start, True
+        node, use_a, size = start, True, 0
         while True:
             seen.add(node)
+            size += 1
             arc = diag.arcs[(inc_a if use_a else inc_b)[node][0]]
             node = arc.end if arc.start == node else arc.start
             use_a = not use_a
             if node == start and use_a:
                 break
-    return comps
+        sizes.append(size)
+    return sizes
 
 
 def bridge_params(diag: TorusDiagram) -> BridgeParams:
-    """Count (b; c1, c2, c3).
+    """Count (b; c1, c2, c3) and s.
 
-    The counts are the bridge parameters only when the diagram has no A
-    crossings; ``a_crossings`` is the verifier for that.
+    s is the number of mini unknots: components of L2 = B u C through
+    exactly two bridge points.  The declared ``stabilization_count`` must
+    equal it.  The counts are the bridge parameters only when the diagram
+    has no A crossings; ``a_crossings`` is the verifier for that.
     """
     inc_a, inc_b, inc_c = (_incidence(diag, color) for color in "ABC")
-    b, s = diag.bridge_number, diag.stabilization_count
-    if s > b:
-        raise DiagramError(f"stabilization_count s = {s} exceeds the bridge number b = {b}")
-    c1 = _pair_components(diag, inc_a, inc_b)
-    c2 = _pair_components(diag, inc_b, inc_c)
-    c3 = _pair_components(diag, inc_c, inc_a)
-    return BridgeParams(b, c1, c2, c3, s)
+    l2 = _pair_components(diag, inc_b, inc_c)
+    s = l2.count(2)
+    if diag.stabilization_count != s:
+        raise DiagramError(
+            f"stabilization_count s = {diag.stabilization_count} differs from the "
+            f"{s} mini unknots counted in L2"
+        )
+    c1 = len(_pair_components(diag, inc_a, inc_b))
+    c3 = len(_pair_components(diag, inc_c, inc_a))
+    return BridgeParams(diag.bridge_number, c1, len(l2), c3, s)
 
 
 def compare_source(diag: TorusDiagram, params: BridgeParams, f: Factorization) -> None:
     """Check that ``params`` of ``diag`` fit its source factorization.
 
-    The strand counts must agree, there must be one tile per band, and
+    The strand counts must agree, the bridge pairs beyond the s counted
+    mini unknots must make one four-point tile per band (b - s = 2n), and
     L2 = B u C must have one component per band plus one per
-    stabilization.  The pairwise links L1 (the closure of the trivial
+    stabilization.  With s counted, the two together say that L2 has
+    exactly n components besides the mini unknots, each through four
+    bridge points.  The pairwise links L1 (the closure of the trivial
     d-braid) and L2 (a split union of the band and stabilization
     components) are then fixed by the tile construction, and L3 is
     trivial exactly when the product of the bands is the full twist,
     which ``validate`` decides; none of the three is read from the
-    diagram itself yet (ROADMAP item 1(b)).
+    diagram itself yet (ROADMAP item 4).
     """
     if f.strands != diag.strands:
         raise DiagramError("factorization and diagram strand counts differ")
-    if diag.tile_count != len(f.factors):
+    if params.b - params.s != 2 * len(f.factors):
         raise DiagramError("diagram tile count does not match the factorization")
     expected = len(f.factors) + params.s
     if params.c2 != expected:

@@ -40,6 +40,12 @@ def run(capsys, argv, stdin=None, monkeypatch=None):
     return code, captured.out, captured.err
 
 
+def test_package_exports_resolve_sorted_and_unique():
+    names = braidshadow.__all__
+    assert [name for name in names if not hasattr(braidshadow, name)] == []
+    assert names == sorted(set(names))
+
+
 def test_verify_standard_3(capsys):
     code, out, _ = run(capsys, ["verify", "--standard", "3"])
     assert code == 0
@@ -435,7 +441,7 @@ def test_check_refuses_more_stabilizations_than_bridge_points(capsys, monkeypatc
     assert code == 1
     assert out.splitlines()[3:] == [
         "bridge parameters: unavailable "
-        "(stabilization_count s = 9 exceeds the bridge number b = 4)",
+        "(stabilization_count s = 9 differs from the 0 mini unknots counted in L2)",
         "triviality: skipped (no source factorization)",
         "result: FAIL",
     ]
@@ -446,7 +452,43 @@ def test_invariants_refuses_more_stabilizations_than_bridge_points(capsys, monke
         capsys, ["invariants", "-"], stdin=_over_stabilized_document(), monkeypatch=monkeypatch
     )
     assert (code, out) == (1, "")
-    assert err == "failed: stabilization_count s = 9 exceeds the bridge number b = 4\n"
+    assert err == "failed: stabilization_count s = 9 differs from the 0 mini unknots counted in L2\n"
+
+
+@pytest.mark.parametrize("with_source", [True, False])
+@pytest.mark.parametrize("declared", [11, 13, 14])
+def test_edited_stabilization_count_is_refused(capsys, monkeypatch, declared, with_source):
+    f = standard_factorization(3)
+    doc = json.loads(serialize_diagram(assemble(f), source=f if with_source else None))
+    assert doc["stabilization_count"] == 12
+    doc["stabilization_count"] = declared
+    text = json.dumps(doc)
+    message = f"stabilization_count s = {declared} differs from the 12 mini unknots counted in L2"
+    code, out, _ = run(capsys, ["check", "-"], stdin=text, monkeypatch=monkeypatch)
+    assert code == 1
+    assert f"bridge parameters: unavailable ({message})" in out.splitlines()
+    code, out, err = run(capsys, ["invariants", "-"], stdin=text, monkeypatch=monkeypatch)
+    assert (code, out, err) == (1, "", f"failed: {message}\n")
+
+
+def test_loop_arc_is_refused(capsys, monkeypatch):
+    # three bridge points on a lattice of tenths; A arc 0 runs from point 0
+    # back to itself, once around the y period
+    points = (BridgePoint(0, 2, 2, -1), BridgePoint(1, 4, 6, 1), BridgePoint(2, 6, 2, -1))
+    arcs = (
+        Arc("A", 0, 0, ((2, 2), (2, 12))),
+        Arc("A", 2, 1, ((6, 2), (4, 6))),
+        Arc("B", 0, 1, ((2, 2), (-6, 6))),
+        Arc("C", 2, 1, ((6, 2), (14, 6))),
+    )
+    text = serialize_diagram(TorusDiagram(2, (10, 10), points, arcs))
+    code, out, _ = run(capsys, ["check", "-"], stdin=text, monkeypatch=monkeypatch)
+    assert code == 1
+    assert "endpoints: FAIL" in out
+    assert "bridge parameters: unavailable (bridge point 0 touches 2 A arcs, expected 1)" in out
+    code, out, err = run(capsys, ["invariants", "-"], stdin=text, monkeypatch=monkeypatch)
+    assert (code, out) == (1, "")
+    assert err.startswith("failed: diagram has ")
 
 
 def test_check_skips_triviality_when_parameters_are_unavailable(capsys, monkeypatch):

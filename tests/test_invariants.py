@@ -3,11 +3,9 @@ import pytest
 from braidshadow.diagram import BridgeParams, assemble, bridge_params
 from braidshadow.factorization import standard_factorization
 from braidshadow.invariants import (
-    bennequin_check,
     euler_check,
     genus_expected,
     make_ledger,
-    sl_sum_check,
     transverse_sl,
 )
 from braidshadow.words import BraidError, BraidWord, identity
@@ -35,24 +33,6 @@ def test_transverse_sl():
     assert transverse_sl(BraidWord(3, (1, 2, -1))) == -2
 
 
-def test_sl_sum_check_examples():
-    assert sl_sum_check(BridgeParams(4, 2, 2, 2, 0), 2)
-    assert sl_sum_check(BridgeParams(12, 3, 6, 3, 0), 3)
-    # stabilization cancels: (12+s; 3, 6+s, 3)
-    for s in (0, 1, 2, 7, 40):
-        assert sl_sum_check(BridgeParams(12 + s, 3, 6 + s, 3, s), 3)
-
-
-def test_bennequin_check_cases():
-    p = BridgeParams(6, 2, 2, 2, 0)
-    rep = bennequin_check(p, (-2, -2, -2))
-    assert rep.ok and rep.equalities == (True, True, True)
-    rep = bennequin_check(p, (-3, -2, -2))
-    assert rep.ok and rep.equalities == (False, True, True)
-    rep = bennequin_check(p, (-1, -2, -2))
-    assert not rep.ok
-
-
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_ledger_all_ok_for_standard_diagrams(d):
     f = standard_factorization(d)
@@ -76,7 +56,10 @@ def test_ledger_flags_failures():
 
 def test_ledger_sl1_defaults_to_minus_c1():
     p = BridgeParams(24, 3, 18, 3, 12)
-    assert make_ledger(p, 3).sl == (-3, -18, -3)
+    ledger = make_ledger(p, 3)
+    assert ledger.sl == (-3, -18, -3)
+    # without a known sl1 there is nothing to compare -c1 with
+    assert "sl1_matches_braid_word" not in ledger.checks
     ledger = make_ledger(p, 3, -4)
     assert ledger.sl == (-4, -18, -3)
     assert not ledger.checks["sl1_matches_braid_word"]
@@ -86,3 +69,20 @@ def test_ledger_for_singular_input_skips_smooth_identities():
     ledger = make_ledger(BridgeParams(2, 2, 1, 1, 0), 2, smooth=False)
     assert "euler" not in ledger.checks
     assert ledger.all_ok
+
+
+def test_every_ledger_check_can_fail():
+    good = BridgeParams(24, 3, 18, 3, 12)
+    full = make_ledger(good, 3, -3)
+    assert full.all_ok
+    failing = {
+        # one bridge point pair too many
+        "euler": make_ledger(BridgeParams(25, 3, 18, 3, 12), 3, -3),
+        # sl1 of L1 differs from -c1
+        "sl1_matches_braid_word": make_ledger(good, 3, -4),
+    }
+    # every key the ledger can emit has an input that makes it false
+    assert failing.keys() == full.checks.keys()
+    for key, ledger in failing.items():
+        assert ledger.checks[key] is False, key
+        assert not ledger.all_ok
