@@ -45,10 +45,14 @@ from .words import BraidError
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        name = "stdin" if path == "-" else path
+        raise DocumentError(f"{name}: not UTF-8 text (byte offset {exc.start})") from exc
 
 
 def _write_text(path: str | None, text: str) -> None:

@@ -6,7 +6,9 @@ points per period, (X, Y) standing for (X/Nx, Y/Ny), so the verifiers
 below decide with integer arithmetic alone.  A diagram built from a band
 factorization stacks one rectangular tile per band, in reverse order
 (last factor on top), so that reading the diagram top to bottom spells
-g_n s1^{-k_n} g_n^{-1} ... g_1 s1^{-k_1} g_1^{-1}.
+g_n s1^{-k_n} g_n^{-1} ... g_1 s1^{-k_1} g_1^{-1}.  ``assemble`` draws
+each tile once, straight into diagram coordinates, cutting the A strands
+in place at the tile's bridge points.
 
 Arc paths are stored as PL vertex lists in *lifted* coordinates: the
 first vertex lies in [0,Nx) x [0,Ny) and later vertices may leave it;
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .factorization import BandFactor, Factorization, validate
+from .factorization import Factorization, validate
 
 Point = tuple[int, int]
 
@@ -97,126 +99,24 @@ def _column_x(pos: int) -> int:
     return _STEP * (pos + 1)
 
 
-@dataclass(frozen=True)
-class Cut:
-    """Where a bridge pair interrupts a tile strand: the path so far ends at
-    the (+) point ``plus`` and the next path starts at the (-) point
-    ``minus`` just above it (indices into the tile's ``bridge_points``)."""
-
-    plus: int
-    minus: int
-
-
-@dataclass(frozen=True)
-class TileFragment:
-    """One band's tile, already mini-stabilized, in lattice rows 0..height.
-
-    ``bridge_points``: (x, y, sign) entries, first the band's four in the
-    order [+0, +1, -0, -1] (columns 0 and 1 of the band), then one (+, -)
-    pair per stabilization.  ``a_strands[p]`` is the A strand entering the
-    tile at column p, bottom to top: its vertices, with a ``Cut`` wherever
-    a bridge pair interrupts it (the cut's own points are not repeated as
-    vertices).  B and C arcs are complete and local:
-    (minus_index, plus_index, path).
-    """
-
-    height: int
-    bridge_points: tuple[tuple[int, int, int], ...]
-    a_strands: tuple[tuple[Point | Cut, ...], ...]
-    b_arcs: tuple[tuple[int, int, tuple[Point, ...]], ...]
-    c_arcs: tuple[tuple[int, int, tuple[Point, ...]], ...]
-
-
-def build_tile(factor: BandFactor) -> TileFragment:
-    """Crossing-free tile for one positive band g sigma_1^k g^{-1}.
-
-    Each braid-box letter crosses two strands at the middle of its step.
-    The strand moving right is cut at a quarter and three quarters of its
-    step by a (+, -) pair joined by a mini unknot: one B arc wrapping left
-    and one C arc wrapping right, so both stay strictly monotone.  That
-    removes the crossing; each tile carries 2|g| such stabilizations.
-
-    Negative bands are rejected: their tiles cannot keep the tangles
-    positively transverse to the disk foliations.
-    """
-    if factor.sign != 1:
-        raise DiagramError("cannot build a tile for a negative band factor")
-    d = factor.strands
-    g = factor.conjugator.letters
-    k = factor.exponent
-    nx = _column_x(d)
-    x0, x1 = _column_x(0), _column_x(1)
-    # the band's step sits between the boxes, cut like a letter's
-    y_plus, y_minus = _STEP * len(g) + 1, _STEP * len(g) + 3
-    points = [(x0, y_plus, 1), (x1, y_plus, 1), (x0, y_minus, -1), (x1, y_minus, -1)]
-    b_arcs = [
-        (2, 0, ((x0, y_minus), (x0 - nx, y_plus))),
-        (3, 1, ((x1, y_minus), (x1 - nx, y_plus))),
-    ]
-    c_arcs = [
-        (2, 1, ((x0, y_minus), (x1 + nx, y_plus))),
-        (3, 0, ((x1, y_minus), (x0 + k * nx, y_plus))),
-    ]
-    strands: list[list[Point | Cut]] = [[(_column_x(p), 0)] for p in range(d)]
-
-    def add(strand: int, x: int, y: int) -> None:
-        if strands[strand][-1] != (x, y):
-            strands[strand].append((x, y))
-
-    def stabilize(strand: int, plus: Point, minus: Point) -> None:
-        i = len(points)
-        points.extend([(*plus, 1), (*minus, -1)])
-        b_arcs.append((i + 1, i, (minus, (plus[0] - nx, plus[1]))))
-        c_arcs.append((i + 1, i, (minus, (plus[0] + nx, plus[1]))))
-        strands[strand].append(Cut(i, i + 1))
-
-    def run_box(word: tuple[int, ...], y0: int) -> None:
-        """Draw a braid box from row y0; ``cur[pos]`` is the strand at column pos."""
-        for step, letter in enumerate(word):
-            i = abs(letter) - 1
-            xa, xb = _column_x(i), _column_x(i + 1)
-            ya = y0 + _STEP * step
-            yb = ya + _STEP
-            right, left = cur[i], cur[i + 1]
-            add(right, xa, ya)
-            stabilize(right, (xa + 1, ya + 1), (xa + 3, ya + 3))
-            add(right, xb, yb)
-            add(left, xb, ya)
-            add(left, xa, yb)
-            cur[i], cur[i + 1] = left, right
-
-    # Bottom-to-top the tile spells g^{-1}, band, g; read top-to-bottom that
-    # is g s1^{-k} g^{-1}.  Bottom box letters bottom-to-top: letters of g;
-    # top box: reversed(g).  (Shadow crossings ignore letter signs.)
-    cur = list(range(d))
-    run_box(g, 0)
-    # the band cuts the strands at columns 0 and 1
-    strands[cur[0]].append(Cut(0, 2))
-    strands[cur[1]].append(Cut(1, 3))
-    run_box(tuple(reversed(g)), _STEP * (len(g) + 1))
-    height = _STEP * (2 * len(g) + 1)
-    for p in range(d):
-        add(cur[p], _column_x(p), height)
-    if any(cur[p] != p for p in range(d)):
-        raise DiagramError("tile permutation did not close up")
-    return TileFragment(
-        height=height,
-        bridge_points=tuple(points),
-        a_strands=tuple(tuple(s) for s in strands),
-        b_arcs=tuple(b_arcs),
-        c_arcs=tuple(c_arcs),
-    )
-
-
 def assemble(f: Factorization) -> TorusDiagram:
-    """Stack tiles in reverse order into a crossing-free torus diagram.
+    """Stack one crossing-free tile per band into a torus diagram.
 
-    Tiles come mini-stabilized from ``build_tile``, so the diagram has no
-    A crossings, and every bridge pair beyond a tile's four is a
-    stabilization: ``stabilization_count`` is b - 2n = 2 * sum(|g_i|).
-    Each tile keeps its own height, so Ny is the sum of the tile heights.
-    The factorization must validate (product equal to the full twist) and
-    every band must be positive.
+    One pass draws each tile straight into diagram coordinates, factor 1
+    at the bottom.  Bottom to top a tile holds a braid box with the
+    letters of g, the band's step, where its four points cut the strands
+    at columns 0 and 1, and a box with g reversed, which returns every
+    strand to its column.  The strand moving right at a box letter's
+    crossing is cut at a quarter and three quarters of the step by a
+    (+, -) pair joined by a mini unknot, one B arc wrapping left and one
+    C arc wrapping right, so the diagram has no A crossings and
+    ``stabilization_count`` is b - 2n = 2 * sum(|g_i|).  A cut closes the
+    strand's open A arc and starts the next.  A tile adds its band's four
+    points, then its stabilization pairs; then its B arcs, its C arcs and
+    the A arcs its cuts closed, strand by strand.  The factorization must
+    validate (product equal to the full twist) and every band must be
+    positive: a negative band's tile cannot keep the tangles positively
+    transverse to the disk foliations.
     """
     if f.strands < 2:
         raise DiagramError("diagram assembly needs at least 2 strands")
@@ -227,60 +127,92 @@ def assemble(f: Factorization) -> TorusDiagram:
         raise DiagramError("factorization does not multiply to the full twist")
 
     d = f.strands
+    nx = _column_x(d)
+    x0, x1 = _column_x(0), _column_x(1)
     points: list[BridgePoint] = []
     arcs: list[Arc] = []
     # Per strand: the open A path, the (-) point it starts at (None while it
     # still starts at y = 0), and the piece from y = 0 to the first cut with
     # that cut's (+) point, which closes the last arc across the top edge.
-    open_path: list[list[Point]] = [[] for _ in range(d)]
+    open_path: list[list[Point]] = [[(_column_x(p), 0)] for p in range(d)]
     open_start: list[int | None] = [None] * d
     head: list[tuple[list[Point], int] | None] = [None] * d
+    cur = list(range(d))  # the strand at each column
 
-    # factors in order: factor 1 is the bottom tile, factor n the top
+    def point(x: int, y: int, sign: int) -> BridgePoint:
+        points.append(BridgePoint(len(points), x, y, sign))
+        return points[-1]
+
+    def join(color: str, minus: BridgePoint, plus: BridgePoint, wraps: int) -> Arc:
+        """A straight arc from ``minus`` to ``plus`` moved by ``wraps`` periods in x."""
+        path = ((minus.x, minus.y), (plus.x + wraps * nx, plus.y))
+        return Arc(color, minus.ident, plus.ident, path)
+
+    def add(strand: int, x: int, y: int) -> None:
+        if open_path[strand][-1] != (x, y):
+            open_path[strand].append((x, y))
+
+    def cut(strand: int, plus: BridgePoint, minus: BridgePoint) -> None:
+        """End the strand's open path at ``plus`` and start the next at ``minus``."""
+        path = open_path[strand]
+        path.append((plus.x, plus.y))
+        if open_start[strand] is None:
+            head[strand] = (path, plus.ident)
+        else:
+            closed[strand].append(Arc("A", open_start[strand], plus.ident, tuple(path)))
+        open_path[strand] = [(minus.x, minus.y)]
+        open_start[strand] = minus.ident
+
+    def run_box(word: tuple[int, ...], y: int) -> None:
+        """Draw a braid box from row y, stabilizing each letter's crossing."""
+        for letter in word:
+            i = abs(letter) - 1
+            xa, xb = _column_x(i), _column_x(i + 1)
+            right, left = cur[i], cur[i + 1]
+            add(right, xa, y)
+            plus, minus = point(xa + 1, y + 1, 1), point(xa + 3, y + 3, -1)
+            b_arcs.append(join("B", minus, plus, -1))
+            c_arcs.append(join("C", minus, plus, 1))
+            cut(right, plus, minus)
+            add(right, xb, y + _STEP)
+            add(left, xb, y)
+            add(left, xa, y + _STEP)
+            cur[i], cur[i + 1] = left, right
+            y += _STEP
+
     y0 = 0
     for factor in f.factors:
-        tile = build_tile(factor)
-        base = len(points)
-        for (x, y, sign) in tile.bridge_points:
-            points.append(BridgePoint(len(points), x, y + y0, sign))
-        for color, local in (("B", tile.b_arcs), ("C", tile.c_arcs)):
-            for (mi, pi, path) in local:
-                lifted = tuple((x, y + y0) for (x, y) in path)
-                arcs.append(Arc(color, base + mi, base + pi, lifted))
-        for col, strand in enumerate(tile.a_strands):
-            path = open_path[col]
-            for item in strand:
-                if isinstance(item, Cut):
-                    plus, minus = points[base + item.plus], points[base + item.minus]
-                    path.append((plus.x, plus.y))
-                    if open_start[col] is None:
-                        head[col] = (path, plus.ident)
-                    else:
-                        arcs.append(Arc("A", open_start[col], plus.ident, tuple(path)))
-                    path = [(minus.x, minus.y)]
-                    open_start[col] = minus.ident
-                else:
-                    v = (item[0], item[1] + y0)
-                    if not path or path[-1] != v:
-                        path.append(v)
-            open_path[col] = path
-        y0 += tile.height
+        g = factor.conjugator.letters
+        # the band's step sits between the boxes, cut like a letter's
+        y_plus, y_minus = y0 + _STEP * len(g) + 1, y0 + _STEP * len(g) + 3
+        p0, p1 = point(x0, y_plus, 1), point(x1, y_plus, 1)
+        m0, m1 = point(x0, y_minus, -1), point(x1, y_minus, -1)
+        b_arcs = [join("B", m0, p0, -1), join("B", m1, p1, -1)]
+        c_arcs = [join("C", m0, p1, 1), join("C", m1, p0, factor.exponent)]
+        closed: list[list[Arc]] = [[] for _ in range(d)]
+        run_box(g, y0)
+        cut(cur[0], p0, m0)
+        cut(cur[1], p1, m1)
+        run_box(g[::-1], y0 + _STEP * (len(g) + 1))
+        y0 += _STEP * (2 * len(g) + 1)
+        for p in range(d):
+            add(p, _column_x(p), y0)
+        arcs.extend(b_arcs + c_arcs)
+        for strand_arcs in closed:
+            arcs.extend(strand_arcs)
 
-    for col in range(d):
-        if head[col] is None:
+    for strand in range(d):
+        if head[strand] is None:
             raise DiagramError(
-                f"strand {col + 1} is never cut; its A tangle would be closed"
+                f"strand {strand + 1} is never cut; its A tangle would be closed"
             )
-        first, plus_id = head[col]
-        merged = open_path[col]
+        first, plus_id = head[strand]
         for (x, y) in first:
-            v = (x, y + y0)
-            if merged[-1] != v:
-                merged.append(v)
-        arcs.append(Arc("A", open_start[col], plus_id, tuple(merged)))
+            add(strand, x, y + y0)
+        arcs.append(Arc("A", open_start[strand], plus_id, tuple(open_path[strand])))
 
     s = len(points) // 2 - 2 * len(f.factors)
-    return TorusDiagram(d, (_column_x(d), y0), tuple(points), tuple(arcs), s)
+    return TorusDiagram(d, (nx, y0), tuple(points), tuple(arcs), s)
 
 
 # ---------------------------------------------------------------------------

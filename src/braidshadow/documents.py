@@ -21,7 +21,7 @@ import json
 from typing import Any
 
 from .diagram import Arc, BridgePoint, TorusDiagram
-from .factorization import BandFactor, Factorization
+from .factorization import MAX_EXPONENT, BandFactor, Factorization
 from .words import BraidError, BraidWord
 
 FORMAT_VERSION = "1"
@@ -30,9 +30,6 @@ _V1_SCALE = 10**6
 # the largest float plus half its spacing: X / N rounds to a finite float
 # exactly when |X| < N * _FLOAT_BOUND
 _FLOAT_BOUND = 2**1024 - 2**970
-# the largest band exponent let through to an expansion: a band is expanded
-# letter by letter, and the word problem is linear in the word's length
-MAX_EXPONENT = 10**6
 
 
 class DocumentError(ValueError):
@@ -59,6 +56,8 @@ def _load_json(text: str) -> dict:
         raise DocumentError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise DocumentError("invalid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise DocumentError("top level: expected a JSON object")
     return doc

@@ -57,7 +57,8 @@ class InvariantLedger:
 
     @property
     def all_ok(self) -> bool:
-        return all(self.checks.values())
+        """Every check passed, and there was one: no checks certify nothing."""
+        return bool(self.checks) and all(self.checks.values())
 
 
 def make_ledger(
@@ -74,7 +75,8 @@ def make_ledger(
     the trivial d-braid), checked against -c1; otherwise it is -c1 and
     nothing is checked.  For singular (non-smooth) input the Euler
     identity is not checked, since it only applies to smooth degree-d
-    surfaces.
+    surfaces; singular input without an sl1 thus gets a ledger with no
+    checks, which does not pass.
     """
     checks: dict[str, bool] = {}
     if sl1 is None:

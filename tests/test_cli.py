@@ -127,6 +127,45 @@ def test_malformed_file_exits_2(capsys, tmp_path):
     assert "invalid JSON" in err
 
 
+_NOT_UTF8 = b"\xff\xfe{}"
+
+
+@pytest.mark.parametrize("verb", ["verify", "build", "orbit", "check", "invariants", "export"])
+def test_input_that_is_not_utf8_exits_2(capsys, tmp_path, verb):
+    path = tmp_path / "bad.json"
+    path.write_bytes(_NOT_UTF8)
+    code, out, err = run(capsys, [verb, str(path)])
+    assert (code, out, err) == (2, "", f"error: {path}: not UTF-8 text (byte offset 0)\n")
+
+
+@pytest.mark.parametrize("verb", ["check", "invariants"])
+def test_fact_file_that_is_not_utf8_exits_2(capsys, monkeypatch, tmp_path, verb):
+    _, diagram_text, _ = run(capsys, ["build", "--standard", "2"])
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"{}" + _NOT_UTF8)
+    argv = [verb, "-", "--fact", str(path)]
+    code, out, err = run(capsys, argv, stdin=diagram_text, monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", f"error: {path}: not UTF-8 text (byte offset 2)\n")
+
+
+def test_stdin_that_is_not_utf8_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(_NOT_UTF8), encoding="utf-8"))
+    code, out, err = run(capsys, ["check", "-"])
+    assert (code, out, err) == (2, "", "error: stdin: not UTF-8 text (byte offset 0)\n")
+
+
+@pytest.mark.parametrize("through_file", [True, False])
+def test_deeply_nested_json_exits_2(capsys, monkeypatch, tmp_path, through_file):
+    text = "[" * 200000 + "]" * 200000
+    if through_file:
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code, out, err = run(capsys, ["check", str(path)])
+    else:
+        code, out, err = run(capsys, ["check", "-"], stdin=text, monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", "error: invalid JSON: nested too deeply\n")
+
+
 def test_reports_are_deterministic(capsys):
     outs = set()
     for _ in range(3):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from dataclasses import dataclass, replace
@@ -17,7 +18,6 @@ from braidshadow.diagram import (
     a_crossings,
     assemble,
     bridge_params,
-    build_tile,
     check_transverse,
     compare_source,
     endpoint_faults,
@@ -30,6 +30,7 @@ from braidshadow.factorization import (
     standard_factorization,
     validate,
 )
+from braidshadow.documents import serialize_diagram
 from braidshadow.garside import equal
 from braidshadow.words import BraidWord, compose, full_twist, identity, invert
 
@@ -155,15 +156,10 @@ def pipeline(f):
 
 
 def test_tile_has_four_bridge_points_and_local_arcs():
-    tile = build_tile(BandFactor(identity(3)))
-    signs = [s for (_, _, s) in tile.bridge_points]
-    assert signs == [1, 1, -1, -1]
-    assert len(tile.b_arcs) == 2 and len(tile.c_arcs) == 2
-
-
-def test_tile_rejects_negative_band():
-    with pytest.raises(DiagramError):
-        build_tile(BandFactor(identity(2), sign=-1))
+    # standard d = 2: two bands with empty conjugators, so no stabilizations
+    diag = assemble(standard_factorization(2))
+    assert [p.sign for p in diag.bridge_points] == [1, 1, -1, -1] * 2
+    assert "".join(arc.color for arc in diag.arcs[:8]) == "BBCCBBCC"
 
 
 def test_component_labels():
@@ -198,6 +194,19 @@ def _acceptance_corpus():
         for _ in range(100)
     ]
     return corpus
+
+
+def test_build_documents_are_pinned():
+    """``build`` output bytes (sha256 over the documents in order) for
+    standard d = 2..8, the acceptance corpus and the d = 2 cusp."""
+    cusp = Factorization(2, (singular_factor(identity(2), 2),))
+    inputs = [standard_factorization(d) for d in range(2, 9)] + _acceptance_corpus() + [cusp]
+    digest = hashlib.sha256()
+    for f in inputs:
+        digest.update(serialize_diagram(assemble(f), f).encode())
+    assert digest.hexdigest() == (
+        "35a23973ea22499bb9e50462c0b6c2d139fa4e56940e4e9adec44f6c566f1ec0"
+    )
 
 
 def test_stabilization_count_matches_conjugator_length():

@@ -68,7 +68,10 @@ def test_ledger_sl1_defaults_to_minus_c1():
 def test_ledger_for_singular_input_skips_smooth_identities():
     ledger = make_ledger(BridgeParams(2, 2, 1, 1, 0), 2, smooth=False)
     assert "euler" not in ledger.checks
-    assert ledger.all_ok
+    # with no sl1 either, nothing is checked, and a ledger that checks
+    # nothing does not pass
+    assert ledger.checks == {}
+    assert not ledger.all_ok
 
 
 def test_every_ledger_check_can_fail():
