@@ -47,7 +47,14 @@ from .words import BraidError
 def _read_text(path: str) -> str:
     try:
         if path == "-":
-            return sys.stdin.read()
+            text = sys.stdin.read()
+            try:
+                # stdin may decode with errors='surrogateescape', passing bad bytes on
+                text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                offset = len(text[: exc.start].encode("utf-8", "surrogateescape"))
+                raise DocumentError(f"stdin: not UTF-8 text (byte offset {offset})") from exc
+            return text
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
@@ -149,7 +156,7 @@ def _verify(diag: TorusDiagram, source: Factorization | None, first_fault: bool)
     faults = endpoint_faults(diag)
     if first_fault and faults:
         raise DiagramError(f"diagram has {len(faults)} endpoint faults, first: {faults[0]}")
-    violations = check_transverse(diag).violations
+    violations = check_transverse(diag)
     if first_fault and violations:
         raise DiagramError(
             f"diagram is not transverse ({len(violations)} violations), "

@@ -65,9 +65,6 @@ class TorusDiagram:
     arcs: tuple[Arc, ...]
     stabilization_count: int = 0
 
-    def point(self, ident: int) -> BridgePoint:
-        return self.bridge_points[ident]
-
     @property
     def bridge_number(self) -> int:
         return len(self.bridge_points) // 2
@@ -341,14 +338,8 @@ class Violation:
     reason: str
 
 
-@dataclass(frozen=True)
-class TransversalityReport:
-    ok: bool
-    violations: tuple[Violation, ...]
-
-
-def check_transverse(diag: TorusDiagram) -> TransversalityReport:
-    """Color-wise monotonicity of every oriented arc.
+def check_transverse(diag: TorusDiagram) -> list[Violation]:
+    """Color-wise monotonicity of every oriented arc; the violations found.
 
     A arcs (oriented - to +) must strictly gain height, B arcs strictly
     lose x, and C arcs strictly lose y - x (the slope-1 foliation
@@ -369,7 +360,7 @@ def check_transverse(diag: TorusDiagram) -> TransversalityReport:
                 reason = "C segment not moving strictly down-right"
             if bad:
                 violations.append(Violation(ai, arc.color, si, p, q, reason))
-    return TransversalityReport(ok=not violations, violations=tuple(violations))
+    return violations
 
 
 def endpoint_faults(diag: TorusDiagram) -> list[str]:
@@ -390,7 +381,7 @@ def endpoint_faults(diag: TorusDiagram) -> list[str]:
             (arc.start, arc.path[0], -1, "starts"),
             (arc.end, arc.path[-1], 1, "ends"),
         ):
-            p = diag.point(ident)
+            p = diag.bridge_points[ident]
             if (x - p.x) % nx or (y - p.y) % ny:
                 faults.append(
                     f"arc {ai} ({arc.color}) ends at ({x % nx / nx:.6f}, {y % ny / ny:.6f}), "
@@ -413,63 +404,57 @@ def endpoint_faults(diag: TorusDiagram) -> list[str]:
 # bridge parameters and the source factorization
 
 
-def _incidence(diag: TorusDiagram, color: str) -> dict[int, list[int]]:
-    """arc indices of the given color at each bridge point; must be exactly one."""
-    inc: dict[int, list[int]] = {p.ident: [] for p in diag.bridge_points}
-    for ai, arc in enumerate(diag.arcs):
-        if arc.color != color:
-            continue
-        inc[arc.start].append(ai)
-        inc[arc.end].append(ai)
-    for ident, lst in inc.items():
-        if len(lst) != 1:
-            raise DiagramError(
-                f"bridge point {ident} touches {len(lst)} {color} arcs, expected 1"
-            )
-    return inc
+def _partners(diag: TorusDiagram, color: str) -> list[int]:
+    """For each bridge point, the other end of its one arc of ``color``."""
+    partner = [0] * len(diag.bridge_points)
+    touches = [0] * len(partner)
+    for arc in diag.arcs:
+        if arc.color == color:
+            partner[arc.start], partner[arc.end] = arc.end, arc.start
+            touches[arc.start] += 1
+            touches[arc.end] += 1
+    for ident, count in enumerate(touches):
+        if count != 1:
+            raise DiagramError(f"bridge point {ident} touches {count} {color} arcs, expected 1")
+    return partner
 
 
-def _pair_components(
-    diag: TorusDiagram, inc_a: dict[int, list[int]], inc_b: dict[int, list[int]]
-) -> list[int]:
+def _pair_components(a: list[int], b: list[int]) -> list[int]:
     """Closed components of the union of two tangle shadows, given their
-    incidences from ``_incidence``: the number of bridge points on each."""
-    seen: set[int] = set()
+    partner lists: the number of bridge points on each.  A component
+    alternates between arcs of a and b, so node -> b[a[node]] walks it
+    two points a step."""
+    seen = bytearray(len(a))
     sizes = []
-    for start in inc_a:
-        if start in seen:
-            continue
-        node, use_a, size = start, True, 0
-        while True:
-            seen.add(node)
-            size += 1
-            arc = diag.arcs[(inc_a if use_a else inc_b)[node][0]]
-            node = arc.end if arc.start == node else arc.start
-            use_a = not use_a
-            if node == start and use_a:
-                break
-        sizes.append(size)
+    for start in range(len(a)):
+        node, size = start, 0
+        while not seen[node]:
+            seen[node] = seen[a[node]] = 1
+            size += 2
+            node = b[a[node]]
+        if size:
+            sizes.append(size)
     return sizes
 
 
 def bridge_params(diag: TorusDiagram) -> BridgeParams:
-    """Count (b; c1, c2, c3) and s.
+    """Count (b; c1, c2, c3) and s by walking the colors' partner lists.
 
     s is the number of mini unknots: components of L2 = B u C through
     exactly two bridge points.  The declared ``stabilization_count`` must
     equal it.  The counts are the bridge parameters only when the diagram
     has no A crossings; ``a_crossings`` is the verifier for that.
     """
-    inc_a, inc_b, inc_c = (_incidence(diag, color) for color in "ABC")
-    l2 = _pair_components(diag, inc_b, inc_c)
+    a, b, c = (_partners(diag, color) for color in "ABC")
+    l2 = _pair_components(b, c)
     s = l2.count(2)
     if diag.stabilization_count != s:
         raise DiagramError(
             f"stabilization_count s = {diag.stabilization_count} differs from the "
             f"{s} mini unknots counted in L2"
         )
-    c1 = len(_pair_components(diag, inc_a, inc_b))
-    c3 = len(_pair_components(diag, inc_c, inc_a))
+    c1 = len(_pair_components(a, b))
+    c3 = len(_pair_components(c, a))
     return BridgeParams(diag.bridge_number, c1, len(l2), c3, s)
 
 

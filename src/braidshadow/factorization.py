@@ -214,16 +214,17 @@ class HurwitzOrbit:
 
     ``keys`` holds the canonical key of every node reached, sorted so the
     output is independent of exploration order.  ``truncated`` is set when
-    the node budget was exhausted before closure.  Each entry of
-    ``witnesses`` is the witness of the key at its position, or the move
-    (parent key, slot, direction) that first reached that key.  ``elements``
-    replays those moves with :func:`hurwitz_move` on its first read, each
-    parent before its child, so each witness is the one a BFS building every
-    node would find; nothing else builds one.  Equality compares keys and
-    truncation.
+    the node budget was exhausted before closure.  ``moves`` maps each key,
+    in BFS order, to the move (parent key, slot, direction) that first
+    reached it, or to None for the key of ``start``.  ``elements`` replays
+    the moves in that order, parents before children, with
+    :func:`hurwitz_move` on its first read, so each witness is the one a
+    BFS building every node would find; nothing else builds one.  Equality
+    compares keys and truncation.
     """
 
-    witnesses: tuple[Factorization | OrbitMove, ...] = field(compare=False, repr=False)
+    start: Factorization = field(compare=False, repr=False)
+    moves: dict[NodeKey, OrbitMove | None] = field(compare=False, repr=False)
     keys: tuple[NodeKey, ...]
     truncated: bool
 
@@ -233,15 +234,13 @@ class HurwitzOrbit:
 
     @cached_property
     def elements(self) -> tuple[Factorization, ...]:
-        built = dict(zip(self.keys, self.witnesses))
-        for key in self.keys:
-            path, node = [], key
-            while not isinstance(built[node], Factorization):
-                path.append(node)
-                node = built[node][0]
-            for node in reversed(path):
-                parent, slot, direction = built[node]
-                built[node] = hurwitz_move(built[parent], slot, direction)
+        built = {}
+        for key, move in self.moves.items():
+            if move is None:
+                built[key] = self.start
+            else:
+                parent, slot, direction = move
+                built[key] = hurwitz_move(built[parent], slot, direction)
         return tuple(built[key] for key in self.keys)
 
 
@@ -264,7 +263,7 @@ def hurwitz_orbit(f: Factorization, bound: int) -> HurwitzOrbit:
     start_key = factorization_key(f)
     # reversed, so that the first band with each key is the one kept
     bands = dict(zip(reversed(start_key), reversed(f.factors)))
-    seen: dict[NodeKey, Factorization | OrbitMove] = {start_key: f}
+    seen: dict[NodeKey, OrbitMove | None] = {start_key: None}
     queue: deque[NodeKey] = deque([start_key])
     moved: dict[tuple[str, FactorKey, FactorKey], FactorKey] = {}
     truncated = False
@@ -290,8 +289,7 @@ def hurwitz_orbit(f: Factorization, bound: int) -> HurwitzOrbit:
                 queue.append(key)
             if truncated:
                 break
-    keys = tuple(sorted(seen))
-    return HurwitzOrbit(tuple(seen[key] for key in keys), keys, truncated)
+    return HurwitzOrbit(f, seen, tuple(sorted(seen)), truncated)
 
 
 def random_factorization(

@@ -10,7 +10,7 @@ for identical diagrams.
 
 from __future__ import annotations
 
-from .diagram import TorusDiagram
+from .diagram import TorusDiagram, _shifts
 
 _SIZE = 400.0
 _MARGIN = 20.0
@@ -40,22 +40,12 @@ def export_svg(diag: TorusDiagram) -> str:
         path = arc.path
         for (px, py), (qx, qy) in zip(path, path[1:]):
             # every translate of the segment that meets the closed square
-            mxs = range(-max(px, qx) // nx, 2 - min(px, qx) // nx)
-            ys = []
-            for my in range(-max(py, qy) // ny, 2 - min(py, qy) // ny):
-                y1, y2 = py + my * ny, qy + my * ny
-                if (y1 < 0 and y2 < 0) or (y1 > ny and y2 > ny):
-                    continue
-                ys.append((f"{_MARGIN + (ny - y1) / ny * _SIZE:.2f}",
-                           f"{_MARGIN + (ny - y2) / ny * _SIZE:.2f}"))
-            if not ys:
-                continue
-            for mx in mxs:
-                x1, x2 = px + mx * nx, qx + mx * nx
-                if (x1 < 0 and x2 < 0) or (x1 > nx and x2 > nx):
-                    continue
-                sx1 = f"{_MARGIN + x1 / nx * _SIZE:.2f}"
-                sx2 = f"{_MARGIN + x2 / nx * _SIZE:.2f}"
+            ys = [(f"{_MARGIN + (ny - py - dy) / ny * _SIZE:.2f}",
+                   f"{_MARGIN + (ny - qy - dy) / ny * _SIZE:.2f}")
+                  for dy in _shifts(0, ny, *sorted((py, qy)), ny)]
+            for dx in _shifts(0, nx, *sorted((px, qx)), nx):
+                sx1 = f"{_MARGIN + (px + dx) / nx * _SIZE:.2f}"
+                sx2 = f"{_MARGIN + (qx + dx) / nx * _SIZE:.2f}"
                 for sy1, sy2 in ys:
                     out.append(f'{head}{sx1},{sy1} {sx2},{sy2}"/>')
     out.append("</g>")

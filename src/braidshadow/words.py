@@ -35,12 +35,6 @@ class BraidWord:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __mul__(self, other: "BraidWord") -> "BraidWord":
-        return compose(self, other)
-
-    def __invert__(self) -> "BraidWord":
-        return invert(self)
-
 
 def identity(strands: int) -> BraidWord:
     return BraidWord(strands, ())

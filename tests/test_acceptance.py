@@ -154,19 +154,19 @@ def _violating_fixtures():
 
 
 def test_criterion_5_transversality(corpus):
-    ok = all(check_transverse(diag).ok for _, diag in corpus)
+    ok = all(not check_transverse(diag) for _, diag in corpus)
     # singular tiles (k = 2) must pass as well
     cusp = Factorization(2, (singular_factor(identity(2), 2),))
-    ok = ok and check_transverse(assemble(cusp)).ok
+    ok = ok and not check_transverse(assemble(cusp))
     fixtures = _violating_fixtures()
     ok = ok and len(fixtures) == 10
     for diag, arc_idx, seg_idx in fixtures:
-        report = check_transverse(diag)
+        violations = check_transverse(diag)
         located = any(
             v.arc_index == arc_idx and v.segment_index == seg_idx
-            for v in report.violations
+            for v in violations
         )
-        ok = ok and not report.ok and located
+        ok = ok and bool(violations) and located
     assert _verdict(5, "transverse on corpus, 10 violating fixtures located", ok)
 
 

@@ -154,6 +154,16 @@ def test_stdin_that_is_not_utf8_exits_2(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: stdin: not UTF-8 text (byte offset 0)\n")
 
 
+@pytest.mark.parametrize("verb", ["check", "verify"])
+@pytest.mark.parametrize("data, offset", [(_NOT_UTF8, 0), ('{"é": "'.encode() + b'\xff"}', 8)])
+def test_stdin_decoded_with_surrogateescape_is_refused(capsys, monkeypatch, verb, data, offset):
+    # the offset counts bytes, not characters, up to the first bad byte
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, err = run(capsys, [verb, "-"])
+    assert (code, out, err) == (2, "", f"error: stdin: not UTF-8 text (byte offset {offset})\n")
+
+
 @pytest.mark.parametrize("through_file", [True, False])
 def test_deeply_nested_json_exits_2(capsys, monkeypatch, tmp_path, through_file):
     text = "[" * 200000 + "]" * 200000
@@ -408,6 +418,25 @@ def _fresh_process(argv, cwd, stdin=""):
         timeout=60,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("errors", ["surrogateescape", "strict"])
+def test_build_piped_into_check_between_processes(errors):
+    env = dict(os.environ, PYTHONPATH=_SRC + os.pathsep + os.environ.get("PYTHONPATH", ""),
+               PYTHONIOENCODING=f"utf-8:{errors}")
+    command = [sys.executable, "-m", "braidshadow"]
+    build = subprocess.Popen(command + ["build", "--standard", "2"], stdout=subprocess.PIPE,
+                             env=env)
+    check = subprocess.run(command + ["check", "-"], stdin=build.stdout, capture_output=True,
+                           env=env, timeout=60)
+    build.stdout.close()
+    assert build.wait(timeout=60) == 0
+    assert (check.returncode, check.stderr) == (0, b"")
+    assert check.stdout.endswith(b"result: pass\n")
+    bad = subprocess.run(command + ["check", "-"], input=_NOT_UTF8, capture_output=True,
+                         env=env, timeout=60)
+    assert (bad.returncode, bad.stdout, bad.stderr) == (
+        2, b"", b"error: stdin: not UTF-8 text (byte offset 0)\n")
 
 
 def test_one_parser_serves_many_calls(capsys, monkeypatch, tmp_path):

@@ -12,8 +12,6 @@ from braidshadow.diagram import (
     BridgePoint,
     DiagramError,
     TorusDiagram,
-    _incidence,
-    _pair_components,
     _seg_intersection,
     a_crossings,
     assemble,
@@ -33,6 +31,70 @@ from braidshadow.factorization import (
 from braidshadow.documents import serialize_diagram
 from braidshadow.garside import equal
 from braidshadow.words import BraidWord, compose, full_twist, identity, invert
+
+
+# -- reference: the incidence walk that the partner walk replaced --------------
+# ``_incidence`` and ``_pair_components`` as ``bridge_params`` used them before
+# it walked partner lists, kept verbatim as the oracle for (c1, c2, c3, s).
+
+
+def _incidence(diag: TorusDiagram, color: str) -> dict[int, list[int]]:
+    """arc indices of the given color at each bridge point; must be exactly one."""
+    inc: dict[int, list[int]] = {p.ident: [] for p in diag.bridge_points}
+    for ai, arc in enumerate(diag.arcs):
+        if arc.color != color:
+            continue
+        inc[arc.start].append(ai)
+        inc[arc.end].append(ai)
+    for ident, lst in inc.items():
+        if len(lst) != 1:
+            raise DiagramError(
+                f"bridge point {ident} touches {len(lst)} {color} arcs, expected 1"
+            )
+    return inc
+
+
+def _pair_components(
+    diag: TorusDiagram, inc_a: dict[int, list[int]], inc_b: dict[int, list[int]]
+) -> list[int]:
+    """Closed components of the union of two tangle shadows, given their
+    incidences from ``_incidence``: the number of bridge points on each."""
+    seen: set[int] = set()
+    sizes = []
+    for start in inc_a:
+        if start in seen:
+            continue
+        node, use_a, size = start, True, 0
+        while True:
+            seen.add(node)
+            size += 1
+            arc = diag.arcs[(inc_a if use_a else inc_b)[node][0]]
+            node = arc.end if arc.start == node else arc.start
+            use_a = not use_a
+            if node == start and use_a:
+                break
+        sizes.append(size)
+    return sizes
+
+
+def reference_params(diag):
+    """(c1, c2, c3, s) by the incidence walk, or the message it refuses with."""
+    try:
+        inc_a, inc_b, inc_c = (_incidence(diag, color) for color in "ABC")
+    except DiagramError as exc:
+        return str(exc)
+    l2 = _pair_components(diag, inc_b, inc_c)
+    c1 = len(_pair_components(diag, inc_a, inc_b))
+    return (c1, len(l2), len(_pair_components(diag, inc_c, inc_a)), l2.count(2))
+
+
+def library_params(diag):
+    """(c1, c2, c3, s) from ``bridge_params``, or the message it refuses with."""
+    try:
+        p = bridge_params(diag)
+    except DiagramError as exc:
+        return str(exc)
+    return (p.c1, p.c2, p.c3, p.s)
 
 
 # -- reference: the pairwise-link certificates that compare_source replaced ----
@@ -172,7 +234,7 @@ def test_standard_d2_parameters_exact():
     diag, params = pipeline(standard_factorization(2))
     assert diag.stabilization_count == 0
     assert params.tuple3() == (4, 2, 2, 2)
-    assert check_transverse(diag).ok
+    assert check_transverse(diag) == []
 
 
 def test_standard_d3_corrected_parameter_tuple():
@@ -225,6 +287,56 @@ def test_stabilization_count_matches_conjugator_length():
         assert bridge_params(assemble(f)).s == s
 
 
+def test_partner_walk_matches_reference_on_standard_and_corpus():
+    for f in [standard_factorization(d) for d in range(2, 9)] + _acceptance_corpus():
+        diag = assemble(f)
+        assert library_params(diag) == reference_params(diag)
+
+
+@st.composite
+def matched_diagrams(draw):
+    """Three random perfect matchings A, B, C on 2k bridge points, k <= 40,
+    as arcs in a random order and orientation; sometimes one arc is dropped
+    (two points touch no arc of its colour) or repeated (two touch two)."""
+    n = 2 * draw(st.integers(1, 40))
+    arcs = []
+    for color in "ABC":
+        order = draw(st.permutations(range(n)))
+        for u, v in zip(order[::2], order[1::2]):
+            if draw(st.booleans()):
+                u, v = v, u
+            arcs.append(Arc(color, u, v, ((0, 0), (0, 1))))
+    arcs = draw(st.permutations(arcs))
+    fault = draw(st.sampled_from([None, None, "drop", "repeat"]))
+    if fault is not None:
+        i = draw(st.integers(0, len(arcs) - 1))
+        arcs = arcs[:i] + arcs[i + 1:] if fault == "drop" else arcs + [arcs[i]]
+    points = tuple(BridgePoint(i, 0, 0, 1) for i in range(n))
+    diag = TorusDiagram(2, (1, 1), points, tuple(arcs))
+    # declare the counted s when there is one, so the walk runs to the end
+    expected = reference_params(diag)
+    if isinstance(expected, tuple):
+        diag = replace(diag, stabilization_count=expected[3])
+    return diag
+
+
+@settings(max_examples=200, deadline=None)
+@given(matched_diagrams())
+def test_partner_walk_matches_reference_on_random_matchings(diag):
+    assert library_params(diag) == reference_params(diag)
+
+
+@pytest.mark.parametrize("fault, touches", [("drop", 0), ("repeat", 2)])
+def test_partner_walk_refuses_like_reference(fault, touches):
+    diag = assemble(standard_factorization(2))
+    arcs = diag.arcs[1:] if fault == "drop" else diag.arcs + diag.arcs[:1]
+    diag = replace(diag, arcs=arcs)
+    message = reference_params(diag)
+    assert message == library_params(diag)
+    # the first B arc joins points 2 and 0
+    assert message == f"bridge point 0 touches {touches} B arcs, expected 1"
+
+
 def test_assemble_requires_valid_factorization():
     with pytest.raises(DiagramError):
         assemble(Factorization(2, (BandFactor(identity(2)),)))
@@ -243,7 +355,7 @@ def test_assemble_stabilizes_inside_tiles():
     diag = assemble(standard_factorization(3))
     assert diag.stabilization_count == 12
     assert a_crossings(diag) == []
-    assert check_transverse(diag).ok
+    assert check_transverse(diag) == []
 
 
 def test_cusp_tile_gives_trefoil_component():
@@ -253,7 +365,7 @@ def test_cusp_tile_gives_trefoil_component():
     links = pairwise_links(diag, f)
     assert links[1].components == ("T(2,3)",)
     assert source_verdicts(diag, f) == (True, True, True)
-    assert check_transverse(diag).ok
+    assert check_transverse(diag) == []
 
 
 def test_pairwise_links_shapes():
@@ -352,7 +464,8 @@ def test_assembled_arcs_run_from_minus_to_plus():
         diag = assemble(f)
         assert endpoint_faults(diag) == []
         assert all(
-            diag.point(a.start).sign == -1 and diag.point(a.end).sign == 1 for a in diag.arcs
+            diag.bridge_points[a.start].sign == -1 and diag.bridge_points[a.end].sign == 1
+            for a in diag.arcs
         )
 
 
@@ -364,9 +477,7 @@ def test_check_transverse_locates_bad_segment():
     # A arc heading downward, on a lattice of tenths: every segment violates
     arc = Arc("A", 0, 1, ((2, 6), (2, 3)))
     diag = TorusDiagram(2, (10, 10), points, (arc,))
-    report = check_transverse(diag)
-    assert not report.ok
-    v = report.violations[0]
+    v = check_transverse(diag)[0]
     assert (v.arc_index, v.color, v.segment_index) == (0, "A", 0)
 
 
@@ -461,8 +572,8 @@ def test_exact_tests_decide_what_a_tolerance_could_not():
         Arc("A", 0, 1, ((0, 0), (n // 2, 1))),
         Arc("C", 0, 1, ((0, 0), (n, n + 1), (2 * n, 2 * n + 1))),
     )
-    report = check_transverse(TorusDiagram(2, (n, n), points, arcs))
-    assert [(v.color, v.segment_index) for v in report.violations] == [("C", 0), ("C", 1)]
+    violations = check_transverse(TorusDiagram(2, (n, n), points, arcs))
+    assert [(v.color, v.segment_index) for v in violations] == [("C", 0), ("C", 1)]
     # two A segments crossing 10**-12 of the way along the first
     arcs = (Arc("A", 0, 0, ((0, 0), (n, n))), Arc("A", 0, 0, ((2, 0), (0, 2))))
     found = a_crossings(TorusDiagram(2, (n, n), (), arcs))

@@ -1,10 +1,11 @@
+import hashlib
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
-from braidshadow.diagram import TorusDiagram, assemble
+from braidshadow.diagram import Arc, BridgePoint, TorusDiagram, assemble
 from braidshadow.factorization import (
     Factorization,
     singular_factor,
@@ -12,6 +13,7 @@ from braidshadow.factorization import (
 )
 from braidshadow.svg import export_svg
 from braidshadow.words import identity
+from test_diagram import _acceptance_corpus
 from test_documents import hand_built_diagrams
 
 
@@ -43,6 +45,33 @@ def test_cusp_tile_has_blue_and_green_wrapping_arcs():
     # the k=2 band's C arc wraps twice, so green segments are drawn in
     # several translated copies
     assert svg.count('stroke="green"') > svg.count('stroke="blue"')
+
+
+def _edge_diagram():
+    """Segments ending exactly on y = 0, on y = Ny and on x = Nx, and one
+    spanning more than a period in x, on a (10, 8) lattice."""
+    points = (BridgePoint(0, 2, 3, -1), BridgePoint(1, 6, 5, 1))
+    arcs = (
+        Arc("A", 0, 1, ((2, 3), (5, 0))),
+        Arc("A", 0, 1, ((2, 3), (4, 8))),
+        Arc("B", 0, 1, ((2, 3), (10, 5))),
+        Arc("C", 0, 1, ((2, 3), (27, 1), (36, -3))),
+    )
+    return TorusDiagram(2, (10, 8), points, arcs)
+
+
+def test_export_svg_is_pinned():
+    """``export`` output bytes (sha256 over the SVGs in order) for standard
+    d = 2..6, the acceptance corpus, the d = 2 cusp and a diagram whose
+    segments end on the frame."""
+    cusp = Factorization(2, (singular_factor(identity(2), 2),))
+    inputs = [standard_factorization(d) for d in range(2, 7)] + _acceptance_corpus() + [cusp]
+    digest = hashlib.sha256()
+    for diag in [assemble(f) for f in inputs] + [_edge_diagram()]:
+        digest.update(export_svg(diag).encode())
+    assert digest.hexdigest() == (
+        "5e070726f52005a9b9427ca60d426fa3fa7606ae572164689a02e5322a17360d"
+    )
 
 
 # export_svg's loop before _px/_py were inlined, kept as the reference; it

@@ -55,13 +55,6 @@ def test_free_reduce_examples():
     assert free_reduce(BraidWord(3, (1, 2, -1))).letters == (1, 2, -1)
 
 
-def test_operator_sugar():
-    a = BraidWord(3, (1,))
-    b = BraidWord(3, (2,))
-    assert (a * b).letters == (1, 2)
-    assert (~a).letters == (-1,)
-
-
 def test_underlying_permutation():
     # sigma_1 swaps positions 0,1
     assert underlying_permutation(BraidWord(3, (1,))) == (1, 0, 2)
