@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Verbs: verify, build, check, invariants, orbit, export.  Factorization
+Verbs: verify, build, check, invariants, orbit, export; ``check`` and
+``invariants`` format the certificate of ``diagram.certify``.  Factorization
 inputs come from a file, stdin (``-``), or ``--standard d``.  Exit codes:
 0 all checks pass, 1 a mathematical check failed, 2 input or usage error.
 """
@@ -17,13 +18,10 @@ from .diagram import (
     BridgeParams,
     DiagramError,
     TorusDiagram,
-    Violation,
-    a_crossings,
+    _crossing_text,
+    _violation_text,
     assemble,
-    bridge_params,
-    check_transverse,
-    compare_source,
-    endpoint_faults,
+    certify,
 )
 from .documents import (
     DocumentError,
@@ -31,7 +29,6 @@ from .documents import (
     parse_diagram,
     parse_factorization,
     serialize_diagram,
-    serialize_factorization,
 )
 from .factorization import (
     Factorization,
@@ -124,122 +121,59 @@ def _load_diagram(args: argparse.Namespace) -> tuple[TorusDiagram, Factorization
     return diag, source
 
 
-def _unit(v: tuple, scale: tuple[int, int]) -> tuple[float, float]:
-    """Lattice coordinates as fractions of a period."""
-    return (v[0] / scale[0], v[1] / scale[1])
-
-
-def _crossing_text(crossing: tuple, scale: tuple[int, int]) -> str:
-    ai, _si, _t, bi, pt = crossing
-    x, y = (float(c % 1) for c in _unit(pt, scale))
-    return f"A arcs {ai} and {bi} cross at ({x:.6f}, {y:.6f})"
-
-
-def _violation_text(v: Violation, scale: tuple[int, int]) -> str:
-    return (
-        f"arc {v.arc_index} ({v.color}) segment {v.segment_index}: "
-        f"{v.reason} [{_unit(v.start, scale)} -> {_unit(v.end, scale)}]"
-    )
-
-
-def _verify(diag: TorusDiagram, source: Factorization | None, first_fault: bool) -> tuple:
-    """Endpoints, transversality, A crossings, parameters and source, in order.
-
-    Returns (endpoint faults, transversality violations, A crossings,
-    params, params_error, trivial); params is None when ``bridge_params``
-    refused the diagram, and params_error is then its message.  trivial
-    maps L1, L2, L3 to their verdicts, or is None without a source or
-    params.  With ``first_fault`` the first faulty stage raises a
-    DiagramError that names it instead.  A source that does not fit the
-    parameters raises either way.
-    """
-    faults = endpoint_faults(diag)
-    if first_fault and faults:
-        raise DiagramError(f"diagram has {len(faults)} endpoint faults, first: {faults[0]}")
-    violations = check_transverse(diag)
-    if first_fault and violations:
-        raise DiagramError(
-            f"diagram is not transverse ({len(violations)} violations), "
-            f"first: {_violation_text(violations[0], diag.scale)}"
-        )
-    crossings = a_crossings(diag)
-    if first_fault and crossings:
-        raise DiagramError(
-            f"diagram has {len(crossings)} A crossings, "
-            f"first: {_crossing_text(crossings[0], diag.scale)}"
-        )
-    try:
-        params = bridge_params(diag)
-    except DiagramError as exc:
-        if first_fault:
-            raise
-        return faults, violations, crossings, None, str(exc), None
-    trivial = None
-    if source is not None:
-        compare_source(diag, params, source)
-        # compare_source passed, and the tiles then fix L1 and L2; L3 is
-        # trivial exactly when the bands multiply to the full twist
-        trivial = {"L1": True, "L2": True, "L3": validate(source).product_ok}
-        if first_fault and not trivial["L3"]:
-            raise DiagramError(
-                "source bands do not multiply to the full twist, so L3 is not trivial"
-            )
-    return faults, violations, crossings, params, "", trivial
-
-
 def _params_text(p: BridgeParams) -> str:
     return f"({p.b}; {p.c1}, {p.c2}, {p.c3}), s = {p.s}"
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     diag, source = _load_diagram(args)
-    faults, violations, crossings, params, params_error, trivial = _verify(
-        diag, source, first_fault=False
-    )
+    cert = certify(diag, source)
+    if cert.source_error:
+        raise DiagramError(cert.source_error)
     payload: dict = {
-        "endpoints": not faults,
-        "transverse": not violations,
-        "a_crossings": len(crossings),
-        "params": dataclasses.asdict(params) if params else None,
+        "endpoints": not cert.endpoint_faults,
+        "transverse": not cert.violations,
+        "a_crossings": len(cert.crossings),
+        "params": dataclasses.asdict(cert.params) if cert.params else None,
     }
-    lines = [f"endpoints: {'ok' if not faults else 'FAIL'}"]
-    lines += [f"  {fault}" for fault in faults]
-    lines.append(f"transversality: {'ok' if not violations else 'FAIL'}")
-    lines += [f"  {_violation_text(v, diag.scale)}" for v in violations]
-    lines.append(f"A crossings: {f'FAIL ({len(crossings)})' if crossings else 'none'}")
-    lines += [f"  {_crossing_text(c, diag.scale)}" for c in crossings]
-    ok = not faults and not violations and not crossings and params is not None
-    if params is None:
-        lines.append(f"bridge parameters: unavailable ({params_error})")
+    lines = [f"endpoints: {'FAIL' if cert.endpoint_faults else 'ok'}"]
+    lines += [f"  {fault}" for fault in cert.endpoint_faults]
+    lines.append(f"transversality: {'FAIL' if cert.violations else 'ok'}")
+    lines += [f"  {_violation_text(v, cert.scale)}" for v in cert.violations]
+    lines.append(f"A crossings: {f'FAIL ({len(cert.crossings)})' if cert.crossings else 'none'}")
+    lines += [f"  {_crossing_text(c, cert.scale)}" for c in cert.crossings]
+    if cert.params is None:
+        lines.append(f"bridge parameters: unavailable ({cert.params_error})")
     else:
-        lines.append(f"parameters: (b; c1, c2, c3) = {_params_text(params)}")
+        lines.append(f"parameters: (b; c1, c2, c3) = {_params_text(cert.params)}")
     if source is None:
         lines.append("triviality: skipped (no source factorization)")
-    elif params is None:
+    elif cert.params is None:
         lines.append("triviality: skipped (bridge parameters unavailable)")
     else:
-        payload["trivial"] = trivial
-        for name, flag in trivial.items():
+        payload["trivial"] = cert.trivial
+        for name, flag in cert.trivial.items():
             lines.append(f"triviality {name}: {'ok' if flag else 'FAIL'}")
-        ok = ok and trivial["L3"]
-    payload["ok"] = ok
-    lines.append(f"result: {'pass' if ok else 'FAIL'}")
+    payload["ok"] = cert.ok
+    lines.append(f"result: {'pass' if cert.ok else 'FAIL'}")
     _emit(args, payload, lines)
-    return 0 if ok else 1
+    return 0 if cert.ok else 1
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
     diag, source = _load_diagram(args)
-    params = _verify(diag, source, first_fault=True)[3]
+    cert = certify(diag, source)
+    if not cert.ok:
+        raise DiagramError(cert.fault)
     # L1 closes the trivial d-braid, whose self-linking is -d
     sl1 = -diag.strands if source is not None else None
     smooth = source.is_smooth_quasipositive() if source is not None else True
-    ledger = make_ledger(params, diag.strands, sl1, smooth=smooth)
+    ledger = make_ledger(cert.params, diag.strands, sl1, smooth=smooth)
     payload = {
         "degree": ledger.degree,
         "genus_expected": ledger.genus_expected,
         "euler_expected": ledger.euler_expected,
-        "params": dataclasses.asdict(params),
+        "params": dataclasses.asdict(cert.params),
         "sl": list(ledger.sl),
         "checks": ledger.checks,
         "ok": ledger.all_ok,
@@ -248,7 +182,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
         f"degree  d     = {ledger.degree}",
         f"genus         = {ledger.genus_expected}",
         f"euler char    = {ledger.euler_expected}",
-        f"params        = {_params_text(params)}",
+        f"params        = {_params_text(cert.params)}",
         f"self-linking  = {ledger.sl}",
     ]
     for name, flag in sorted(ledger.checks.items()):

@@ -338,6 +338,24 @@ class Violation:
     reason: str
 
 
+def _unit(v: tuple, scale: tuple[int, int]) -> tuple[float, float]:
+    """Lattice coordinates as fractions of a period."""
+    return (v[0] / scale[0], v[1] / scale[1])
+
+
+def _crossing_text(crossing: tuple, scale: tuple[int, int]) -> str:
+    ai, _si, _t, bi, pt = crossing
+    x, y = (float(c % 1) for c in _unit(pt, scale))
+    return f"A arcs {ai} and {bi} cross at ({x:.6f}, {y:.6f})"
+
+
+def _violation_text(v: Violation, scale: tuple[int, int]) -> str:
+    return (
+        f"arc {v.arc_index} ({v.color}) segment {v.segment_index}: "
+        f"{v.reason} [{_unit(v.start, scale)} -> {_unit(v.end, scale)}]"
+    )
+
+
 def check_transverse(diag: TorusDiagram) -> list[Violation]:
     """Color-wise monotonicity of every oriented arc; the violations found.
 
@@ -443,7 +461,7 @@ def bridge_params(diag: TorusDiagram) -> BridgeParams:
     s is the number of mini unknots: components of L2 = B u C through
     exactly two bridge points.  The declared ``stabilization_count`` must
     equal it.  The counts are the bridge parameters only when the diagram
-    has no A crossings; ``a_crossings`` is the verifier for that.
+    has no A crossings; ``certify`` checks that first.
     """
     a, b, c = (_partners(diag, color) for color in "ABC")
     l2 = _pair_components(b, c)
@@ -468,10 +486,10 @@ def compare_source(diag: TorusDiagram, params: BridgeParams, f: Factorization) -
     exactly n components besides the mini unknots, each through four
     bridge points.  The pairwise links L1 (the closure of the trivial
     d-braid) and L2 (a split union of the band and stabilization
-    components) are then fixed by the tile construction, and L3 is
-    trivial exactly when the product of the bands is the full twist,
-    which ``validate`` decides; none of the three is read from the
-    diagram itself yet (ROADMAP item 4).
+    components) are then fixed by the tile construction, and L3 is trivial
+    exactly when ``validate`` finds the bands multiply to the full twist;
+    ``certify`` records the three verdicts, none yet read from the diagram
+    itself (ROADMAP item 4).
     """
     if f.strands != diag.strands:
         raise DiagramError("factorization and diagram strand counts differ")
@@ -480,3 +498,68 @@ def compare_source(diag: TorusDiagram, params: BridgeParams, f: Factorization) -
     expected = len(f.factors) + params.s
     if params.c2 != expected:
         raise DiagramError(f"L2 has {params.c2} split components, expected {expected}")
+
+
+# ---------------------------------------------------------------------------
+# the certificate
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """What each stage of ``certify`` found on one diagram.  ``params`` is
+    None when ``bridge_params`` refused it with ``params_error``; ``trivial``
+    (the L1, L2, L3 verdicts) is None without a source that fits."""
+
+    scale: tuple[int, int]  # to word the messages
+    endpoint_faults: list[str]
+    violations: list[Violation]
+    crossings: list
+    params: BridgeParams | None
+    params_error: str
+    source_error: str  # why the source does not fit, "" when it does or is absent
+    trivial: dict[str, bool] | None
+
+    @property
+    def fault(self) -> str:
+        """The first failing stage's message, "" when every stage passed."""
+        if self.endpoint_faults:
+            n, first = len(self.endpoint_faults), self.endpoint_faults[0]
+            return f"diagram has {n} endpoint faults, first: {first}"
+        if self.violations:
+            n, first = len(self.violations), _violation_text(self.violations[0], self.scale)
+            return f"diagram is not transverse ({n} violations), first: {first}"
+        if self.crossings:
+            n, first = len(self.crossings), _crossing_text(self.crossings[0], self.scale)
+            return f"diagram has {n} A crossings, first: {first}"
+        if self.params_error or self.source_error:
+            return self.params_error or self.source_error
+        if self.trivial and not self.trivial["L3"]:
+            return "source bands do not multiply to the full twist, so L3 is not trivial"
+        return ""
+
+    @property
+    def ok(self) -> bool:
+        return not self.fault
+
+
+def certify(diag: TorusDiagram, source: Factorization | None = None) -> Certificate:
+    """Endpoints, transversality, A crossings, parameters and, when a source
+    fits them (``compare_source``), the triviality of L1, L2 and L3: the tiles
+    fix L1 and L2, and L3 is trivial when the bands multiply to the full twist."""
+    faults = endpoint_faults(diag)
+    violations = check_transverse(diag)
+    crossings = a_crossings(diag)
+    params, params_error, source_error, trivial = None, "", "", None
+    try:
+        params = bridge_params(diag)
+    except DiagramError as exc:
+        params_error = str(exc)
+    if params is not None and source is not None:
+        try:
+            compare_source(diag, params, source)
+        except DiagramError as exc:
+            source_error = str(exc)
+        else:
+            trivial = {"L1": True, "L2": True, "L3": validate(source).product_ok}
+    return Certificate(diag.scale, faults, violations, crossings, params, params_error,
+                       source_error, trivial)

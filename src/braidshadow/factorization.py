@@ -57,11 +57,6 @@ class BandFactor:
         return self.sign * self.exponent
 
 
-def singular_factor(conjugator: BraidWord, n: int, sign: int = 1) -> BandFactor:
-    """Band factor modelling an A_n singularity: conjugate of sigma_1^{sign*n}."""
-    return BandFactor(conjugator, exponent=n, sign=sign)
-
-
 @dataclass(frozen=True)
 class Factorization:
     """Ordered band factors with implicit target Delta_d^2."""

@@ -196,7 +196,3 @@ def equal(a: BraidWord, b: BraidWord) -> bool:
     if a.strands == 1:
         return True
     return normal_form(a) == normal_form(b)
-
-
-def is_trivial(w: BraidWord) -> bool:
-    return normal_form(w).is_trivial()

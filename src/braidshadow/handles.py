@@ -80,11 +80,6 @@ def handle_reduce(w: BraidWord, max_steps: int = _MAX_STEPS) -> BraidWord:
     return BraidWord(w.strands, tuple(out))
 
 
-def is_trivial_word(w: BraidWord) -> bool:
-    """True iff w represents the identity braid (via handle reduction)."""
-    return not handle_reduce(w).letters
-
-
 def words_equal(a: BraidWord, b: BraidWord) -> bool:
     """Independent equality test: a b^{-1} handle-reduces to the empty word."""
-    return is_trivial_word(compose(a, invert(b)))
+    return not handle_reduce(compose(a, invert(b))).letters

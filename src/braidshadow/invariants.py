@@ -31,11 +31,6 @@ def euler_expected(d: int) -> int:
     return 3 * d - d * d
 
 
-def euler_check(p: BridgeParams, d: int) -> bool:
-    """c1 + c2 + c3 - b = 3d - d^2."""
-    return p.euler() == euler_expected(d)
-
-
 def transverse_sl(word: BraidWord) -> int:
     """Self-linking number of the transverse closure of a braid word.
 
@@ -84,7 +79,7 @@ def make_ledger(
     else:
         checks["sl1_matches_braid_word"] = sl1 == -p.c1
     if smooth:
-        checks["euler"] = euler_check(p, d)
+        checks["euler"] = p.euler() == euler_expected(d)
     return InvariantLedger(
         degree=d,
         genus_expected=genus_expected(d),

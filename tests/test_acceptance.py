@@ -34,7 +34,6 @@ from braidshadow.factorization import (
     hurwitz_move,
     hurwitz_orbit,
     random_factorization,
-    singular_factor,
     standard_factorization,
     validate,
 )
@@ -156,7 +155,7 @@ def _violating_fixtures():
 def test_criterion_5_transversality(corpus):
     ok = all(not check_transverse(diag) for _, diag in corpus)
     # singular tiles (k = 2) must pass as well
-    cusp = Factorization(2, (singular_factor(identity(2), 2),))
+    cusp = Factorization(2, (BandFactor(identity(2), exponent=2),))
     ok = ok and not check_transverse(assemble(cusp))
     fixtures = _violating_fixtures()
     ok = ok and len(fixtures) == 10

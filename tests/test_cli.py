@@ -1,4 +1,6 @@
 import contextlib
+import functools
+import hashlib
 import io
 import json
 import os
@@ -11,8 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 import braidshadow
 from braidshadow.cli import run_cli
-from braidshadow.diagram import Arc, BridgePoint, TorusDiagram, assemble
-from braidshadow.documents import serialize_diagram, serialize_factorization
+from braidshadow.diagram import Arc, BridgePoint, TorusDiagram, assemble, certify
+from braidshadow.documents import (
+    DocumentError,
+    parse_diagram,
+    serialize_diagram,
+    serialize_factorization,
+)
 from braidshadow.factorization import (
     BandFactor,
     Factorization,
@@ -20,6 +27,7 @@ from braidshadow.factorization import (
     standard_factorization,
 )
 from braidshadow.words import BraidWord, identity
+from test_diagram import _acceptance_corpus
 
 _TESTS = os.path.dirname(os.path.abspath(__file__))
 
@@ -44,6 +52,14 @@ def test_package_exports_resolve_sorted_and_unique():
     names = braidshadow.__all__
     assert [name for name in names if not hasattr(braidshadow, name)] == []
     assert names == sorted(set(names))
+
+
+def test_readme_library_example_runs():
+    with open(os.path.join(_TESTS, os.pardir, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    example = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "certify(" in example
+    exec(example, {})
 
 
 def test_verify_standard_3(capsys):
@@ -476,6 +492,116 @@ def test_reports_match_golden_output(capsys, monkeypatch, d, argv):
     code, out, err = run(capsys, [*argv, "-"], stdin=text, monkeypatch=monkeypatch)
     assert (code, err) == (0, "")
     assert out == _GOLDEN[f"{d} {' '.join(argv)}"]
+
+
+def _move_a_vertex_half_a_period(doc):
+    """Move the first interior vertex of an A arc by half a period in x."""
+    for arc in doc["arcs"]:
+        if arc["color"] == "A" and len(arc["path"]) > 2:
+            vertex = arc["path"][1]
+            if doc["format_version"] == "1":
+                x = vertex[0] + 0.5
+                vertex[0] = round(x % 1, 6)
+                arc["wraps"][1][0] += int(x >= 1)
+            else:
+                vertex[0] += doc["scale"][0] // 2
+            return
+
+
+def _move_point(doc):
+    p = doc["bridge_points"][0]
+    p["x"] = round((p["x"] + 0.125) % 1, 6) if doc["format_version"] == "1" else (
+        (p["x"] + 1) % doc["scale"][0])
+
+
+def _append_letter(doc):
+    source = doc["source_factorization"]
+    source["factors"][0]["conjugator"].append(2 if source["strands"] > 2 else 1)
+
+
+_NEXT_COLOR = {"A": "B", "B": "C", "C": "A"}
+
+_CORRUPTIONS = (
+    lambda doc: doc["bridge_points"][0].update(sign=-doc["bridge_points"][0]["sign"]),
+    _move_point,
+    lambda doc: doc["arcs"].pop(),
+    lambda doc: doc["arcs"][0].update(color=_NEXT_COLOR[doc["arcs"][0]["color"]]),
+    lambda doc: doc.update(stabilization_count=doc["stabilization_count"] + 1),
+    lambda doc: doc.pop("source_factorization"),
+    lambda doc: doc["source_factorization"]["factors"].pop(),
+    _append_letter,
+    _move_a_vertex_half_a_period,
+)
+
+
+def _pinned_documents():
+    """Standard d = 2..5, the acceptance corpus and both version-1 documents,
+    each as built and under each of the nine corruptions above."""
+    texts = [serialize_diagram(assemble(f), source=f)
+             for f in [standard_factorization(d) for d in range(2, 6)] + _acceptance_corpus()]
+    texts += [_v1_document(2), _v1_document(3)]
+    for text in texts:
+        yield text
+        for corrupt in _CORRUPTIONS:
+            doc = json.loads(text)
+            corrupt(doc)
+            yield json.dumps(doc)
+
+
+_REPORT_VERBS = (["check"], ["check", "--json"], ["invariants"], ["invariants", "--json"])
+
+
+def _report(argv, text):
+    """(exit code, stdout, stderr) of ``run_cli(argv)`` with ``text`` on stdin."""
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli(argv)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+@functools.cache
+def _pinned_reports():
+    """Each pinned document with its reports, in the order of ``_REPORT_VERBS``."""
+    return tuple(
+        (text, tuple(_report([*argv, "-"], text) for argv in _REPORT_VERBS))
+        for text in _pinned_documents()
+    )
+
+
+def test_check_and_invariants_reports_are_pinned():
+    """Exit code, stdout and stderr of ``check`` and ``invariants``, plain
+    and ``--json`` (sha256 over all of them in order), on passing and
+    refused documents alike."""
+    digest = hashlib.sha256()
+    for _text, reports in _pinned_reports():
+        for report in reports:
+            digest.update(json.dumps(report).encode())
+    assert digest.hexdigest() == (
+        "709cfa2860a4528f8a76f892f120941e6edae9bb9fe669223a996d2ee6d570f8"
+    )
+
+
+def test_certificate_is_the_verdict_of_check_and_invariants():
+    """On every pinned document the reader accepts, ``certify`` passes
+    exactly when ``check`` exits 0, and ``invariants`` refuses a failing
+    certificate with its first fault."""
+    verdicts = set()
+    for text, (check, _check_json, invariants, _invariants_json) in _pinned_reports():
+        try:
+            diag, source = parse_diagram(text)
+        except DocumentError:
+            assert check[0] == 2
+            continue
+        cert = certify(diag, source)
+        assert cert.ok == (check[0] == 0)
+        if not cert.ok:
+            assert invariants == (1, "", f"failed: {cert.fault}\n")
+        verdicts.add(cert.ok)
+    assert verdicts == {True, False}
 
 
 def test_arcs_running_from_plus_to_minus_are_refused(capsys, monkeypatch):

@@ -16,6 +16,7 @@ from braidshadow.diagram import (
     a_crossings,
     assemble,
     bridge_params,
+    certify,
     check_transverse,
     compare_source,
     endpoint_faults,
@@ -24,12 +25,12 @@ from braidshadow.factorization import (
     BandFactor,
     Factorization,
     random_factorization,
-    singular_factor,
     standard_factorization,
     validate,
 )
 from braidshadow.documents import serialize_diagram
 from braidshadow.garside import equal
+from braidshadow.invariants import make_ledger
 from braidshadow.words import BraidWord, compose, full_twist, identity, invert
 
 
@@ -261,7 +262,7 @@ def _acceptance_corpus():
 def test_build_documents_are_pinned():
     """``build`` output bytes (sha256 over the documents in order) for
     standard d = 2..8, the acceptance corpus and the d = 2 cusp."""
-    cusp = Factorization(2, (singular_factor(identity(2), 2),))
+    cusp = Factorization(2, (BandFactor(identity(2), exponent=2),))
     inputs = [standard_factorization(d) for d in range(2, 9)] + _acceptance_corpus() + [cusp]
     digest = hashlib.sha256()
     for f in inputs:
@@ -359,7 +360,7 @@ def test_assemble_stabilizes_inside_tiles():
 
 
 def test_cusp_tile_gives_trefoil_component():
-    f = Factorization(2, (singular_factor(identity(2), 2),))
+    f = Factorization(2, (BandFactor(identity(2), exponent=2),))
     diag, params = pipeline(f)
     assert params.tuple3() == (2, 2, 1, 1)
     links = pairwise_links(diag, f)
@@ -452,10 +453,33 @@ def test_source_comparison_refuses_a_wrong_l2_count():
         compare_source(diag, replace(params, c2=17), f)
 
 
+def test_certify_refuses_a_arcs_that_cross_where_parameters_and_source_pass():
+    """Standard d = 2 with one interior A vertex moved half a period in x, so
+    that two A arcs cross.  ``bridge_params``, ``compare_source`` and the
+    ledger still pass it; its certificate names the crossings."""
+    f = standard_factorization(2)
+    diag = assemble(f)
+    ai = next(i for i, arc in enumerate(diag.arcs) if arc.color == "A" and len(arc.path) > 2)
+    arc = diag.arcs[ai]
+    x, y = arc.path[1]
+    moved = replace(arc, path=(arc.path[0], (x + diag.scale[0] // 2, y), *arc.path[2:]))
+    diag = replace(diag, arcs=diag.arcs[:ai] + (moved,) + diag.arcs[ai + 1:])
+    params = bridge_params(diag)
+    compare_source(diag, params, f)
+    assert make_ledger(params, 2, sl1=-2).all_ok
+    cert = certify(diag, f)
+    assert not cert.ok and cert.crossings
+    assert cert.fault.startswith(f"diagram has {len(cert.crossings)} A crossings, first: A arcs ")
+    # the crossings come first among the faults, before a source that does not fit
+    short = certify(diag, Factorization(2, f.factors[:-1]))
+    assert short.source_error == "diagram tile count does not match the factorization"
+    assert short.fault == cert.fault
+
+
 def test_assembled_arcs_run_from_minus_to_plus():
     rng = random.Random(0xB51D)
     factorizations = [standard_factorization(d) for d in range(2, 6)]
-    factorizations.append(Factorization(2, (singular_factor(identity(2), 2),)))
+    factorizations.append(Factorization(2, (BandFactor(identity(2), exponent=2),)))
     factorizations += [
         random_factorization(3, rng, moves=rng.randint(1, 15), max_conjugator_length=4)
         for _ in range(20)

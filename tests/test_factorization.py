@@ -14,7 +14,6 @@ from braidshadow.factorization import (
     hurwitz_move,
     hurwitz_orbit,
     random_factorization,
-    singular_factor,
     standard_factorization,
     validate,
 )
@@ -87,7 +86,7 @@ def test_validate_flags_bad_product():
 
 
 def test_singular_factor_cusp_is_valid_at_d2():
-    f = Factorization(2, (singular_factor(identity(2), 2),))
+    f = Factorization(2, (BandFactor(identity(2), exponent=2),))
     report = validate(f)
     assert report.valid and not report.smooth and report.count_ok is None
 

@@ -3,7 +3,7 @@ import pytest
 from braidshadow.diagram import BridgeParams, assemble, bridge_params
 from braidshadow.factorization import standard_factorization
 from braidshadow.invariants import (
-    euler_check,
+    euler_expected,
     genus_expected,
     make_ledger,
     transverse_sl,
@@ -21,9 +21,9 @@ def test_genus_expected_values():
 
 
 def test_euler_check_examples():
-    assert euler_check(BridgeParams(4, 2, 2, 2, 0), 2)
-    assert euler_check(BridgeParams(12, 3, 6, 3, 0), 3)
-    assert not euler_check(BridgeParams(5, 2, 2, 2, 0), 2)
+    assert BridgeParams(4, 2, 2, 2, 0).euler() == euler_expected(2)
+    assert BridgeParams(12, 3, 6, 3, 0).euler() == euler_expected(3)
+    assert BridgeParams(5, 2, 2, 2, 0).euler() != euler_expected(2)
 
 
 def test_transverse_sl():

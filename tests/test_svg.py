@@ -7,8 +7,8 @@ from hypothesis import given, settings
 
 from braidshadow.diagram import Arc, BridgePoint, TorusDiagram, assemble
 from braidshadow.factorization import (
+    BandFactor,
     Factorization,
-    singular_factor,
     standard_factorization,
 )
 from braidshadow.svg import export_svg
@@ -40,7 +40,7 @@ def test_empty_diagram_renders_frame_only():
 
 
 def test_cusp_tile_has_blue_and_green_wrapping_arcs():
-    f = Factorization(2, (singular_factor(identity(2), 2),))
+    f = Factorization(2, (BandFactor(identity(2), exponent=2),))
     svg = export_svg(assemble(f))
     # the k=2 band's C arc wraps twice, so green segments are drawn in
     # several translated copies
@@ -64,7 +64,7 @@ def test_export_svg_is_pinned():
     """``export`` output bytes (sha256 over the SVGs in order) for standard
     d = 2..6, the acceptance corpus, the d = 2 cusp and a diagram whose
     segments end on the frame."""
-    cusp = Factorization(2, (singular_factor(identity(2), 2),))
+    cusp = Factorization(2, (BandFactor(identity(2), exponent=2),))
     inputs = [standard_factorization(d) for d in range(2, 7)] + _acceptance_corpus() + [cusp]
     digest = hashlib.sha256()
     for diag in [assemble(f) for f in inputs] + [_edge_diagram()]:
@@ -149,7 +149,7 @@ def test_svg_matches_reference_on_standard(d):
 
 
 def test_svg_matches_reference_on_cusp_tile():
-    diag = assemble(Factorization(2, (singular_factor(identity(2), 2),)))
+    diag = assemble(Factorization(2, (BandFactor(identity(2), exponent=2),)))
     assert export_svg(diag) == reference_export_svg(diag)
 
 
