@@ -8,12 +8,10 @@ from .words import (
     exponent_sum,
     free_reduce,
     full_twist,
-    half_twist_word,
     identity,
     invert,
-    underlying_permutation,
 )
-from .garside import NormalForm, equal, normal_form, normal_form_word
+from .garside import NormalForm, equal, normal_form
 from .handles import handle_reduce, words_equal
 from .factorization import (
     BandFactor,
@@ -24,7 +22,6 @@ from .factorization import (
     factorization_key,
     hurwitz_move,
     hurwitz_orbit,
-    random_factorization,
     standard_factorization,
     validate,
 )
@@ -87,7 +84,6 @@ __all__ = [
     "free_reduce",
     "full_twist",
     "genus_expected",
-    "half_twist_word",
     "handle_reduce",
     "hurwitz_move",
     "hurwitz_orbit",
@@ -96,16 +92,13 @@ __all__ = [
     "main",
     "make_ledger",
     "normal_form",
-    "normal_form_word",
     "parse_diagram",
     "parse_factorization",
-    "random_factorization",
     "run_cli",
     "serialize_diagram",
     "serialize_factorization",
     "standard_factorization",
     "transverse_sl",
-    "underlying_permutation",
     "validate",
     "words_equal",
 ]

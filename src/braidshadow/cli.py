@@ -128,8 +128,6 @@ def _params_text(p: BridgeParams) -> str:
 def _cmd_check(args: argparse.Namespace) -> int:
     diag, source = _load_diagram(args)
     cert = certify(diag, source)
-    if cert.source_error:
-        raise DiagramError(cert.source_error)
     payload: dict = {
         "endpoints": not cert.endpoint_faults,
         "transverse": not cert.violations,
@@ -150,6 +148,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         lines.append("triviality: skipped (no source factorization)")
     elif cert.params is None:
         lines.append("triviality: skipped (bridge parameters unavailable)")
+    elif cert.source_error:
+        lines.append(f"triviality: skipped (source does not fit: {cert.source_error})")
     else:
         payload["trivial"] = cert.trivial
         for name, flag in cert.trivial.items():

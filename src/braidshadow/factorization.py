@@ -9,7 +9,6 @@ inverse.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -102,14 +101,11 @@ class ValidationReport:
     sum_ok: bool
     smooth: bool
     count_ok: bool | None  # n == d^2 - d; only meaningful when smooth
-    assembly_compatible: bool  # every sign positive (diagram assembly accepts it)
 
     @property
     def valid(self) -> bool:
-        flags = [self.product_ok, self.sum_ok]
-        if self.count_ok is not None:
-            flags.append(self.count_ok)
-        return all(flags)
+        # a right product has the right exponent sum, and a smooth band is +1, so n = d(d-1)
+        return self.product_ok
 
 
 def validate(f: Factorization) -> ValidationReport:
@@ -118,8 +114,7 @@ def validate(f: Factorization) -> ValidationReport:
     Invalid input yields a failing report.  The bands are expanded only
     when the exponent sum is right, and then a band exponent above
     ``MAX_EXPONENT`` raises BraidError.  Negative bands are accepted here
-    but rejected by diagram assembly; the ``assembly_compatible`` flag
-    records the divergence.
+    but rejected by diagram assembly.
     """
     d = f.strands
     total = sum(factor.signed_exponent() for factor in f.factors)
@@ -135,7 +130,6 @@ def validate(f: Factorization) -> ValidationReport:
         sum_ok=sum_ok,
         smooth=smooth,
         count_ok=(len(f.factors) == d * d - d) if smooth else None,
-        assembly_compatible=f.all_positive(),
     )
 
 
@@ -285,33 +279,3 @@ def hurwitz_orbit(f: Factorization, bound: int) -> HurwitzOrbit:
             if truncated:
                 break
     return HurwitzOrbit(f, seen, tuple(sorted(seen)), truncated)
-
-
-def random_factorization(
-    d: int,
-    rng: random.Random,
-    moves: int = 20,
-    max_conjugator_length: int | None = None,
-) -> Factorization:
-    """Random valid smooth factorization: a bounded Hurwitz walk from standard.
-
-    Moves that would push a free-reduced conjugator beyond the length cap
-    are rejected, so every output is a valid factorization of Delta_d^2
-    with short conjugators.
-    """
-    f = standard_factorization(d)
-    n = len(f.factors)
-    done = 0
-    attempts = 0
-    while done < moves and attempts < 50 * moves:
-        attempts += 1
-        i = rng.randint(1, n - 1)
-        direction = rng.choice(("right", "left"))
-        nxt = hurwitz_move(f, i, direction)
-        if max_conjugator_length is not None and any(
-            len(factor.conjugator) > max_conjugator_length for factor in nxt.factors
-        ):
-            continue
-        f = nxt
-        done += 1
-    return f

@@ -162,31 +162,6 @@ def normal_form(w: BraidWord) -> NormalForm:
     return NormalForm(d, p, tuple(out))
 
 
-def normal_form_word(nf: NormalForm) -> BraidWord:
-    """Serialize a normal form back to a braid word (same group element)."""
-    d = nf.strands
-    letters: list[int] = []
-    half: list[int] = []
-    for i in range(1, d):
-        half.extend(range(i, 0, -1))
-    if nf.delta_power >= 0:
-        letters.extend(half * nf.delta_power)
-    else:
-        inv = [-x for x in reversed(half)]
-        letters.extend(inv * (-nf.delta_power))
-    for f in nf.factors:
-        cur = list(f)
-        while True:
-            for i in range(d - 1):
-                if cur[i] > cur[i + 1]:
-                    letters.append(i + 1)
-                    cur[i], cur[i + 1] = cur[i + 1], cur[i]
-                    break
-            else:
-                break
-    return BraidWord(d, tuple(letters))
-
-
 def equal(a: BraidWord, b: BraidWord) -> bool:
     """True iff a and b represent the same element of B_d."""
     if a.strands != b.strands:

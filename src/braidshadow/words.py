@@ -70,24 +70,6 @@ def exponent_sum(w: BraidWord) -> int:
     return sum(1 if x > 0 else -1 for x in w.letters)
 
 
-def underlying_permutation(w: BraidWord) -> tuple[int, ...]:
-    """Image of w in the symmetric group, 0-indexed.
-
-    Returns a tuple p with p[i] = exit position of the strand entering at
-    position i (positions 0..d-1; sigma_i maps to the transposition of
-    positions i-1, i).
-    """
-    d = w.strands
-    cur = list(range(d))  # cur[pos] = strand occupying pos
-    for x in w.letters:
-        i = abs(x) - 1
-        cur[i], cur[i + 1] = cur[i + 1], cur[i]
-    perm = [0] * d
-    for pos, strand in enumerate(cur):
-        perm[strand] = pos
-    return tuple(perm)
-
-
 def full_twist(d: int) -> BraidWord:
     """The full twist Delta_d^2 as the positive word (s1 s2 ... s_{d-1})^d.
 
@@ -97,13 +79,3 @@ def full_twist(d: int) -> BraidWord:
     if d < 1:
         raise BraidError(f"full twist needs d >= 1, got {d}")
     return BraidWord(d, tuple(range(1, d)) * d)
-
-
-def half_twist_word(d: int) -> BraidWord:
-    """A positive word for the half twist Delta_d: (s1)(s2 s1)...(s_{d-1}..s1)."""
-    if d < 1:
-        raise BraidError(f"half twist needs d >= 1, got {d}")
-    letters: list[int] = []
-    for i in range(1, d):
-        letters.extend(range(i, 0, -1))
-    return BraidWord(d, tuple(letters))

@@ -33,7 +33,6 @@ from braidshadow.factorization import (
     factorization_key,
     hurwitz_move,
     hurwitz_orbit,
-    random_factorization,
     standard_factorization,
     validate,
 )
@@ -42,6 +41,7 @@ from braidshadow.handles import words_equal
 from braidshadow.invariants import genus_expected, make_ledger, transverse_sl
 from braidshadow.svg import export_svg
 from braidshadow.words import BraidWord, full_twist, identity
+from support import random_factorization
 
 
 def _verdict(criterion: int, label: str, ok: bool) -> bool:

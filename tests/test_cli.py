@@ -23,10 +23,10 @@ from braidshadow.documents import (
 from braidshadow.factorization import (
     BandFactor,
     Factorization,
-    random_factorization,
     standard_factorization,
 )
 from braidshadow.words import BraidWord, identity
+from support import random_factorization
 from test_diagram import _acceptance_corpus
 
 _TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -66,6 +66,15 @@ def test_verify_standard_3(capsys):
     code, out, _ = run(capsys, ["verify", "--standard", "3"])
     assert code == 0
     assert "n = 6" in out and "product = full twist: ok" in out
+
+
+def test_verify_json_keys(capsys):
+    code, out, _ = run(capsys, ["verify", "--standard", "3", "--json"])
+    assert code == 0
+    assert set(json.loads(out)) == {
+        "strands", "factor_count", "exponent_total", "product_ok", "sum_ok", "smooth",
+        "count_ok", "valid",
+    }
 
 
 def test_verify_invalid_factorization_exits_1(capsys, tmp_path):
@@ -581,7 +590,7 @@ def test_check_and_invariants_reports_are_pinned():
         for report in reports:
             digest.update(json.dumps(report).encode())
     assert digest.hexdigest() == (
-        "709cfa2860a4528f8a76f892f120941e6edae9bb9fe669223a996d2ee6d570f8"
+        "d897b92b3f519fb54d7505b157be902df456e6c758b602dca3b191a5fc2652e4"
     )
 
 
@@ -752,8 +761,20 @@ def test_fact_option_on_the_wrong_strand_count_fails(capsys, monkeypatch, tmp_pa
     fact = _fact_file(tmp_path, standard_factorization(3))
     code, out, err = run(capsys, [verb, "-", "--fact", fact],
                          stdin=serialize_diagram(*_standard_2()), monkeypatch=monkeypatch)
-    assert (code, out) == (1, "")
-    assert err == "failed: factorization and diagram strand counts differ\n"
+    misfit = "factorization and diagram strand counts differ"
+    if verb == "invariants":
+        assert (code, out, err) == (1, "", f"failed: {misfit}\n")
+        return
+    # check still reports every stage the diagram passed on its own
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "endpoints: ok",
+        "transversality: ok",
+        "A crossings: none",
+        "parameters: (b; c1, c2, c3) = (4; 2, 2, 2), s = 0",
+        f"triviality: skipped (source does not fit: {misfit})",
+        "result: FAIL",
+    ]
 
 
 def _with_mutated_source(text):

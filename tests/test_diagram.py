@@ -24,7 +24,6 @@ from braidshadow.diagram import (
 from braidshadow.factorization import (
     BandFactor,
     Factorization,
-    random_factorization,
     standard_factorization,
     validate,
 )
@@ -32,6 +31,7 @@ from braidshadow.documents import serialize_diagram
 from braidshadow.garside import equal
 from braidshadow.invariants import make_ledger
 from braidshadow.words import BraidWord, compose, full_twist, identity, invert
+from support import random_factorization
 
 
 # -- reference: the incidence walk that the partner walk replaced --------------

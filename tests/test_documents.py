@@ -29,10 +29,10 @@ from braidshadow.documents import (
 from braidshadow.factorization import (
     BandFactor,
     Factorization,
-    random_factorization,
     standard_factorization,
 )
 from braidshadow.words import BraidWord
+from support import random_factorization
 
 
 def factorizations():

@@ -1,5 +1,6 @@
 import random
 from collections import deque
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,7 +14,6 @@ from braidshadow.factorization import (
     factorization_key,
     hurwitz_move,
     hurwitz_orbit,
-    random_factorization,
     standard_factorization,
     validate,
 )
@@ -27,6 +27,7 @@ from braidshadow.words import (
     identity,
     invert,
 )
+from support import random_factorization
 
 
 def test_band_factor_word():
@@ -71,7 +72,7 @@ def test_standard_factorization_validates(d):
     assert report.valid
     assert report.factor_count == d * d - d
     assert report.exponent_total == d * (d - 1)
-    assert report.smooth and report.assembly_compatible
+    assert report.smooth and f.all_positive()
 
 
 def test_standard_factorization_needs_two_strands():
@@ -83,6 +84,48 @@ def test_validate_flags_bad_product():
     f = Factorization(2, (BandFactor(identity(2)),))
     report = validate(f)
     assert not report.product_ok and not report.sum_ok and not report.valid
+
+
+def _mutated(f, rng):
+    """f after up to two random edits: a dropped band, a flipped sign, a
+    bumped exponent or one more letter on a conjugator."""
+    d, bands = f.strands, list(f.factors)
+    for _ in range(rng.randint(0, 2)):
+        i = rng.randrange(len(bands))
+        b = bands[i]
+        kinds = ("drop", "flip", "bump", "extend") if len(bands) > 1 else ("flip", "bump", "extend")
+        kind = rng.choice(kinds)
+        if kind == "drop":
+            del bands[i]
+        elif kind == "flip":
+            bands[i] = replace(b, sign=-b.sign)
+        elif kind == "bump":
+            bands[i] = replace(b, exponent=b.exponent + 1)
+        else:
+            letter = rng.choice((1, -1)) * rng.randint(1, d - 1)
+            bands[i] = replace(b, conjugator=BraidWord(d, b.conjugator.letters + (letter,)))
+    return Factorization(d, tuple(bands))
+
+
+def test_valid_is_the_product_check_under_mutations():
+    """A right product forces the exponent sum, and for smooth input the sum
+    is the band count, so ``valid`` (the product check) agrees with every
+    flag of the report."""
+    rng = random.Random(0xB0A7)
+    seen = set()
+    for _ in range(300):
+        d = rng.randint(2, 4)
+        walk = random_factorization(d, rng, moves=rng.randint(0, 6), max_conjugator_length=4)
+        f = _mutated(walk, rng)
+        report = validate(f)
+        assert report.sum_ok or not report.product_ok
+        assert report.count_ok == ((len(f) == d * d - d) if report.smooth else None)
+        assert report.count_ok is not False or not report.sum_ok
+        flags = report.product_ok and report.sum_ok and report.count_ok is not False
+        assert report.valid == flags
+        seen.add((report.valid, report.sum_ok, report.smooth))
+    # every (valid, sum_ok, smooth) combination with valid implying sum_ok occurs
+    assert len(seen) == 6
 
 
 def test_singular_factor_cusp_is_valid_at_d2():

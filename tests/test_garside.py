@@ -11,17 +11,16 @@ from braidshadow.garside import (
     _weight_pair,
     equal,
     normal_form,
-    normal_form_word,
 )
 from braidshadow.words import (
     BraidError,
     BraidWord,
     compose,
     full_twist,
-    half_twist_word,
     identity,
     invert,
 )
+from support import half_twist_word
 
 
 def words(max_strands=5, max_len=24):
@@ -175,6 +174,31 @@ def test_conjugation_shifts_generator():
         for j in range(1, d - 1):
             lhs = compose(compose(delta, BraidWord(d, (j,))), invert(delta))
             assert equal(lhs, BraidWord(d, (j + 1,)))
+
+
+def normal_form_word(nf: NormalForm) -> BraidWord:
+    """Serialize a normal form back to a braid word (same group element)."""
+    d = nf.strands
+    letters: list[int] = []
+    half: list[int] = []
+    for i in range(1, d):
+        half.extend(range(i, 0, -1))
+    if nf.delta_power >= 0:
+        letters.extend(half * nf.delta_power)
+    else:
+        inv = [-x for x in reversed(half)]
+        letters.extend(inv * (-nf.delta_power))
+    for f in nf.factors:
+        cur = list(f)
+        while True:
+            for i in range(d - 1):
+                if cur[i] > cur[i + 1]:
+                    letters.append(i + 1)
+                    cur[i], cur[i + 1] = cur[i + 1], cur[i]
+                    break
+            else:
+                break
+    return BraidWord(d, tuple(letters))
 
 
 @given(words())

