@@ -246,15 +246,13 @@ def _shifts(lo1: int, hi1: int, lo2: int, hi2: int, n: int) -> range:
 def _pair_crossings(seg1, seg2, nx: int, ny: int) -> list:
     """Crossings of segment ``seg1`` with every lattice translate of ``seg2``.
 
-    Segments are (arc, index, p, q, x-interval, y-interval).  Two vertical
-    segments never cross properly, and neighbours on one arc share a
-    vertex, so both are skipped.
+    Segments are (arc, index, p, q, x-interval, y-interval).  Parallel
+    segments never cross properly, so they are skipped; neighbours on one
+    arc share a vertex only at zero shift, which is not a proper crossing.
     """
     ai, si, p, q, x1, y1 = seg1
-    bi, sj, r, s, x2, y2 = seg2
-    if p[0] == q[0] and r[0] == s[0]:
-        return []
-    if ai == bi and abs(si - sj) <= 1:
+    bi, _sj, r, s, x2, y2 = seg2
+    if (q[0] - p[0]) * (s[1] - r[1]) == (q[1] - p[1]) * (s[0] - r[0]):
         return []
     out = []
     for dx in _shifts(*x1, *x2, nx):

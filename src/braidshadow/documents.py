@@ -9,10 +9,11 @@ vertices lifted, exactly as in memory.  Version 1 diagram documents
 still read, onto a lattice of 10**6 points per period.  Factorization
 documents, alone or embedded, are version 1.
 
-Documents are written directly, in exactly the text that
-``json.dumps(..., indent=2, sort_keys=True)`` gives for them (every
-number in them is an integer), because the ``json`` module cannot use
-its C encoder for indented output.
+Documents are written compactly and directly, in exactly the text that
+``json.dumps(..., sort_keys=True, separators=(",", ":"))`` gives for them
+(every number in them is an integer), which is faster than building a
+dict for the ``json`` module.  ``python -m json.tool FILE`` lays one out
+for reading.
 """
 
 from __future__ import annotations
@@ -74,31 +75,15 @@ def _check_version(doc: dict, where: str, supported: tuple[str, ...] = (FORMAT_V
 # -- writing ----------------------------------------------------------------
 
 
-def _array(items: list[str], indent: str) -> str:
-    """A JSON array of already indented items; ``indent`` is the array's own."""
-    if not items:
-        return "[]"
-    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
-
-
-def _factorization_text(f: Factorization, indent: str) -> str:
-    i1, i2, i3, i4 = (indent + "  " * k for k in (1, 2, 3, 4))
-    factors = [
-        f"{i2}{{\n"
-        f'{i3}"conjugator": '
-        f"{_array([i4 + str(x) for x in factor.conjugator.letters], i3)},\n"
-        f'{i3}"exponent": {factor.exponent},\n'
-        f'{i3}"sign": {factor.sign}\n'
-        f"{i2}}}"
+def _factorization_text(f: Factorization) -> str:
+    factors = ",".join(
+        f'{{"conjugator":[{",".join(map(str, factor.conjugator.letters))}],'
+        f'"exponent":{factor.exponent},"sign":{factor.sign}}}'
         for factor in f.factors
-    ]
+    )
     return (
-        "{\n"
-        f'{i1}"factors": {_array(factors, i1)},\n'
-        f'{i1}"format_version": {json.dumps(FORMAT_VERSION)},\n'
-        f'{i1}"strands": {f.strands},\n'
-        f'{i1}"type": "factorization"\n'
-        f"{indent}}}"
+        f'{{"factors":[{factors}],"format_version":{json.dumps(FORMAT_VERSION)},'
+        f'"strands":{f.strands},"type":"factorization"}}'
     )
 
 
@@ -106,7 +91,7 @@ def _factorization_text(f: Factorization, indent: str) -> str:
 
 
 def serialize_factorization(f: Factorization) -> str:
-    return _factorization_text(f, "") + "\n"
+    return _factorization_text(f) + "\n"
 
 
 def factorization_from_dict(doc: dict, where: str = "factorization") -> Factorization:
@@ -170,44 +155,25 @@ def parse_factorization(text: str) -> Factorization:
 
 def serialize_diagram(diag: TorusDiagram, source: Factorization | None = None) -> str:
     # keys at every level in sorted order, as sort_keys=True writes them
-    arcs = []
-    for arc in diag.arcs:
-        path = [
-            f"        [\n          {x},\n          {y}\n        ]"
-            for x, y in arc.path
-        ]
-        arcs.append(
-            "    {\n"
-            f'      "color": {json.dumps(arc.color)},\n'
-            f'      "end": {arc.end},\n'
-            f'      "path": {_array(path, "      ")},\n'
-            f'      "start": {arc.start}\n'
-            "    }"
-        )
-    points = [
-        "    {\n"
-        f'      "id": {p.ident},\n'
-        f'      "sign": {p.sign},\n'
-        f'      "x": {p.x},\n'
-        f'      "y": {p.y}\n'
-        "    }"
+    arcs = ",".join(
+        f'{{"color":{json.dumps(arc.color)},"end":{arc.end},'
+        f'"path":[{",".join(f"[{x},{y}]" for x, y in arc.path)}],"start":{arc.start}}}'
+        for arc in diag.arcs
+    )
+    points = ",".join(
+        f'{{"id":{p.ident},"sign":{p.sign},"x":{p.x},"y":{p.y}}}'
         for p in diag.bridge_points
-    ]
-    source_line = (
+    )
+    source_field = (
         "" if source is None
-        else f'  "source_factorization": {_factorization_text(source, "  ")},\n'
+        else f'"source_factorization":{_factorization_text(source)},'
     )
     return (
-        "{\n"
-        f'  "arcs": {_array(arcs, "  ")},\n'
-        f'  "bridge_points": {_array(points, "  ")},\n'
-        f'  "format_version": {json.dumps(DIAGRAM_VERSION)},\n'
-        f'  "scale": {_array([f"    {n}" for n in diag.scale], "  ")},\n'
-        f"{source_line}"
-        f'  "stabilization_count": {diag.stabilization_count},\n'
-        f'  "strands": {diag.strands},\n'
-        '  "type": "diagram"\n'
-        "}\n"
+        f'{{"arcs":[{arcs}],"bridge_points":[{points}],'
+        f'"format_version":{json.dumps(DIAGRAM_VERSION)},'
+        f'"scale":[{",".join(map(str, diag.scale))}],{source_field}'
+        f'"stabilization_count":{diag.stabilization_count},'
+        f'"strands":{diag.strands},"type":"diagram"}}\n'
     )
 
 

@@ -2,10 +2,10 @@
 
 The unit square is drawn with a frame (opposite sides identified); A, B
 and C arcs are polylines in red, blue and green.  Lifted arc segments
-are drawn once per translate by whole periods that meets the square,
-decided on the integer lattice, clipped to the frame, so wrapping arcs
-reappear on the opposite side.  Output is deterministic: byte-identical
-for identical diagrams.
+are drawn once per translate by whole periods whose bounding box meets
+the square, decided on the integer lattice, clipped to the frame, so
+wrapping arcs reappear on the opposite side.  Output is deterministic:
+byte-identical for identical diagrams.
 """
 
 from __future__ import annotations

@@ -268,7 +268,7 @@ def test_build_documents_are_pinned():
     for f in inputs:
         digest.update(serialize_diagram(assemble(f), f).encode())
     assert digest.hexdigest() == (
-        "35a23973ea22499bb9e50462c0b6c2d139fa4e56940e4e9adec44f6c566f1ec0"
+        "c9f6a756ba4edf1e0583bf7ad694e7576bb434b646c49d05f1420379310b960d"
     )
 
 
@@ -530,8 +530,6 @@ def _all_pairs_crossings(diag):
             bi, sj, r, s, diag2 = segs[v]
             if not (diag1 or diag2):
                 continue
-            if ai == bi and abs(si - sj) <= 1:
-                continue
             for mx in _shift_range(p[0], q[0], r[0], s[0], nx):
                 for my in _shift_range(p[1], q[1], r[1], s[1], ny):
                     dx, dy = mx * nx, my * ny
@@ -585,6 +583,15 @@ def test_a_crossings_across_both_seams():
     assert [(ai, bi) for (ai, _si, _t, bi, _pt) in found] == [(0, 1), (2, 3)]
     assert found[0][4] == (10, 8) and found[1][4] == (5, 21)
     assert (found[0][2], found[1][2]) == (Fraction(1, 2), Fraction(3, 4))
+
+
+def test_a_crossings_finds_an_arc_crossing_a_translate_of_its_neighbouring_segment():
+    # segment 1 moved one period down crosses segment 0 of the same arc
+    arcs = (Arc("A", 0, 1, ((0, 0), (10, 15), (0, 16))),)
+    diag = TorusDiagram(2, (10, 10), (), arcs)
+    found = a_crossings(diag)
+    assert found == _all_pairs_crossings(diag)
+    assert found == [(0, 0, Fraction(3, 8), 0, (Fraction(15, 4), Fraction(45, 8)))]
 
 
 def test_exact_tests_decide_what_a_tolerance_could_not():

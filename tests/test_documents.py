@@ -211,7 +211,7 @@ def test_vertices_are_read_while_their_period_count_fits_a_float():
 # -- the direct writer against json.dumps --------------------------------------
 #
 # The writer's old form, kept as the reference: build the document as a dict
-# and let json.dumps(indent=2, sort_keys=True) lay it out.
+# and let json.dumps(sort_keys=True, separators=(",", ":")) lay it out.
 
 
 def factorization_to_dict(f):
@@ -253,7 +253,7 @@ def diagram_to_dict(diag, source=None):
 
 
 def reference_serialize_diagram(diag, source=None):
-    return json.dumps(diagram_to_dict(diag, source), indent=2, sort_keys=True) + "\n"
+    return json.dumps(diagram_to_dict(diag, source), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # Hand-built diagrams: not necessarily valid, but every field has the type the
@@ -323,7 +323,7 @@ def test_hand_built_diagrams_round_trip(diag):
 @given(factorizations())
 @settings(max_examples=200, deadline=None)
 def test_serialize_factorization_matches_json_reference(f):
-    expected = json.dumps(factorization_to_dict(f), indent=2, sort_keys=True) + "\n"
+    expected = json.dumps(factorization_to_dict(f), sort_keys=True, separators=(",", ":")) + "\n"
     assert serialize_factorization(f) == expected
 
 
