@@ -230,11 +230,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", nargs="?", help="factorization file ('-' for stdin)")
         p.add_argument("--standard", type=int, metavar="d",
                        help="use the standard factorization on d strands")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
 
     def diag_input(p: argparse.ArgumentParser) -> None:
         p.add_argument("input", help="diagram file ('-' for stdin)")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
 
     def verified_diag_input(p: argparse.ArgumentParser) -> None:
         diag_input(p)
@@ -256,6 +254,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export", help="render a diagram to SVG")
     diag_input(p)
     p.add_argument("-o", "--output", help="SVG file ('-' or omit for stdout)")
+    for verb in ("verify", "check", "invariants", "orbit"):  # the verbs that print a report
+        sub.choices[verb].add_argument("--json", action="store_true", help="machine-readable output")
     return parser
 
 

@@ -246,14 +246,13 @@ def _shifts(lo1: int, hi1: int, lo2: int, hi2: int, n: int) -> range:
 def _pair_crossings(seg1, seg2, nx: int, ny: int) -> list:
     """Crossings of segment ``seg1`` with every lattice translate of ``seg2``.
 
-    Segments are (arc, index, p, q, x-interval, y-interval).  Parallel
-    segments never cross properly, so they are skipped; neighbours on one
-    arc share a vertex only at zero shift, which is not a proper crossing.
+    Segments are (arc, index, p, q, x-interval, y-interval), and must not
+    be parallel: ``_candidate_pairs`` leaves parallel pairs out, as they
+    never cross properly.  Neighbours on one arc share a vertex only at
+    zero shift, which is not a proper crossing.
     """
     ai, si, p, q, x1, y1 = seg1
     bi, _sj, r, s, x2, y2 = seg2
-    if (q[0] - p[0]) * (s[1] - r[1]) == (q[1] - p[1]) * (s[0] - r[0]):
-        return []
     out = []
     for dx in _shifts(*x1, *x2, nx):
         for dy in _shifts(*y1, *y2, ny):
@@ -264,22 +263,27 @@ def _pair_crossings(seg1, seg2, nx: int, ny: int) -> list:
     return out
 
 
-def _candidate_pairs(segs, ny: int) -> list[tuple[int, int]]:
-    """Sorted index pairs (u, v), u < v, whose closed y-intervals meet mod Ny.
+def _candidate_pairs(segs, nx: int, ny: int) -> list[tuple[int, int]]:
+    """Sorted index pairs (u, v), u < v, of segments that are not parallel
+    and whose closed x- and y-intervals both meet mod (Nx, Ny).
 
     Each interval is moved by whole periods so its low end lies in
-    [0, Ny); one that reaches Ny is entered again one period down, so
-    pairs meeting across the y = 0 seam meet too.  A sweep up y keeps the
-    open intervals; each one opening pairs with all that are open.  A
-    segment spanning a whole period pairs with every other, so the two
-    entries of any other segment are disjoint.
+    [0, Nx) or [0, Ny).  A sweep up y keeps the open y-intervals; a y-
+    interval that reaches Ny is entered again one period down, so pairs
+    meeting across the y = 0 seam meet too.  Each one opening pairs with
+    the open ones whose x-intervals meet it under some shift by whole
+    periods (the test of ``_shifts``) and whose direction is not parallel
+    to its own.  A segment spanning a whole period of y is entered once,
+    below every other entry, and never leaves, so it meets every other
+    in y; the two entries of any other segment are disjoint.
     """
-    n = len(segs)
+    xs = []  # per segment: its x-interval, low end in [0, Nx), and direction
     events = []
-    pairs = set()
-    for u, (*_, (lo, hi)) in enumerate(segs):
+    for u, (_ai, _si, p, q, (xlo, xhi), (lo, hi)) in enumerate(segs):
+        x0 = xlo % nx
+        xs.append((x0, x0 + (xhi - xlo), q[0] - p[0], q[1] - p[1]))
         if hi - lo >= ny:
-            pairs.update((v, u) if v < u else (u, v) for v in range(n) if v != u)
+            events.append((-ny, 0, u))  # opens before every other entry, never closes
             continue
         lo0 = lo % ny
         hi0 = lo0 + (hi - lo)
@@ -287,12 +291,17 @@ def _candidate_pairs(segs, ny: int) -> list[tuple[int, int]]:
         if hi0 >= ny:
             events += [(lo0 - ny, 0, u), (hi0 - ny, 1, u)]
     events.sort()  # at equal heights intervals open before others close
+    pairs = set()
     active: set[int] = set()
     for _y, closing, u in events:
         if closing:
             active.remove(u)
             continue
-        pairs.update((v, u) if v < u else (u, v) for v in active)
+        lo1, hi1, dx1, dy1 = xs[u]
+        for v in active:
+            lo2, hi2, dx2, dy2 = xs[v]
+            if (hi1 - lo2) // nx >= -((hi2 - lo1) // nx) and dx1 * dy2 != dy1 * dx2:
+                pairs.add((v, u) if v < u else (u, v))
         active.add(u)
     return sorted(pairs)
 
@@ -305,10 +314,10 @@ def a_crossings(diag: TorusDiagram):
     the point in the lifted lattice coordinates of arc_i's segment (a pair
     of Fractions).  Two segments are tested against each other over every
     shift by whole periods in x and y that brings their bounding boxes
-    together; a sweep over y first discards the pairs whose y-intervals do
-    not meet mod Ny.  The list is ordered by (segment of arc_i, segment of
-    arc_j, x shift, y shift), segments numbered in arc order, so
-    arc_i <= arc_j.
+    together; a sweep over y first keeps only the pairs that are not
+    parallel and meet in both x and y mod (Nx, Ny).  The list is ordered
+    by (segment of arc_i, segment of arc_j, x shift, y shift), segments
+    numbered in arc order, so arc_i <= arc_j.
     """
     segs = [
         (ai, si, p, q, sorted((p[0], q[0])), sorted((p[1], q[1])))
@@ -317,7 +326,7 @@ def a_crossings(diag: TorusDiagram):
         for si, (p, q) in enumerate(arc.segments())
     ]
     out = []
-    for u, v in _candidate_pairs(segs, diag.scale[1]):
+    for u, v in _candidate_pairs(segs, *diag.scale):
         out += _pair_crossings(segs[u], segs[v], *diag.scale)
     return out
 

@@ -9,6 +9,10 @@ vertices lifted, exactly as in memory.  Version 1 diagram documents
 still read, onto a lattice of 10**6 points per period.  Factorization
 documents, alone or embedded, are version 1.
 
+A version-2 diagram's points and arcs are checked as whole lists, a field
+at a time.  When a check fails, and for version 1, the per-item readers
+read them in document order and name the first bad field.
+
 Documents are written compactly and directly, in exactly the text that
 ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` gives for them
 (every number in them is an integer), which is faster than building a
@@ -19,6 +23,7 @@ for reading.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Any
 
 from .diagram import Arc, BridgePoint, TorusDiagram
@@ -257,6 +262,45 @@ def _arc(raw: Any, loc: str, n_points: int, scale: tuple[int, int], version: str
     return Arc(color, start, end, tuple(lifted))
 
 
+def _whole_lists(doc: dict, scale: tuple[int, int]) -> tuple[list, list] | None:
+    """The bridge points and arcs of a version-2 document, each field
+    checked as a whole list; None when any check fails."""
+    nx, ny = scale
+    bx, by = nx * _FLOAT_BOUND, ny * _FLOAT_BOUND
+    try:
+        raw_points, raw_arcs = doc["bridge_points"], doc["arcs"]
+        ids, xs, ys, signs = ([raw[k] for raw in raw_points] for k in ("id", "x", "y", "sign"))
+        colors, starts, ends, paths = (
+            [raw[k] for raw in raw_arcs] for k in ("color", "start", "end", "path")
+        )
+        verts = list(chain.from_iterable(paths))
+        coords = list(chain.from_iterable(verts))
+        vx, vy, n, ends_both = coords[0::2], coords[1::2], len(ids), starts + ends
+        if not (
+            type(raw_points) is type(raw_arcs) is list
+            and set(map(type, ids + xs + ys + signs + ends_both + coords)) <= {int}
+            and set(map(type, paths + verts)) <= {list}
+            and min(map(len, paths), default=2) >= 2 and set(map(len, verts)) <= {2}
+            and ids == list(range(n))
+            and 0 <= min(xs, default=0) and max(xs, default=0) < nx
+            and 0 <= min(ys, default=0) and max(ys, default=0) < ny
+            and set(signs) <= {1, -1}
+            and set(colors) <= {"A", "B", "C"}
+            and 0 <= min(ends_both, default=0) and max(ends_both, default=-1) < n
+            and -bx < min(vx, default=0) and max(vx, default=0) < bx
+            and -by < min(vy, default=0) and max(vy, default=0) < by
+        ):
+            return None
+    except (KeyError, TypeError):  # a missing field, or an item, path or vertex of a wrong kind
+        return None
+    points = list(map(BridgePoint, ids, xs, ys, signs))
+    arcs = [
+        Arc(color, start, end, tuple(map(tuple, path)))
+        for color, start, end, path in zip(colors, starts, ends, paths)
+    ]
+    return points, arcs
+
+
 def diagram_from_dict(doc: dict) -> tuple[TorusDiagram, Factorization | None]:
     where = "diagram"
     version = _check_version(doc, where, (DIAGRAM_VERSION, "1"))
@@ -277,20 +321,24 @@ def diagram_from_dict(doc: dict) -> tuple[TorusDiagram, Factorization | None]:
         ):
             raise DocumentError(f"{where}.scale: expected [Nx, Ny] positive integers")
         scale = (scale[0], scale[1])
-    raw_points = _require(doc, "bridge_points", where)
-    if not isinstance(raw_points, list):
-        raise DocumentError(f"{where}.bridge_points: expected a list")
-    points = [
-        _bridge_point(raw, i, f"{where}.bridge_points[{i}]", scale, version)
-        for i, raw in enumerate(raw_points)
-    ]
-    raw_arcs = _require(doc, "arcs", where)
-    if not isinstance(raw_arcs, list):
-        raise DocumentError(f"{where}.arcs: expected a list")
-    arcs = [
-        _arc(raw, f"{where}.arcs[{i}]", len(points), scale, version)
-        for i, raw in enumerate(raw_arcs)
-    ]
+    lists = _whole_lists(doc, scale) if version == DIAGRAM_VERSION else None
+    if lists is None:  # version 1, or a bad field for the per-item readers to name
+        raw_points = _require(doc, "bridge_points", where)
+        if not isinstance(raw_points, list):
+            raise DocumentError(f"{where}.bridge_points: expected a list")
+        points = [
+            _bridge_point(raw, i, f"{where}.bridge_points[{i}]", scale, version)
+            for i, raw in enumerate(raw_points)
+        ]
+        raw_arcs = _require(doc, "arcs", where)
+        if not isinstance(raw_arcs, list):
+            raise DocumentError(f"{where}.arcs: expected a list")
+        arcs = [
+            _arc(raw, f"{where}.arcs[{i}]", len(points), scale, version)
+            for i, raw in enumerate(raw_arcs)
+        ]
+    else:
+        points, arcs = lists
     diag = TorusDiagram(strands, scale, tuple(points), tuple(arcs), stab)
     source = None
     if "source_factorization" in doc:

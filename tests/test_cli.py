@@ -719,6 +719,15 @@ def test_export_has_no_fact_option(capsys, monkeypatch, tmp_path):
     assert "unrecognized arguments: --fact" in err
 
 
+@pytest.mark.parametrize("argv", [["build", "--standard", "2", "--json"],
+                                  ["export", "-", "--json"]])
+def test_build_and_export_have_no_json_option(capsys, monkeypatch, argv):
+    code, out, err = run(capsys, argv, stdin=serialize_diagram(*_standard_2()),
+                         monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: braidshadow") and "unrecognized arguments: --json" in err
+
+
 def _fact_file(tmp_path, f):
     path = tmp_path / "fact.json"
     path.write_text(serialize_factorization(f))

@@ -12,6 +12,7 @@ from braidshadow.diagram import (
     BridgePoint,
     DiagramError,
     TorusDiagram,
+    _candidate_pairs,
     _seg_intersection,
     a_crossings,
     assemble,
@@ -554,11 +555,35 @@ _polyline = st.lists(st.tuples(_coord, _coord), min_size=2, max_size=6)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_polyline, min_size=1, max_size=5), st.sampled_from([1000, 500]))
-def test_a_crossings_matches_all_pairs_oracle(paths, ny):
+@given(st.lists(_polyline, min_size=1, max_size=5), st.sampled_from([1000, 500]),
+       st.sampled_from([1000, 500]))
+def test_a_crossings_matches_all_pairs_oracle(paths, ny, nx):
     arcs = tuple(Arc("A", 0, 0, tuple(path)) for path in paths)
-    diag = TorusDiagram(2, (1000, ny), (), arcs)
+    diag = TorusDiagram(2, (nx, ny), (), arcs)
     assert a_crossings(diag) == _all_pairs_crossings(diag)
+
+
+def test_candidate_pairs_meet_in_both_axes_and_are_not_parallel():
+    diag = assemble(standard_factorization(4))
+    nx, ny = diag.scale
+    segs = [
+        (ai, si, p, q, sorted((p[0], q[0])), sorted((p[1], q[1])))
+        for ai, arc in enumerate(diag.arcs)
+        if arc.color == "A"
+        for si, (p, q) in enumerate(arc.segments())
+    ]
+    meet_y, expected = [], []
+    for u in range(len(segs)):
+        *_, p, q, _x1, _y1 = segs[u]
+        for v in range(u + 1, len(segs)):
+            *_, r, s, _x2, _y2 = segs[v]
+            if _shift_range(p[1], q[1], r[1], s[1], ny):
+                meet_y.append((u, v))
+                parallel = (q[0] - p[0]) * (s[1] - r[1]) == (q[1] - p[1]) * (s[0] - r[0])
+                if _shift_range(p[0], q[0], r[0], s[0], nx) and not parallel:
+                    expected.append((u, v))
+    assert _candidate_pairs(segs, nx, ny) == expected
+    assert 0 < len(expected) < len(meet_y)  # the y sweep alone would pass more
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])

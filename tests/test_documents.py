@@ -6,10 +6,12 @@ import os
 import random
 import re
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidshadow import documents
 from braidshadow.diagram import Arc, BridgePoint, TorusDiagram, assemble
 from braidshadow.documents import (
     MAX_EXPONENT,
@@ -33,6 +35,7 @@ from braidshadow.factorization import (
 )
 from braidshadow.words import BraidWord
 from support import random_factorization
+from test_cli import _cli_replacements
 
 
 def factorizations():
@@ -669,3 +672,55 @@ def test_diagram_from_dict_matches_reference_reader_on_standard(d):
     ref, ref_source = reference_diagram_from_dict(doc)
     assert source == ref_source == standard_factorization(d)
     _assert_read_onto_the_v1_lattice(doc, diag, ref)
+
+
+# -- version 2: the whole-list check against the per-item readers ---------------
+
+
+def _read_item_by_item(doc):
+    """``diagram_from_dict`` with the whole-list check bypassed."""
+    with mock.patch.object(documents, "_whole_lists", lambda doc, scale: None):
+        return diagram_from_dict(doc)
+
+
+@functools.cache
+def _standard_v2_text(d):
+    f = standard_factorization(d)
+    return serialize_diagram(assemble(f), source=f)
+
+
+@st.composite
+def mutated_v2_documents(draw):
+    """Standard d = 2 or 3 with one to three fields replaced or deleted."""
+    doc = json.loads(_standard_v2_text(draw(st.sampled_from([2, 3]))))
+    for _ in range(draw(st.integers(1, 3))):
+        fields = []
+        stack = [(doc, False)]
+        while stack:
+            node, in_path = stack.pop()
+            keys = sorted(node) if isinstance(node, dict) else range(len(node))
+            for key in keys:
+                fields.append((node, key, in_path or key == "path"))
+                if isinstance(node[key], (dict, list)):
+                    stack.append((node[key], in_path or key == "path"))
+        node, key, in_path = draw(st.sampled_from(fields))
+        if isinstance(node, dict) and draw(st.integers(0, 9)) == 0:
+            del node[key]
+        else:
+            node[key] = copy.deepcopy(draw(st.sampled_from(_cli_replacements(node[key], in_path))))
+    return doc
+
+
+@given(mutated_v2_documents())
+@settings(max_examples=300, deadline=None)
+def test_whole_list_check_matches_the_per_item_readers(doc):
+    # equal diagrams, or the message of the first bad field in document order
+    assert _outcome(diagram_from_dict, doc) == _outcome(_read_item_by_item, doc)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_whole_list_check_reads_standard_diagrams(d):
+    doc = json.loads(_standard_v2_text(d))
+    assert documents._whole_lists(doc, tuple(doc["scale"])) is not None
+    f = standard_factorization(d)
+    assert diagram_from_dict(doc) == _read_item_by_item(doc) == (assemble(f), f)
