@@ -1,17 +1,20 @@
 """JSON document formats for factorizations and torus diagrams.
 
-Both documents carry an explicit ``format_version``.  Generator letters
-are stored exactly as in memory (positive i for sigma_i, negative for
-its inverse).  A diagram document (version 2) stores its lattice
+Both documents carry an explicit ``format_version`` and a ``type``
+(``"factorization"`` or ``"diagram"``).  A document whose type names the
+other kind is refused; one without a type is still read.  Generator
+letters are stored exactly as in memory (positive i for sigma_i, negative
+for its inverse).  A diagram document (version 2) stores its lattice
 ``scale`` [Nx, Ny] and every coordinate as a lattice integer, arc
 vertices lifted, exactly as in memory.  Version 1 diagram documents
 (6-decimal fractions of a period, with integer wraps per vertex) are
 still read, onto a lattice of 10**6 points per period.  Factorization
 documents, alone or embedded, are version 1.
 
-A version-2 diagram's points and arcs are checked as whole lists, a field
-at a time.  When a check fails, and for version 1, the per-item readers
-read them in document order and name the first bad field.
+Each bridge point and arc is read by one function, in one pass.  A
+well-formed version-2 item is accepted by one combined test; any other
+item, and every version-1 item, is checked a field at a time, in
+document order, and the first bad field is named.
 
 Documents are written compactly and directly, in exactly the text that
 ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` gives for them
@@ -23,7 +26,6 @@ for reading.
 from __future__ import annotations
 
 import json
-from itertools import chain
 from typing import Any
 
 from .diagram import Arc, BridgePoint, TorusDiagram
@@ -69,6 +71,12 @@ def _load_json(text: str) -> dict:
     return doc
 
 
+def _check_type(doc: dict, where: str, kind: str) -> None:
+    """Refuse a document whose ``type``, when it has one, names another kind."""
+    if "type" in doc and doc["type"] != kind:
+        raise DocumentError(f"{where}.type: expected {kind!r}, got {doc['type']!r}")
+
+
 def _check_version(doc: dict, where: str, supported: tuple[str, ...] = (FORMAT_VERSION,)) -> str:
     version = _require(doc, "format_version", where)
     if version not in supported:
@@ -102,6 +110,7 @@ def serialize_factorization(f: Factorization) -> str:
 def factorization_from_dict(doc: dict, where: str = "factorization") -> Factorization:
     if not isinstance(doc, dict):
         raise DocumentError(f"{where}: expected an object")
+    _check_type(doc, where, "factorization")
     _check_version(doc, where)
     strands = _intfield(doc, "strands", where)
     raw_factors = _require(doc, "factors", where)
@@ -194,14 +203,27 @@ def _coord(v: Any, loc: str) -> float:
         ) from None
 
 
-def _bridge_point(raw: Any, i: int, loc: str, scale: tuple[int, int], version: str) -> BridgePoint:
-    """Bridge point ``i``, every field checked in order."""
+def _bridge_point(raw: Any, i: int, scale: tuple[int, int], version: str) -> BridgePoint:
+    """Bridge point ``i``.  A well-formed version-2 point passes one test;
+    any other point has every field checked in order, and the first bad
+    one named."""
+    nx, ny = scale
+    if version == DIAGRAM_VERSION:
+        try:  # KeyError: a missing field; TypeError: not an object
+            ident, x, y, sign = raw["id"], raw["x"], raw["y"], raw["sign"]
+            if (
+                type(ident) is type(x) is type(y) is type(sign) is int
+                and ident == i and 0 <= x < nx and 0 <= y < ny and sign in (1, -1)
+            ):
+                return BridgePoint(ident, x, y, sign)
+        except (KeyError, TypeError):
+            pass
+    loc = f"diagram.bridge_points[{i}]"
     if not isinstance(raw, dict):
         raise DocumentError(f"{loc}: expected an object")
     ident = _intfield(raw, "id", loc)
     if ident != i:
         raise DocumentError(f"{loc}: ids must be 0..n-1 in order, got {ident}")
-    nx, ny = scale
     if version == "1":
         x = _coord(_require(raw, "x", loc), f"{loc}.x")
         y = _coord(_require(raw, "y", loc), f"{loc}.y")
@@ -218,10 +240,35 @@ def _bridge_point(raw: Any, i: int, loc: str, scale: tuple[int, int], version: s
     return BridgePoint(ident, x, y, sign)
 
 
-def _arc(raw: Any, loc: str, n_points: int, scale: tuple[int, int], version: str) -> Arc:
-    """An arc, every field checked in order.  Version 1 stores each path
-    vertex as [x, y] in [0,1)^2 with integer wraps, lifted here onto the
-    10**6 lattice."""
+def _arc(raw: Any, i: int, n_points: int, scale: tuple[int, int], version: str) -> Arc:
+    """Arc ``i``.  A well-formed version-2 arc passes one test; any other
+    arc has every field checked in order, and the first bad one named.
+    Version 1 stores each path vertex as [x, y] in [0,1)^2 with integer
+    wraps, lifted here onto the 10**6 lattice."""
+    nx, ny = scale
+    bx, by = nx * _FLOAT_BOUND, ny * _FLOAT_BOUND
+    if version == DIAGRAM_VERSION:
+        # KeyError: a missing field; TypeError, ValueError: an arc that is
+        # not an object, or a vertex that does not unpack into two values
+        try:
+            color, start, end, path = raw["color"], raw["start"], raw["end"], raw["path"]
+            if (
+                color in ("A", "B", "C") and type(start) is type(end) is int
+                and 0 <= start < n_points and 0 <= end < n_points
+                and type(path) is list and len(path) >= 2
+            ):
+                lifted = []
+                for v in path:
+                    x, y = v
+                    if not (type(v) is list and type(x) is type(y) is int
+                            and abs(x) < bx and abs(y) < by):
+                        break
+                    lifted.append((x, y))
+                else:
+                    return Arc(color, start, end, tuple(lifted))
+        except (KeyError, TypeError, ValueError):
+            pass
+    loc = f"diagram.arcs[{i}]"
     if not isinstance(raw, dict):
         raise DocumentError(f"{loc}: expected an object")
     color = _require(raw, "color", loc)
@@ -240,8 +287,6 @@ def _arc(raw: Any, loc: str, n_points: int, scale: tuple[int, int], version: str
     if not (isinstance(path, list) and isinstance(ints, list) and len(path) == len(ints) >= 2):
         raise DocumentError(f"{loc}: path and wraps must be equal-length lists (>= 2)" if v1
                             else f"{loc}.path: expected a list of >= 2 vertices")
-    nx, ny = scale
-    bx, by = nx * _FLOAT_BOUND, ny * _FLOAT_BOUND
     lifted = []
     for j, (v, w) in enumerate(zip(path, ints)):
         if v1 and not (isinstance(v, list) and len(v) == 2):
@@ -262,47 +307,9 @@ def _arc(raw: Any, loc: str, n_points: int, scale: tuple[int, int], version: str
     return Arc(color, start, end, tuple(lifted))
 
 
-def _whole_lists(doc: dict, scale: tuple[int, int]) -> tuple[list, list] | None:
-    """The bridge points and arcs of a version-2 document, each field
-    checked as a whole list; None when any check fails."""
-    nx, ny = scale
-    bx, by = nx * _FLOAT_BOUND, ny * _FLOAT_BOUND
-    try:
-        raw_points, raw_arcs = doc["bridge_points"], doc["arcs"]
-        ids, xs, ys, signs = ([raw[k] for raw in raw_points] for k in ("id", "x", "y", "sign"))
-        colors, starts, ends, paths = (
-            [raw[k] for raw in raw_arcs] for k in ("color", "start", "end", "path")
-        )
-        verts = list(chain.from_iterable(paths))
-        coords = list(chain.from_iterable(verts))
-        vx, vy, n, ends_both = coords[0::2], coords[1::2], len(ids), starts + ends
-        if not (
-            type(raw_points) is type(raw_arcs) is list
-            and set(map(type, ids + xs + ys + signs + ends_both + coords)) <= {int}
-            and set(map(type, paths + verts)) <= {list}
-            and min(map(len, paths), default=2) >= 2 and set(map(len, verts)) <= {2}
-            and ids == list(range(n))
-            and 0 <= min(xs, default=0) and max(xs, default=0) < nx
-            and 0 <= min(ys, default=0) and max(ys, default=0) < ny
-            and set(signs) <= {1, -1}
-            and set(colors) <= {"A", "B", "C"}
-            and 0 <= min(ends_both, default=0) and max(ends_both, default=-1) < n
-            and -bx < min(vx, default=0) and max(vx, default=0) < bx
-            and -by < min(vy, default=0) and max(vy, default=0) < by
-        ):
-            return None
-    except (KeyError, TypeError):  # a missing field, or an item, path or vertex of a wrong kind
-        return None
-    points = list(map(BridgePoint, ids, xs, ys, signs))
-    arcs = [
-        Arc(color, start, end, tuple(map(tuple, path)))
-        for color, start, end, path in zip(colors, starts, ends, paths)
-    ]
-    return points, arcs
-
-
 def diagram_from_dict(doc: dict) -> tuple[TorusDiagram, Factorization | None]:
     where = "diagram"
+    _check_type(doc, where, "diagram")
     version = _check_version(doc, where, (DIAGRAM_VERSION, "1"))
     strands = _intfield(doc, "strands", where)
     if strands < 2:
@@ -321,24 +328,14 @@ def diagram_from_dict(doc: dict) -> tuple[TorusDiagram, Factorization | None]:
         ):
             raise DocumentError(f"{where}.scale: expected [Nx, Ny] positive integers")
         scale = (scale[0], scale[1])
-    lists = _whole_lists(doc, scale) if version == DIAGRAM_VERSION else None
-    if lists is None:  # version 1, or a bad field for the per-item readers to name
-        raw_points = _require(doc, "bridge_points", where)
-        if not isinstance(raw_points, list):
-            raise DocumentError(f"{where}.bridge_points: expected a list")
-        points = [
-            _bridge_point(raw, i, f"{where}.bridge_points[{i}]", scale, version)
-            for i, raw in enumerate(raw_points)
-        ]
-        raw_arcs = _require(doc, "arcs", where)
-        if not isinstance(raw_arcs, list):
-            raise DocumentError(f"{where}.arcs: expected a list")
-        arcs = [
-            _arc(raw, f"{where}.arcs[{i}]", len(points), scale, version)
-            for i, raw in enumerate(raw_arcs)
-        ]
-    else:
-        points, arcs = lists
+    raw_points = _require(doc, "bridge_points", where)
+    if not isinstance(raw_points, list):
+        raise DocumentError(f"{where}.bridge_points: expected a list")
+    points = [_bridge_point(raw, i, scale, version) for i, raw in enumerate(raw_points)]
+    raw_arcs = _require(doc, "arcs", where)
+    if not isinstance(raw_arcs, list):
+        raise DocumentError(f"{where}.arcs: expected a list")
+    arcs = [_arc(raw, i, len(points), scale, version) for i, raw in enumerate(raw_arcs)]
     diag = TorusDiagram(strands, scale, tuple(points), tuple(arcs), stab)
     source = None
     if "source_factorization" in doc:

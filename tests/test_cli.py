@@ -765,6 +765,59 @@ def test_fact_option_with_a_mutated_conjugator_fails_l3(capsys, monkeypatch, tmp
     ]
 
 
+# A document whose ``type`` names the other kind is refused before its
+# version is read; one without a ``type`` is still read.
+_DIAGRAM_NOT_FACTORIZATION = "error: factorization.type: expected 'factorization', got 'diagram'\n"
+
+
+@pytest.mark.parametrize("verb", ["verify", "build", "orbit"])
+def test_a_diagram_document_given_as_a_factorization_exits_2(capsys, tmp_path, verb):
+    path = tmp_path / "d.json"
+    path.write_text(serialize_diagram(*_standard_2()))
+    assert run(capsys, [verb, str(path)]) == (2, "", _DIAGRAM_NOT_FACTORIZATION)
+
+
+@pytest.mark.parametrize("verb", ["check", "invariants"])
+def test_a_diagram_document_given_as_fact_exits_2(capsys, monkeypatch, tmp_path, verb):
+    path = tmp_path / "d.json"
+    path.write_text(serialize_diagram(*_standard_2()))
+    code, out, err = run(capsys, [verb, "-", "--fact", str(path)],
+                         stdin=serialize_diagram(_standard_2()[0]), monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", _DIAGRAM_NOT_FACTORIZATION)
+
+
+@pytest.mark.parametrize("verb", ["check", "invariants", "export"])
+def test_a_factorization_document_given_as_a_diagram_exits_2(capsys, tmp_path, verb):
+    path = tmp_path / "f.json"
+    path.write_text(serialize_factorization(standard_factorization(2)))
+    assert run(capsys, [verb, str(path)]) == (
+        2, "", "error: diagram.type: expected 'diagram', got 'factorization'\n")
+
+
+@pytest.mark.parametrize("verb", ["check", "invariants", "export"])
+@pytest.mark.parametrize("path, value, message", [
+    ((), "factorization", "diagram.type: expected 'diagram', got 'factorization'"),
+    (("source_factorization",), "diagram",
+     "diagram.source_factorization.type: expected 'factorization', got 'diagram'"),
+])
+def test_a_document_whose_type_names_the_other_kind_exits_2(
+    capsys, monkeypatch, verb, path, value, message
+):
+    doc = _standard_2_document()
+    _set(doc, path + ("type",), value)
+    code, out, err = run(capsys, [verb, "-"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("verb", ["check", "invariants", "export"])
+def test_documents_without_a_type_are_read(capsys, monkeypatch, verb):
+    doc = _standard_2_document()
+    expected = run(capsys, [verb, "-"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
+    del doc["type"], doc["source_factorization"]["type"]
+    assert run(capsys, [verb, "-"], stdin=json.dumps(doc), monkeypatch=monkeypatch) == expected
+    assert expected[0] == 0
+
+
 @pytest.mark.parametrize("verb", ["check", "invariants"])
 def test_fact_option_on_the_wrong_strand_count_fails(capsys, monkeypatch, tmp_path, verb):
     fact = _fact_file(tmp_path, standard_factorization(3))

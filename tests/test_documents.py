@@ -14,6 +14,9 @@ from hypothesis import given, settings, strategies as st
 from braidshadow import documents
 from braidshadow.diagram import Arc, BridgePoint, TorusDiagram, assemble
 from braidshadow.documents import (
+    _FLOAT_BOUND,
+    _V1_SCALE,
+    DIAGRAM_VERSION,
     MAX_EXPONENT,
     DocumentError,
     _check_version,
@@ -35,7 +38,7 @@ from braidshadow.factorization import (
 )
 from braidshadow.words import BraidWord
 from support import random_factorization
-from test_cli import _cli_replacements
+from test_cli import _cli_replacements, _set
 
 
 def factorizations():
@@ -478,10 +481,24 @@ def _outcome(read, doc):
 _WRAPS_REFUSAL = re.compile(r"diagram\.arcs\[(\d+)\]\.wraps\[(\d+)\]: expected \[wx, wy\] integers")
 
 
+def _is_type_refusal(doc, message):
+    """The refusal of a document, or of its embedded source, whose ``type``
+    names another kind."""
+    for where, node, kind in (("diagram", doc, "diagram"),
+                              ("diagram.source_factorization",
+                               doc.get("source_factorization"), "factorization")):
+        if message.startswith(f"{where}.type: "):
+            return (isinstance(node, dict) and node.get("type", kind) != kind
+                    and message == f"{where}.type: expected {kind!r}, got {node['type']!r}")
+    return False
+
+
 def _is_new_refusal(doc, message):
     """The refusals the reader gained: a boolean wrap, a negative count, fewer
-    than two strands, and an integer too large for a float (the reference
-    raises OverflowError)."""
+    than two strands, an integer too large for a float (the reference raises
+    OverflowError), and a ``type`` naming another kind."""
+    if _is_type_refusal(doc, message):
+        return True
     if message.startswith("diagram.stabilization_count: expected a non-negative integer"):
         return doc["stabilization_count"] < 0
     if message.startswith("diagram.strands: expected an integer >= 2"):
@@ -674,13 +691,137 @@ def test_diagram_from_dict_matches_reference_reader_on_standard(d):
     _assert_read_onto_the_v1_lattice(doc, diag, ref)
 
 
-# -- version 2: the whole-list check against the per-item readers ---------------
+# -- version 2: the one-pass readers against the per-item readers --------------
+#
+# The per-item readers as they were before each took a one-test path for a
+# well-formed version-2 item, kept verbatim as the reference, with the
+# branch of ``diagram_from_dict`` that ran them.
 
 
-def _read_item_by_item(doc):
-    """``diagram_from_dict`` with the whole-list check bypassed."""
-    with mock.patch.object(documents, "_whole_lists", lambda doc, scale: None):
-        return diagram_from_dict(doc)
+def reference_bridge_point(raw, i, loc, scale, version):
+    """Bridge point ``i``, every field checked in order."""
+    if not isinstance(raw, dict):
+        raise DocumentError(f"{loc}: expected an object")
+    ident = _intfield(raw, "id", loc)
+    if ident != i:
+        raise DocumentError(f"{loc}: ids must be 0..n-1 in order, got {ident}")
+    nx, ny = scale
+    if version == "1":
+        x = _coord(_require(raw, "x", loc), f"{loc}.x")
+        y = _coord(_require(raw, "y", loc), f"{loc}.y")
+        if not (0 <= x < 1 and 0 <= y < 1):
+            raise DocumentError(f"{loc}: coordinates must lie in [0,1)")
+        x, y = round(x * nx) % nx, round(y * ny) % ny
+    else:
+        x, y = _intfield(raw, "x", loc), _intfield(raw, "y", loc)
+        if not (0 <= x < nx and 0 <= y < ny):
+            raise DocumentError(f"{loc}: coordinates must lie in [0,{nx}) x [0,{ny})")
+    sign = _intfield(raw, "sign", loc)
+    if sign not in (1, -1):
+        raise DocumentError(f"{loc}.sign: expected +1 or -1")
+    return BridgePoint(ident, x, y, sign)
+
+
+def reference_arc(raw, loc, n_points, scale, version):
+    """An arc, every field checked in order.  Version 1 stores each path
+    vertex as [x, y] in [0,1)^2 with integer wraps, lifted here onto the
+    10**6 lattice."""
+    if not isinstance(raw, dict):
+        raise DocumentError(f"{loc}: expected an object")
+    color = _require(raw, "color", loc)
+    if color not in ("A", "B", "C"):
+        raise DocumentError(f"{loc}.color: expected 'A', 'B' or 'C'")
+    start = _intfield(raw, "start", loc)
+    end = _intfield(raw, "end", loc)
+    for ident in (start, end):
+        if not 0 <= ident < n_points:
+            raise DocumentError(f"{loc}: unknown bridge point id {ident}")
+    path = _require(raw, "path", loc)
+    v1 = version == "1"
+    # where each vertex's integers are: the wraps in version 1, else the path
+    name, shape = ("wraps", "[wx, wy]") if v1 else ("path", "[X, Y]")
+    ints = _require(raw, "wraps", loc) if v1 else path
+    if not (isinstance(path, list) and isinstance(ints, list) and len(path) == len(ints) >= 2):
+        raise DocumentError(f"{loc}: path and wraps must be equal-length lists (>= 2)" if v1
+                            else f"{loc}.path: expected a list of >= 2 vertices")
+    nx, ny = scale
+    bx, by = nx * _FLOAT_BOUND, ny * _FLOAT_BOUND
+    lifted = []
+    for j, (v, w) in enumerate(zip(path, ints)):
+        if v1 and not (isinstance(v, list) and len(v) == 2):
+            raise DocumentError(f"{loc}.path[{j}]: expected [x, y]")
+        if not (type(w) is list and len(w) == 2 and type(w[0]) is int and type(w[1]) is int):
+            raise DocumentError(f"{loc}.{name}[{j}]: expected {shape} integers")
+        x, y = w
+        if v1:
+            x0, y0 = _coord(v[0], f"{loc}.path[{j}]"), _coord(v[1], f"{loc}.path[{j}]")
+            if not (0 <= x0 < 1 and 0 <= y0 < 1):
+                raise DocumentError(f"{loc}.path[{j}]: base coordinates must lie in [0,1)")
+            x, y = round(x0 * nx) + x * nx, round(y0 * ny) + y * ny
+        if not (-bx < x < bx and -by < y < by):
+            raise DocumentError(
+                f"{loc}.{name}[{j}]: expected {shape} integers, got one too large for a float"
+            )
+        lifted.append((x, y))
+    return Arc(color, start, end, tuple(lifted))
+
+
+def reference_item_by_item(doc):
+    """``diagram_from_dict`` as it read every item with the readers above."""
+    where = "diagram"
+    version = _check_version(doc, where, (DIAGRAM_VERSION, "1"))
+    strands = _intfield(doc, "strands", where)
+    if strands < 2:
+        raise DocumentError(f"{where}.strands: expected an integer >= 2, got {strands}")
+    stab = _intfield(doc, "stabilization_count", where)
+    if stab < 0:
+        raise DocumentError(
+            f"{where}.stabilization_count: expected a non-negative integer, got {stab}"
+        )
+    scale = (_V1_SCALE, _V1_SCALE)
+    if version == DIAGRAM_VERSION:
+        scale = _require(doc, "scale", where)
+        if not (
+            isinstance(scale, list) and len(scale) == 2
+            and all(type(n) is int and n > 0 for n in scale)
+        ):
+            raise DocumentError(f"{where}.scale: expected [Nx, Ny] positive integers")
+        scale = (scale[0], scale[1])
+    raw_points = _require(doc, "bridge_points", where)
+    if not isinstance(raw_points, list):
+        raise DocumentError(f"{where}.bridge_points: expected a list")
+    points = [
+        reference_bridge_point(raw, i, f"{where}.bridge_points[{i}]", scale, version)
+        for i, raw in enumerate(raw_points)
+    ]
+    raw_arcs = _require(doc, "arcs", where)
+    if not isinstance(raw_arcs, list):
+        raise DocumentError(f"{where}.arcs: expected a list")
+    arcs = [
+        reference_arc(raw, f"{where}.arcs[{i}]", len(points), scale, version)
+        for i, raw in enumerate(raw_arcs)
+    ]
+    diag = TorusDiagram(strands, scale, tuple(points), tuple(arcs), stab)
+    source = None
+    if "source_factorization" in doc:
+        source = factorization_from_dict(
+            doc["source_factorization"], f"{where}.source_factorization"
+        )
+    return diag, source
+
+
+def _assert_reads_as_the_reference(doc):
+    """The same diagram, or the same message, as the reference.  The one
+    refusal the reader gained, a ``type`` naming another kind, is checked
+    first; with the types put right, the rest reads as the reference does."""
+    new, old = _outcome(diagram_from_dict, doc), _outcome(reference_item_by_item, doc)
+    if new != old:
+        assert new[0] == "refused" and _is_type_refusal(doc, new[1]), (new, old)
+        doc = copy.deepcopy(doc)
+        doc.pop("type", None)
+        if isinstance(doc.get("source_factorization"), dict):
+            doc["source_factorization"].pop("type", None)
+        assert _outcome(diagram_from_dict, doc) == old
 
 
 @functools.cache
@@ -711,16 +852,80 @@ def mutated_v2_documents(draw):
     return doc
 
 
+# The next two keep the names they had when they tested a whole-list check
+# that ran before the per-item readers; they test the one-pass readers now.
 @given(mutated_v2_documents())
 @settings(max_examples=300, deadline=None)
 def test_whole_list_check_matches_the_per_item_readers(doc):
     # equal diagrams, or the message of the first bad field in document order
-    assert _outcome(diagram_from_dict, doc) == _outcome(_read_item_by_item, doc)
+    _assert_reads_as_the_reference(doc)
 
 
 @pytest.mark.parametrize("d", range(2, 9))
 def test_whole_list_check_reads_standard_diagrams(d):
     doc = json.loads(_standard_v2_text(d))
-    assert documents._whole_lists(doc, tuple(doc["scale"])) is not None
     f = standard_factorization(d)
-    assert diagram_from_dict(doc) == _read_item_by_item(doc) == (assemble(f), f)
+    assert diagram_from_dict(doc) == reference_item_by_item(doc) == (assemble(f), f)
+
+
+def _built_documents():
+    """``build`` output for standard d = 2..8 and 30 seeded random walks at d = 3, 4."""
+    rng = random.Random(20)
+    fs = [standard_factorization(d) for d in range(2, 9)]
+    fs += [random_factorization(rng.choice((3, 4)), rng, moves=8, max_conjugator_length=4)
+           for _ in range(30)]
+    return [serialize_diagram(assemble(f), source=f) for f in fs]
+
+
+def test_built_documents_take_the_one_test_path():
+    # a one-test rule stricter than the field checks changes no outcome, but
+    # sends built documents down the slow path; the field checks name an item
+    # only there
+    with mock.patch.object(documents, "_require", wraps=documents._require) as require, \
+            mock.patch.object(documents, "_intfield", wraps=documents._intfield) as intfield:
+        for text in _built_documents():
+            parse_diagram(text)
+    wheres = [c.args[2] for c in require.call_args_list + intfield.call_args_list]
+    assert wheres and not [w for w in wheres if "bridge_points[" in w or "arcs[" in w]
+
+
+_BOUND_X = 12 * _FLOAT_BOUND  # Nx * _FLOAT_BOUND for standard d = 2
+
+
+@pytest.mark.parametrize(
+    "path, value, read",
+    [
+        (("bridge_points", 1, "id"), True, False),
+        (("bridge_points", 0, "id"), False, False),
+        (("bridge_points", 0, "sign"), True, False),
+        (("bridge_points", 0, "x"), True, False),
+        (("bridge_points", 0, "y"), False, False),
+        (("bridge_points", 0, "x"), 1.0, False),
+        (("bridge_points", 0, "sign"), -1, True),
+        (("arcs", 0, "path", 1, 0), True, False),
+        (("arcs", 0, "path", 1), [1, 2, 3], False),
+        (("arcs", 0, "path", 1), {"X": 1, "Y": 2}, False),
+        (("arcs", 0, "path", 1), "12", False),
+        (("arcs", 0, "path", 1), (1, 2), False),
+        (("arcs", 0, "path"), None, False),
+        (("arcs", 0, "path"), [[1, 2]], False),
+        (("arcs", 0, "path", 1, 0), _BOUND_X, False),
+        (("arcs", 0, "path", 1, 0), -_BOUND_X, False),
+        (("arcs", 0, "path", 1, 0), _BOUND_X - 1, True),
+        (("arcs", 0, "color"), "a", False),
+        (("arcs", 0, "end"), 8, False),  # n_points
+        (("arcs", 0, "end"), 7, True),
+        (("arcs", 0, "start"), -1, False),
+    ],
+    ids=["id-true", "id-false", "sign-true", "x-true", "y-false", "x-float", "sign-minus",
+         "vertex-true", "vertex-3-ints", "vertex-object", "vertex-string", "vertex-tuple",
+         "path-null", "path-1-vertex", "vertex-at-bound", "vertex-at-minus-bound",
+         "vertex-inside-bound", "color-lower", "end-n-points", "end-last-point", "start-minus"],
+)
+def test_one_test_boundary_reads_as_the_reference(path, value, read):
+    doc = json.loads(_standard_v2_text(2))
+    assert len(doc["bridge_points"]) == 8 and doc["scale"][0] == 12
+    _set(doc, path, value)
+    new = _outcome(diagram_from_dict, doc)
+    assert new == _outcome(reference_item_by_item, doc)
+    assert new[0] == ("ok" if read else "refused")
