@@ -6,15 +6,13 @@ other kind is refused; one without a type is still read.  Generator
 letters are stored exactly as in memory (positive i for sigma_i, negative
 for its inverse).  A diagram document (version 2) stores its lattice
 ``scale`` [Nx, Ny] and every coordinate as a lattice integer, arc
-vertices lifted, exactly as in memory.  Version 1 diagram documents
-(6-decimal fractions of a period, with integer wraps per vertex) are
-still read, onto a lattice of 10**6 points per period.  Factorization
-documents, alone or embedded, are version 1.
+vertices lifted, exactly as in memory.  Factorization documents, alone
+or embedded, are version 1.
 
 Each bridge point and arc is read by one function, in one pass.  A
-well-formed version-2 item is accepted by one combined test; any other
-item, and every version-1 item, is checked a field at a time, in
-document order, and the first bad field is named.
+well-formed item is accepted by one combined test; any other item is
+checked a field at a time, in document order, and the first bad field
+is named.
 
 Documents are written compactly and directly, in exactly the text that
 ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` gives for them
@@ -34,7 +32,6 @@ from .words import BraidError, BraidWord
 
 FORMAT_VERSION = "1"
 DIAGRAM_VERSION = "2"
-_V1_SCALE = 10**6
 # the largest float plus half its spacing: X / N rounds to a finite float
 # exactly when |X| < N * _FLOAT_BOUND
 _FLOAT_BOUND = 2**1024 - 2**970
@@ -77,12 +74,12 @@ def _check_type(doc: dict, where: str, kind: str) -> None:
         raise DocumentError(f"{where}.type: expected {kind!r}, got {doc['type']!r}")
 
 
-def _check_version(doc: dict, where: str, supported: tuple[str, ...] = (FORMAT_VERSION,)) -> str:
+def _check_version(doc: dict, where: str, expected: str = FORMAT_VERSION) -> None:
     version = _require(doc, "format_version", where)
-    if version not in supported:
-        expected = " or ".join(map(repr, supported))
-        raise DocumentError(f"{where}: unsupported format_version {version!r} (expected {expected})")
-    return version
+    if version != expected:
+        raise DocumentError(
+            f"{where}: unsupported format_version {version!r} (expected {expected!r})"
+        )
 
 
 # -- writing ----------------------------------------------------------------
@@ -191,83 +188,59 @@ def serialize_diagram(diag: TorusDiagram, source: Factorization | None = None) -
     )
 
 
-def _coord(v: Any, loc: str) -> float:
-    """A version-1 coordinate: any JSON number that fits a float."""
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise DocumentError(f"{loc}: expected a number, got {v!r}")
-    try:
-        return float(v)
-    except OverflowError:
-        raise DocumentError(
-            f"{loc}: expected a number, got an integer too large for a float"
-        ) from None
-
-
-def _bridge_point(raw: Any, i: int, scale: tuple[int, int], version: str) -> BridgePoint:
-    """Bridge point ``i``.  A well-formed version-2 point passes one test;
-    any other point has every field checked in order, and the first bad
-    one named."""
+def _bridge_point(raw: Any, i: int, scale: tuple[int, int]) -> BridgePoint:
+    """Bridge point ``i``.  A well-formed point passes one test; any other
+    point has every field checked in order, and the first bad one named."""
     nx, ny = scale
-    if version == DIAGRAM_VERSION:
-        try:  # KeyError: a missing field; TypeError: not an object
-            ident, x, y, sign = raw["id"], raw["x"], raw["y"], raw["sign"]
-            if (
-                type(ident) is type(x) is type(y) is type(sign) is int
-                and ident == i and 0 <= x < nx and 0 <= y < ny and sign in (1, -1)
-            ):
-                return BridgePoint(ident, x, y, sign)
-        except (KeyError, TypeError):
-            pass
+    try:  # KeyError: a missing field; TypeError: not an object
+        ident, x, y, sign = raw["id"], raw["x"], raw["y"], raw["sign"]
+        if (
+            type(ident) is type(x) is type(y) is type(sign) is int
+            and ident == i and 0 <= x < nx and 0 <= y < ny and sign in (1, -1)
+        ):
+            return BridgePoint(ident, x, y, sign)
+    except (KeyError, TypeError):
+        pass
     loc = f"diagram.bridge_points[{i}]"
     if not isinstance(raw, dict):
         raise DocumentError(f"{loc}: expected an object")
     ident = _intfield(raw, "id", loc)
     if ident != i:
         raise DocumentError(f"{loc}: ids must be 0..n-1 in order, got {ident}")
-    if version == "1":
-        x = _coord(_require(raw, "x", loc), f"{loc}.x")
-        y = _coord(_require(raw, "y", loc), f"{loc}.y")
-        if not (0 <= x < 1 and 0 <= y < 1):
-            raise DocumentError(f"{loc}: coordinates must lie in [0,1)")
-        x, y = round(x * nx) % nx, round(y * ny) % ny
-    else:
-        x, y = _intfield(raw, "x", loc), _intfield(raw, "y", loc)
-        if not (0 <= x < nx and 0 <= y < ny):
-            raise DocumentError(f"{loc}: coordinates must lie in [0,{nx}) x [0,{ny})")
+    x, y = _intfield(raw, "x", loc), _intfield(raw, "y", loc)
+    if not (0 <= x < nx and 0 <= y < ny):
+        raise DocumentError(f"{loc}: coordinates must lie in [0,{nx}) x [0,{ny})")
     sign = _intfield(raw, "sign", loc)
     if sign not in (1, -1):
         raise DocumentError(f"{loc}.sign: expected +1 or -1")
     return BridgePoint(ident, x, y, sign)
 
 
-def _arc(raw: Any, i: int, n_points: int, scale: tuple[int, int], version: str) -> Arc:
-    """Arc ``i``.  A well-formed version-2 arc passes one test; any other
-    arc has every field checked in order, and the first bad one named.
-    Version 1 stores each path vertex as [x, y] in [0,1)^2 with integer
-    wraps, lifted here onto the 10**6 lattice."""
+def _arc(raw: Any, i: int, n_points: int, scale: tuple[int, int]) -> Arc:
+    """Arc ``i``.  A well-formed arc passes one test; any other arc has
+    every field checked in order, and the first bad one named."""
     nx, ny = scale
     bx, by = nx * _FLOAT_BOUND, ny * _FLOAT_BOUND
-    if version == DIAGRAM_VERSION:
-        # KeyError: a missing field; TypeError, ValueError: an arc that is
-        # not an object, or a vertex that does not unpack into two values
-        try:
-            color, start, end, path = raw["color"], raw["start"], raw["end"], raw["path"]
-            if (
-                color in ("A", "B", "C") and type(start) is type(end) is int
-                and 0 <= start < n_points and 0 <= end < n_points
-                and type(path) is list and len(path) >= 2
-            ):
-                lifted = []
-                for v in path:
-                    x, y = v
-                    if not (type(v) is list and type(x) is type(y) is int
-                            and abs(x) < bx and abs(y) < by):
-                        break
-                    lifted.append((x, y))
-                else:
-                    return Arc(color, start, end, tuple(lifted))
-        except (KeyError, TypeError, ValueError):
-            pass
+    # KeyError: a missing field; TypeError, ValueError: an arc that is not
+    # an object, or a vertex that does not unpack into two values
+    try:
+        color, start, end, path = raw["color"], raw["start"], raw["end"], raw["path"]
+        if (
+            color in ("A", "B", "C") and type(start) is type(end) is int
+            and 0 <= start < n_points and 0 <= end < n_points
+            and type(path) is list and len(path) >= 2
+        ):
+            lifted = []
+            for v in path:
+                x, y = v
+                if not (type(v) is list and type(x) is type(y) is int
+                        and abs(x) < bx and abs(y) < by):
+                    break
+                lifted.append((x, y))
+            else:
+                return Arc(color, start, end, tuple(lifted))
+    except (KeyError, TypeError, ValueError):
+        pass
     loc = f"diagram.arcs[{i}]"
     if not isinstance(raw, dict):
         raise DocumentError(f"{loc}: expected an object")
@@ -280,28 +253,16 @@ def _arc(raw: Any, i: int, n_points: int, scale: tuple[int, int], version: str) 
         if not 0 <= ident < n_points:
             raise DocumentError(f"{loc}: unknown bridge point id {ident}")
     path = _require(raw, "path", loc)
-    v1 = version == "1"
-    # where each vertex's integers are: the wraps in version 1, else the path
-    name, shape = ("wraps", "[wx, wy]") if v1 else ("path", "[X, Y]")
-    ints = _require(raw, "wraps", loc) if v1 else path
-    if not (isinstance(path, list) and isinstance(ints, list) and len(path) == len(ints) >= 2):
-        raise DocumentError(f"{loc}: path and wraps must be equal-length lists (>= 2)" if v1
-                            else f"{loc}.path: expected a list of >= 2 vertices")
+    if not (isinstance(path, list) and len(path) >= 2):
+        raise DocumentError(f"{loc}.path: expected a list of >= 2 vertices")
     lifted = []
-    for j, (v, w) in enumerate(zip(path, ints)):
-        if v1 and not (isinstance(v, list) and len(v) == 2):
-            raise DocumentError(f"{loc}.path[{j}]: expected [x, y]")
-        if not (type(w) is list and len(w) == 2 and type(w[0]) is int and type(w[1]) is int):
-            raise DocumentError(f"{loc}.{name}[{j}]: expected {shape} integers")
-        x, y = w
-        if v1:
-            x0, y0 = _coord(v[0], f"{loc}.path[{j}]"), _coord(v[1], f"{loc}.path[{j}]")
-            if not (0 <= x0 < 1 and 0 <= y0 < 1):
-                raise DocumentError(f"{loc}.path[{j}]: base coordinates must lie in [0,1)")
-            x, y = round(x0 * nx) + x * nx, round(y0 * ny) + y * ny
+    for j, v in enumerate(path):
+        if not (type(v) is list and len(v) == 2 and type(v[0]) is int and type(v[1]) is int):
+            raise DocumentError(f"{loc}.path[{j}]: expected [X, Y] integers")
+        x, y = v
         if not (-bx < x < bx and -by < y < by):
             raise DocumentError(
-                f"{loc}.{name}[{j}]: expected {shape} integers, got one too large for a float"
+                f"{loc}.path[{j}]: expected [X, Y] integers, got one too large for a float"
             )
         lifted.append((x, y))
     return Arc(color, start, end, tuple(lifted))
@@ -310,7 +271,7 @@ def _arc(raw: Any, i: int, n_points: int, scale: tuple[int, int], version: str) 
 def diagram_from_dict(doc: dict) -> tuple[TorusDiagram, Factorization | None]:
     where = "diagram"
     _check_type(doc, where, "diagram")
-    version = _check_version(doc, where, (DIAGRAM_VERSION, "1"))
+    _check_version(doc, where, DIAGRAM_VERSION)
     strands = _intfield(doc, "strands", where)
     if strands < 2:
         raise DocumentError(f"{where}.strands: expected an integer >= 2, got {strands}")
@@ -319,23 +280,21 @@ def diagram_from_dict(doc: dict) -> tuple[TorusDiagram, Factorization | None]:
         raise DocumentError(
             f"{where}.stabilization_count: expected a non-negative integer, got {stab}"
         )
-    scale = (_V1_SCALE, _V1_SCALE)
-    if version == DIAGRAM_VERSION:
-        scale = _require(doc, "scale", where)
-        if not (
-            isinstance(scale, list) and len(scale) == 2
-            and all(type(n) is int and n > 0 for n in scale)
-        ):
-            raise DocumentError(f"{where}.scale: expected [Nx, Ny] positive integers")
-        scale = (scale[0], scale[1])
+    scale = _require(doc, "scale", where)
+    if not (
+        isinstance(scale, list) and len(scale) == 2
+        and all(type(n) is int and n > 0 for n in scale)
+    ):
+        raise DocumentError(f"{where}.scale: expected [Nx, Ny] positive integers")
+    scale = (scale[0], scale[1])
     raw_points = _require(doc, "bridge_points", where)
     if not isinstance(raw_points, list):
         raise DocumentError(f"{where}.bridge_points: expected a list")
-    points = [_bridge_point(raw, i, scale, version) for i, raw in enumerate(raw_points)]
+    points = [_bridge_point(raw, i, scale) for i, raw in enumerate(raw_points)]
     raw_arcs = _require(doc, "arcs", where)
     if not isinstance(raw_arcs, list):
         raise DocumentError(f"{where}.arcs: expected a list")
-    arcs = [_arc(raw, i, len(points), scale, version) for i, raw in enumerate(raw_arcs)]
+    arcs = [_arc(raw, i, len(points), scale) for i, raw in enumerate(raw_arcs)]
     diag = TorusDiagram(strands, scale, tuple(points), tuple(arcs), stab)
     source = None
     if "source_factorization" in doc:

@@ -32,13 +32,6 @@ from test_diagram import _acceptance_corpus
 _TESTS = os.path.dirname(os.path.abspath(__file__))
 
 
-def _v1_document(d):
-    """The version-1 ``build --standard d`` document, as written before the
-    integer lattice."""
-    with open(os.path.join(_TESTS, f"v1_standard_{d}.json"), encoding="utf-8") as fh:
-        return fh.read()
-
-
 def run(capsys, argv, stdin=None, monkeypatch=None):
     if stdin is not None:
         import io, sys
@@ -222,7 +215,7 @@ def test_orbit_zero_budget_is_a_usage_error(capsys):
 
 
 def _diagram_text(points, arcs):
-    return json.dumps({"format_version": "1", "type": "diagram", "strands": 2,
+    return json.dumps({"format_version": "2", "type": "diagram", "strands": 2, "scale": [1, 1],
                        "stabilization_count": 0, "bridge_points": points, "arcs": arcs})
 
 
@@ -387,38 +380,11 @@ def test_non_object_source_factorization_exits_2(capsys, monkeypatch, verb, valu
     assert err == "error: diagram.source_factorization: expected an object\n"
 
 
-def test_boolean_wraps_exit_2(capsys, monkeypatch):
-    doc = json.loads(_v1_document(2))
-    doc["arcs"][0]["wraps"][1] = [True, False]
-    code, out, err = run(capsys, ["check", "-"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
-    assert (code, out) == (2, "")
-    assert err == "error: diagram.arcs[0].wraps[1]: expected [wx, wy] integers\n"
-
-
 def _set(doc, path, value):
     node = doc
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
-
-
-@pytest.mark.parametrize(
-    "path, message",
-    [
-        (("arcs", 0, "wraps", 1, 0), "diagram.arcs[0].wraps[1]: "
-         "expected [wx, wy] integers, got one too large for a float"),
-        (("arcs", 0, "path", 1, 0), "diagram.arcs[0].path[1]: "
-         "expected a number, got an integer too large for a float"),
-        (("bridge_points", 0, "x"), "diagram.bridge_points[0].x: "
-         "expected a number, got an integer too large for a float"),
-    ],
-)
-def test_integer_too_large_for_a_float_exits_2(capsys, monkeypatch, path, message):
-    doc = json.loads(_v1_document(2))
-    _set(doc, path, 10**400)
-    code, out, err = run(capsys, ["check", "-"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
-    assert (code, out) == (2, "")
-    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("verb", ["check", "invariants"])
@@ -507,20 +473,13 @@ def _move_a_vertex_half_a_period(doc):
     """Move the first interior vertex of an A arc by half a period in x."""
     for arc in doc["arcs"]:
         if arc["color"] == "A" and len(arc["path"]) > 2:
-            vertex = arc["path"][1]
-            if doc["format_version"] == "1":
-                x = vertex[0] + 0.5
-                vertex[0] = round(x % 1, 6)
-                arc["wraps"][1][0] += int(x >= 1)
-            else:
-                vertex[0] += doc["scale"][0] // 2
+            arc["path"][1][0] += doc["scale"][0] // 2
             return
 
 
 def _move_point(doc):
     p = doc["bridge_points"][0]
-    p["x"] = round((p["x"] + 0.125) % 1, 6) if doc["format_version"] == "1" else (
-        (p["x"] + 1) % doc["scale"][0])
+    p["x"] = (p["x"] + 1) % doc["scale"][0]
 
 
 def _append_letter(doc):
@@ -544,11 +503,10 @@ _CORRUPTIONS = (
 
 
 def _pinned_documents():
-    """Standard d = 2..5, the acceptance corpus and both version-1 documents,
-    each as built and under each of the nine corruptions above."""
+    """Standard d = 2..5 and the acceptance corpus, each as built and under
+    each of the nine corruptions above."""
     texts = [serialize_diagram(assemble(f), source=f)
              for f in [standard_factorization(d) for d in range(2, 6)] + _acceptance_corpus()]
-    texts += [_v1_document(2), _v1_document(3)]
     for text in texts:
         yield text
         for corrupt in _CORRUPTIONS:
@@ -590,7 +548,7 @@ def test_check_and_invariants_reports_are_pinned():
         for report in reports:
             digest.update(json.dumps(report).encode())
     assert digest.hexdigest() == (
-        "d897b92b3f519fb54d7505b157be902df456e6c758b602dca3b191a5fc2652e4"
+        "df4017911ae2ce7b3abdca5501d52705c968b786e6488d7a4ed607c8e954e7d7"
     )
 
 
@@ -878,19 +836,23 @@ def test_diagram_strands_below_two_exit_2(capsys, monkeypatch, verb, strands):
     assert err == f"error: diagram.strands: expected an integer >= 2, got {strands}\n"
 
 
+# The next two keep the names they had when version 1 was read: every verb
+# that reads a diagram now refuses a version-1 document, naming its version,
+# and only the version-2 half of the export test is left.
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("argv", [["check"], ["check", "--json"], ["invariants"],
-                                  ["invariants", "--json"]])
-def test_version_1_documents_report_as_before(capsys, monkeypatch, d, argv):
-    code, out, err = run(capsys, [*argv, "-"], stdin=_v1_document(d), monkeypatch=monkeypatch)
-    assert (code, err) == (0, "")
-    assert out == _GOLDEN[f"{d} {' '.join(argv)}"]
+                                  ["invariants", "--json"], ["export"]])
+def test_version_1_documents_report_as_before(capsys, d, argv):
+    # the version-1 ``build --standard d`` document, as written before the integer lattice
+    code, out, err = run(capsys, [*argv, os.path.join(_TESTS, f"v1_standard_{d}.json")])
+    assert (code, out) == (2, "")
+    assert err == "error: diagram: unsupported format_version '1' (expected '2')\n"
 
 
 def test_v1_and_v2_documents_export_one_circle_per_bridge_point(capsys, monkeypatch):
-    for text in (_v1_document(3), serialize_diagram(*_standard_3())):
-        code, out, _ = run(capsys, ["export", "-"], stdin=text, monkeypatch=monkeypatch)
-        assert code == 0 and out.count("<circle") == 48
+    code, out, _ = run(capsys, ["export", "-"], stdin=serialize_diagram(*_standard_3()),
+                       monkeypatch=monkeypatch)
+    assert code == 0 and out.count("<circle") == 48
 
 
 @pytest.mark.parametrize(
@@ -908,7 +870,7 @@ def test_v1_and_v2_documents_export_one_circle_per_bridge_point(capsys, monkeypa
         (("arcs", 0, "path", 1, 0), -12 * 2**1024, "diagram.arcs[0].path[1]: expected [X, Y] "
          "integers, got one too large for a float"),
         (("format_version",), "3", "diagram: unsupported format_version '3' "
-         "(expected '2' or '1')"),
+         "(expected '2')"),
     ],
     ids=["scale-zero", "scale-float", "point-float", "point-outside", "vertex-bool",
          "one-vertex", "vertex-overflow", "version-3"],

@@ -1,11 +1,7 @@
 import copy
 import functools
 import json
-import math
-import os
 import random
-import re
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -15,12 +11,10 @@ from braidshadow import documents
 from braidshadow.diagram import Arc, BridgePoint, TorusDiagram, assemble
 from braidshadow.documents import (
     _FLOAT_BOUND,
-    _V1_SCALE,
     DIAGRAM_VERSION,
     MAX_EXPONENT,
     DocumentError,
     _check_version,
-    _coord,
     _intfield,
     _require,
     check_expandable,
@@ -340,133 +334,11 @@ def test_serialize_diagram_writes_extreme_integer_points_as_json_does():
     assert serialize_diagram(diag) == reference_serialize_diagram(diag)
 
 
-# -- the reader against its version-1 form ---------------------------------------
+# -- the one-pass readers against the per-item readers --------------------------
 #
-# The version-1 writer and diagram_from_dict before the integer lattice, kept
-# as the reference for reading version-1 documents.  Their diagrams are the
-# unit picture: float coordinates, fractions of a period, and scale (1, 1).
-# The reader reads the source factorization with the current
-# factorization_from_dict.
-
-
-def _vertex_out(x, y):
-    wx, wy = math.floor(x), math.floor(y)
-    return [round(x - wx, 6), round(y - wy, 6)], [int(wx), int(wy)]
-
-
-def v1_diagram_to_dict(diag, source=None):
-    arcs = []
-    for arc in diag.arcs:
-        path, wraps = [], []
-        for (x, y) in arc.path:
-            v, w = _vertex_out(x, y)
-            path.append(v)
-            wraps.append(w)
-        arcs.append(
-            {
-                "color": arc.color,
-                "start": arc.start,
-                "end": arc.end,
-                "path": path,
-                "wraps": wraps,
-            }
-        )
-    doc = {
-        "format_version": "1",
-        "type": "diagram",
-        "strands": diag.strands,
-        "stabilization_count": diag.stabilization_count,
-        "bridge_points": [
-            {"id": p.ident, "x": p.x, "y": p.y, "sign": p.sign}
-            for p in diag.bridge_points
-        ],
-        "arcs": arcs,
-    }
-    if source is not None:
-        doc["source_factorization"] = factorization_to_dict(source)
-    return doc
-
-
-def reference_diagram_from_dict(doc):
-    where = "diagram"
-    _check_version(doc, where)
-    strands = _intfield(doc, "strands", where)
-    stab = _intfield(doc, "stabilization_count", where)
-    raw_points = _require(doc, "bridge_points", where)
-    if not isinstance(raw_points, list):
-        raise DocumentError(f"{where}.bridge_points: expected a list")
-    points = []
-    for i, raw in enumerate(raw_points):
-        loc = f"{where}.bridge_points[{i}]"
-        if not isinstance(raw, dict):
-            raise DocumentError(f"{loc}: expected an object")
-        ident = _intfield(raw, "id", loc)
-        if ident != i:
-            raise DocumentError(f"{loc}: ids must be 0..n-1 in order, got {ident}")
-        x = _coord(_require(raw, "x", loc), f"{loc}.x")
-        y = _coord(_require(raw, "y", loc), f"{loc}.y")
-        if not (0 <= x < 1 and 0 <= y < 1):
-            raise DocumentError(f"{loc}: coordinates must lie in [0,1)")
-        sign = _intfield(raw, "sign", loc)
-        if sign not in (1, -1):
-            raise DocumentError(f"{loc}.sign: expected +1 or -1")
-        points.append(BridgePoint(ident, x, y, sign))
-    raw_arcs = _require(doc, "arcs", where)
-    if not isinstance(raw_arcs, list):
-        raise DocumentError(f"{where}.arcs: expected a list")
-    arcs = []
-    for i, raw in enumerate(raw_arcs):
-        loc = f"{where}.arcs[{i}]"
-        if not isinstance(raw, dict):
-            raise DocumentError(f"{loc}: expected an object")
-        color = _require(raw, "color", loc)
-        if color not in ("A", "B", "C"):
-            raise DocumentError(f"{loc}.color: expected 'A', 'B' or 'C'")
-        start = _intfield(raw, "start", loc)
-        end = _intfield(raw, "end", loc)
-        for ident in (start, end):
-            if not 0 <= ident < len(points):
-                raise DocumentError(f"{loc}: unknown bridge point id {ident}")
-        path = _require(raw, "path", loc)
-        wraps = _require(raw, "wraps", loc)
-        if (
-            not isinstance(path, list)
-            or not isinstance(wraps, list)
-            or len(path) != len(wraps)
-            or len(path) < 2
-        ):
-            raise DocumentError(f"{loc}: path and wraps must be equal-length lists (>= 2)")
-        lifted = []
-        for j, (v, w) in enumerate(zip(path, wraps)):
-            vloc = f"{loc}.path[{j}]"
-            if not (isinstance(v, list) and len(v) == 2):
-                raise DocumentError(f"{vloc}: expected [x, y]")
-            if not (isinstance(w, list) and len(w) == 2 and all(isinstance(t, int) for t in w)):
-                raise DocumentError(f"{loc}.wraps[{j}]: expected [wx, wy] integers")
-            x, y = _coord(v[0], vloc), _coord(v[1], vloc)
-            if not (0 <= x < 1 and 0 <= y < 1):
-                raise DocumentError(f"{vloc}: base coordinates must lie in [0,1)")
-            lifted.append((round(x + w[0], 6), round(y + w[1], 6)))
-        arcs.append(Arc(color, start, end, tuple(lifted)))
-    diag = TorusDiagram(strands, (1, 1), tuple(points), tuple(arcs), stab)
-    source = None
-    if "source_factorization" in doc:
-        source = factorization_from_dict(
-            doc["source_factorization"], f"{where}.source_factorization"
-        )
-    return diag, source
-
-
-def unit_picture(diag):
-    """A lattice diagram as the version-1 writer's input: fractions of a period."""
-    nx, ny = diag.scale
-    return TorusDiagram(
-        diag.strands,
-        (1, 1),
-        tuple(BridgePoint(p.ident, p.x / nx, p.y / ny, p.sign) for p in diag.bridge_points),
-        tuple(replace(a, path=tuple((x / nx, y / ny) for x, y in a.path)) for a in diag.arcs),
-        diag.stabilization_count,
-    )
+# The per-item readers as they were before each took a one-test path for a
+# well-formed item, kept as the reference, with the branch of
+# ``diagram_from_dict`` that ran them.
 
 
 def _outcome(read, doc):
@@ -476,9 +348,6 @@ def _outcome(read, doc):
         return ("refused", str(exc))
     except (TypeError, ValueError, OverflowError) as exc:
         return ("raised", type(exc).__name__)
-
-
-_WRAPS_REFUSAL = re.compile(r"diagram\.arcs\[(\d+)\]\.wraps\[(\d+)\]: expected \[wx, wy\] integers")
 
 
 def _is_type_refusal(doc, message):
@@ -493,212 +362,7 @@ def _is_type_refusal(doc, message):
     return False
 
 
-def _is_new_refusal(doc, message):
-    """The refusals the reader gained: a boolean wrap, a negative count, fewer
-    than two strands, an integer too large for a float (the reference raises
-    OverflowError), and a ``type`` naming another kind."""
-    if _is_type_refusal(doc, message):
-        return True
-    if message.startswith("diagram.stabilization_count: expected a non-negative integer"):
-        return doc["stabilization_count"] < 0
-    if message.startswith("diagram.strands: expected an integer >= 2"):
-        return doc["strands"] < 2
-    if message.endswith("too large for a float"):
-        return _outcome(reference_diagram_from_dict, doc) == ("raised", "OverflowError")
-    m = _WRAPS_REFUSAL.fullmatch(message)
-    if m is None:
-        return False
-    w = doc["arcs"][int(m[1])]["wraps"][int(m[2])]
-    return any(type(t) is bool for t in w)
-
-
-_V1 = 10**6
-
-
-def _assert_read_onto_the_v1_lattice(doc, diag, ref):
-    """``diag`` holds X = round(x * 10**6) + wx * 10**6 for every version-1
-    coordinate x with wrap wx, and lies within a lattice step of the
-    reference's rounded floats."""
-    assert (diag.strands, diag.scale, diag.stabilization_count) == (
-        ref.strands, (_V1, _V1), ref.stabilization_count)
-    assert [(p.ident, p.sign) for p in diag.bridge_points] == [
-        (p.ident, p.sign) for p in ref.bridge_points]
-    for p, q in zip(diag.bridge_points, ref.bridge_points):
-        assert (p.x, p.y) == (round(q.x * _V1) % _V1, round(q.y * _V1) % _V1)
-    assert len(diag.arcs) == len(ref.arcs)
-    for raw, arc, ref_arc in zip(doc["arcs"], diag.arcs, ref.arcs):
-        assert (arc.color, arc.start, arc.end) == (ref_arc.color, ref_arc.start, ref_arc.end)
-        assert arc.path == tuple(
-            (round(float(x) * _V1) + wx * _V1, round(float(y) * _V1) + wy * _V1)
-            for (x, y), (wx, wy) in zip(raw["path"], raw["wraps"])
-        )
-        for v, ref_v in zip(arc.path, ref_arc.path):
-            for c, ref_c in zip(v, ref_v):
-                assert math.isclose(c / _V1, ref_c, rel_tol=2**-50, abs_tol=2e-6)
-
-
-def _compare_readers(doc):
-    new = _outcome(diagram_from_dict, doc)
-    old = _outcome(reference_diagram_from_dict, doc)
-    if "format_version" in doc and doc["format_version"] != "1":
-        # version 2 is read now, and the message names the versions read
-        assert new[0] == old[0] == "refused"
-    elif new[0] == old[0] == "ok":
-        assert new[1][1] == old[1][1]
-        _assert_read_onto_the_v1_lattice(doc, new[1][0], old[1][0])
-    elif new != old:
-        assert new[0] == "refused" and _is_new_refusal(doc, new[1]), (new, old)
-
-
-@functools.cache
-def _standard_v1_document(d):
-    """The version-1 document of standard d: the one written before the
-    integer lattice for d = 2, 3, else the reference writer's."""
-    if d in (2, 3):
-        with open(os.path.join(os.path.dirname(__file__), f"v1_standard_{d}.json"),
-                  encoding="utf-8") as fh:
-            return fh.read()
-    f = standard_factorization(d)
-    doc = v1_diagram_to_dict(unit_picture(assemble(f)), f)
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _fields(doc):
-    """(container, key) of every value in the document, at every depth."""
-    out = []
-    stack = [doc]
-    while stack:
-        node = stack.pop()
-        keys = sorted(node) if isinstance(node, dict) else range(len(node))
-        for key in keys:
-            out.append((node, key))
-            if isinstance(node[key], (dict, list)):
-                stack.append(node[key])
-    return out
-
-
-_DELETE = object()
-
-
-def _replacements(value, n_points):
-    """Values near ``value`` and of the wrong kind, plus deletion."""
-    wrong_kind = [None, "1", [], {}, True]
-    if isinstance(value, bool):
-        near = [not value, 0, 1]
-    elif isinstance(value, int):
-        near = [value - 1, value + 1, -value, 0, 1, -1, 2, n_points - 1, n_points,
-                10**20, 10**400, False]
-        if value.bit_length() <= 1000:  # 10**400 is too large for a float
-            near.append(float(value))
-    elif isinstance(value, float):
-        near = [value + 1, value - 1, -value, 0.0, 1.0, 0.999999, -1e-06, math.nan,
-                math.inf, 0, int(value) if math.isfinite(value) else 0, 10**400]
-    elif isinstance(value, str):
-        near = ["A", "B", "C", "D", "", "2", 1]
-    elif isinstance(value, list):
-        near = [value[:-1], value + value[-1:], value[::-1], [True, False], [0.5, 0.5],
-                [1, 2, 3], 5]
-    else:
-        near = [5]
-    return near + wrong_kind + [_DELETE]
-
-
-def test_diagram_from_dict_matches_reference_reader_on_each_field_change():
-    # every single-field change to the version-1 standard d = 2 document
-    doc = json.loads(_standard_v1_document(2))
-    n_points = len(doc["bridge_points"])
-    for node, key in _fields(doc):
-        kept = node[key]
-        for value in _replacements(kept, n_points):
-            if value is _DELETE:
-                if not isinstance(node, dict):
-                    continue
-                del node[key]
-            else:
-                node[key] = copy.deepcopy(value)
-            _compare_readers(doc)
-            node[key] = kept
-
-
-# Version-1 hand-built diagrams: lifted float coordinates, within ``reach`` of
-# the unit square, mix 1e-06-style floats and integers.
-def _v1_coords(reach):
-    return st.one_of(
-        st.floats(-reach, reach, allow_nan=False),
-        st.integers(-reach, reach),
-        st.sampled_from([0.0, 1e-06, 5e-07, 0.999999, 0.9999996, -1e-06, 1.0, 1 / 3]),
-        st.integers(-10**6, 10**6).map(lambda k: k * 1e-06),
-    )
-
-
-@st.composite
-def hand_built_v1_diagrams(draw, reach=10**6):
-    strands = draw(st.integers(1, 6))
-    n_points = draw(st.integers(0, 6))
-    points = tuple(
-        BridgePoint(
-            i,
-            draw(st.one_of(st.floats(0, 1, exclude_max=True), st.just(0))),
-            draw(st.one_of(st.floats(0, 1, exclude_max=True), st.just(0))),
-            draw(st.sampled_from([1, -1])),
-        )
-        for i in range(n_points)
-    )
-    coord = _v1_coords(reach)
-    arcs = tuple(
-        Arc(
-            draw(st.sampled_from("ABC")),
-            draw(st.integers(0, max(n_points - 1, 0))),
-            draw(st.integers(0, max(n_points - 1, 0))),
-            tuple(draw(st.lists(st.tuples(coord, coord), max_size=6))),
-        )
-        for _ in range(draw(st.integers(0, 5)))
-    )
-    return TorusDiagram(strands, (1, 1), points, arcs, draw(st.integers(0, 9)))
-
-
-@st.composite
-def mutated_documents(draw):
-    if draw(st.booleans()):
-        doc = json.loads(_standard_v1_document(draw(st.sampled_from([2, 3]))))
-    else:
-        doc = v1_diagram_to_dict(draw(hand_built_v1_diagrams()))
-        doc = json.loads(json.dumps(doc))  # as json.loads gives it: NaN, lists
-    n_points = len(doc["bridge_points"])
-    for _ in range(draw(st.integers(1, 3))):
-        node, key = draw(st.sampled_from(_fields(doc)))
-        value = draw(st.sampled_from(_replacements(node[key], n_points)))
-        if value is _DELETE:
-            if isinstance(node, dict):
-                del node[key]
-        else:
-            node[key] = copy.deepcopy(value)
-    return doc
-
-
-@given(mutated_documents())
-@settings(max_examples=200, deadline=None)
-def test_diagram_from_dict_matches_reference_reader(doc):
-    _compare_readers(doc)
-
-
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_diagram_from_dict_matches_reference_reader_on_standard(d):
-    doc = json.loads(_standard_v1_document(d))
-    diag, source = diagram_from_dict(doc)
-    ref, ref_source = reference_diagram_from_dict(doc)
-    assert source == ref_source == standard_factorization(d)
-    _assert_read_onto_the_v1_lattice(doc, diag, ref)
-
-
-# -- version 2: the one-pass readers against the per-item readers --------------
-#
-# The per-item readers as they were before each took a one-test path for a
-# well-formed version-2 item, kept verbatim as the reference, with the
-# branch of ``diagram_from_dict`` that ran them.
-
-
-def reference_bridge_point(raw, i, loc, scale, version):
+def reference_bridge_point(raw, i, loc, scale):
     """Bridge point ``i``, every field checked in order."""
     if not isinstance(raw, dict):
         raise DocumentError(f"{loc}: expected an object")
@@ -706,26 +370,17 @@ def reference_bridge_point(raw, i, loc, scale, version):
     if ident != i:
         raise DocumentError(f"{loc}: ids must be 0..n-1 in order, got {ident}")
     nx, ny = scale
-    if version == "1":
-        x = _coord(_require(raw, "x", loc), f"{loc}.x")
-        y = _coord(_require(raw, "y", loc), f"{loc}.y")
-        if not (0 <= x < 1 and 0 <= y < 1):
-            raise DocumentError(f"{loc}: coordinates must lie in [0,1)")
-        x, y = round(x * nx) % nx, round(y * ny) % ny
-    else:
-        x, y = _intfield(raw, "x", loc), _intfield(raw, "y", loc)
-        if not (0 <= x < nx and 0 <= y < ny):
-            raise DocumentError(f"{loc}: coordinates must lie in [0,{nx}) x [0,{ny})")
+    x, y = _intfield(raw, "x", loc), _intfield(raw, "y", loc)
+    if not (0 <= x < nx and 0 <= y < ny):
+        raise DocumentError(f"{loc}: coordinates must lie in [0,{nx}) x [0,{ny})")
     sign = _intfield(raw, "sign", loc)
     if sign not in (1, -1):
         raise DocumentError(f"{loc}.sign: expected +1 or -1")
     return BridgePoint(ident, x, y, sign)
 
 
-def reference_arc(raw, loc, n_points, scale, version):
-    """An arc, every field checked in order.  Version 1 stores each path
-    vertex as [x, y] in [0,1)^2 with integer wraps, lifted here onto the
-    10**6 lattice."""
+def reference_arc(raw, loc, n_points, scale):
+    """An arc, every field checked in order."""
     if not isinstance(raw, dict):
         raise DocumentError(f"{loc}: expected an object")
     color = _require(raw, "color", loc)
@@ -737,30 +392,18 @@ def reference_arc(raw, loc, n_points, scale, version):
         if not 0 <= ident < n_points:
             raise DocumentError(f"{loc}: unknown bridge point id {ident}")
     path = _require(raw, "path", loc)
-    v1 = version == "1"
-    # where each vertex's integers are: the wraps in version 1, else the path
-    name, shape = ("wraps", "[wx, wy]") if v1 else ("path", "[X, Y]")
-    ints = _require(raw, "wraps", loc) if v1 else path
-    if not (isinstance(path, list) and isinstance(ints, list) and len(path) == len(ints) >= 2):
-        raise DocumentError(f"{loc}: path and wraps must be equal-length lists (>= 2)" if v1
-                            else f"{loc}.path: expected a list of >= 2 vertices")
+    if not (isinstance(path, list) and len(path) >= 2):
+        raise DocumentError(f"{loc}.path: expected a list of >= 2 vertices")
     nx, ny = scale
     bx, by = nx * _FLOAT_BOUND, ny * _FLOAT_BOUND
     lifted = []
-    for j, (v, w) in enumerate(zip(path, ints)):
-        if v1 and not (isinstance(v, list) and len(v) == 2):
-            raise DocumentError(f"{loc}.path[{j}]: expected [x, y]")
+    for j, w in enumerate(path):
         if not (type(w) is list and len(w) == 2 and type(w[0]) is int and type(w[1]) is int):
-            raise DocumentError(f"{loc}.{name}[{j}]: expected {shape} integers")
+            raise DocumentError(f"{loc}.path[{j}]: expected [X, Y] integers")
         x, y = w
-        if v1:
-            x0, y0 = _coord(v[0], f"{loc}.path[{j}]"), _coord(v[1], f"{loc}.path[{j}]")
-            if not (0 <= x0 < 1 and 0 <= y0 < 1):
-                raise DocumentError(f"{loc}.path[{j}]: base coordinates must lie in [0,1)")
-            x, y = round(x0 * nx) + x * nx, round(y0 * ny) + y * ny
         if not (-bx < x < bx and -by < y < by):
             raise DocumentError(
-                f"{loc}.{name}[{j}]: expected {shape} integers, got one too large for a float"
+                f"{loc}.path[{j}]: expected [X, Y] integers, got one too large for a float"
             )
         lifted.append((x, y))
     return Arc(color, start, end, tuple(lifted))
@@ -769,7 +412,7 @@ def reference_arc(raw, loc, n_points, scale, version):
 def reference_item_by_item(doc):
     """``diagram_from_dict`` as it read every item with the readers above."""
     where = "diagram"
-    version = _check_version(doc, where, (DIAGRAM_VERSION, "1"))
+    _check_version(doc, where, DIAGRAM_VERSION)
     strands = _intfield(doc, "strands", where)
     if strands < 2:
         raise DocumentError(f"{where}.strands: expected an integer >= 2, got {strands}")
@@ -778,27 +421,25 @@ def reference_item_by_item(doc):
         raise DocumentError(
             f"{where}.stabilization_count: expected a non-negative integer, got {stab}"
         )
-    scale = (_V1_SCALE, _V1_SCALE)
-    if version == DIAGRAM_VERSION:
-        scale = _require(doc, "scale", where)
-        if not (
-            isinstance(scale, list) and len(scale) == 2
-            and all(type(n) is int and n > 0 for n in scale)
-        ):
-            raise DocumentError(f"{where}.scale: expected [Nx, Ny] positive integers")
-        scale = (scale[0], scale[1])
+    scale = _require(doc, "scale", where)
+    if not (
+        isinstance(scale, list) and len(scale) == 2
+        and all(type(n) is int and n > 0 for n in scale)
+    ):
+        raise DocumentError(f"{where}.scale: expected [Nx, Ny] positive integers")
+    scale = (scale[0], scale[1])
     raw_points = _require(doc, "bridge_points", where)
     if not isinstance(raw_points, list):
         raise DocumentError(f"{where}.bridge_points: expected a list")
     points = [
-        reference_bridge_point(raw, i, f"{where}.bridge_points[{i}]", scale, version)
+        reference_bridge_point(raw, i, f"{where}.bridge_points[{i}]", scale)
         for i, raw in enumerate(raw_points)
     ]
     raw_arcs = _require(doc, "arcs", where)
     if not isinstance(raw_arcs, list):
         raise DocumentError(f"{where}.arcs: expected a list")
     arcs = [
-        reference_arc(raw, f"{where}.arcs[{i}]", len(points), scale, version)
+        reference_arc(raw, f"{where}.arcs[{i}]", len(points), scale)
         for i, raw in enumerate(raw_arcs)
     ]
     diag = TorusDiagram(strands, scale, tuple(points), tuple(arcs), stab)
@@ -828,6 +469,60 @@ def _assert_reads_as_the_reference(doc):
 def _standard_v2_text(d):
     f = standard_factorization(d)
     return serialize_diagram(assemble(f), source=f)
+
+
+def _fields(doc):
+    """(container, key) of every value in the document, at every depth."""
+    out = []
+    stack = [doc]
+    while stack:
+        node = stack.pop()
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            out.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                stack.append(node[key])
+    return out
+
+
+_DELETE = object()
+
+
+def _replacements(value, n_points):
+    """Values near ``value`` and of the wrong kind, plus deletion."""
+    wrong_kind = [None, "1", [], {}, True]
+    if isinstance(value, bool):
+        near = [not value, 0, 1]
+    elif isinstance(value, int):
+        near = [value - 1, value + 1, -value, 0, 1, -1, 2, n_points - 1, n_points,
+                10**20, 10**400, False]
+        if value.bit_length() <= 1000:  # 10**400 is too large for a float
+            near.append(float(value))
+    elif isinstance(value, str):
+        near = ["A", "B", "C", "D", "", "2", 1]
+    elif isinstance(value, list):
+        near = [value[:-1], value + value[-1:], value[::-1], [True, False], [0.5, 0.5],
+                [1, 2, 3], 5]
+    else:
+        near = [5]
+    return near + wrong_kind + [_DELETE]
+
+
+def test_diagram_from_dict_matches_reference_reader_on_each_field_change():
+    # every single-field change to the standard d = 2 document
+    doc = json.loads(_standard_v2_text(2))
+    n_points = len(doc["bridge_points"])
+    for node, key in _fields(doc):
+        kept = node[key]
+        for value in _replacements(kept, n_points):
+            if value is _DELETE:
+                if not isinstance(node, dict):
+                    continue
+                del node[key]
+            else:
+                node[key] = copy.deepcopy(value)
+            _assert_reads_as_the_reference(doc)
+            node[key] = kept
 
 
 @st.composite
