@@ -9,10 +9,9 @@ for its inverse).  A diagram document (version 2) stores its lattice
 vertices lifted, exactly as in memory.  Factorization documents, alone
 or embedded, are version 1.
 
-Each bridge point and arc is read by one function, in one pass.  A
-well-formed item is accepted by one combined test; any other item is
-checked a field at a time, in document order, and the first bad field
-is named.
+Each bridge point and arc is read by one function, in one pass: its
+fields are checked one rule at a time, in document order, and the first
+bad field is named.  A message is built only for an item that fails.
 
 Documents are written compactly and directly, in exactly the text that
 ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` gives for them
@@ -41,16 +40,26 @@ class DocumentError(ValueError):
     """Malformed document; the message names the offending field."""
 
 
+_MISSING = object()
+
+
+def _fault(value: Any, key: str, expected: str | None = None) -> str:
+    """The end of a message naming field ``key``: missing, or not ``expected`` (an integer)."""
+    if value is _MISSING:
+        return f": missing required field {key!r}"
+    return f".{key}: {expected or f'expected an integer, got {value!r}'}"
+
+
 def _require(obj: dict, key: str, where: str) -> Any:
     if key not in obj:
-        raise DocumentError(f"{where}: missing required field {key!r}")
+        raise DocumentError(where + _fault(_MISSING, key))
     return obj[key]
 
 
 def _intfield(obj: dict, key: str, where: str) -> int:
-    v = _require(obj, key, where)
+    v = obj.get(key, _MISSING)
     if not isinstance(v, int) or isinstance(v, bool):
-        raise DocumentError(f"{where}.{key}: expected an integer, got {v!r}")
+        raise DocumentError(where + _fault(v, key))
     return v
 
 
@@ -189,83 +198,72 @@ def serialize_diagram(diag: TorusDiagram, source: Factorization | None = None) -
 
 
 def _bridge_point(raw: Any, i: int, scale: tuple[int, int]) -> BridgePoint:
-    """Bridge point ``i``.  A well-formed point passes one test; any other
-    point has every field checked in order, and the first bad one named."""
-    nx, ny = scale
-    try:  # KeyError: a missing field; TypeError: not an object
+    """Bridge point ``i``, its fields checked in order; the first bad one is named."""
+    try:
         ident, x, y, sign = raw["id"], raw["x"], raw["y"], raw["sign"]
-        if (
-            type(ident) is type(x) is type(y) is type(sign) is int
-            and ident == i and 0 <= x < nx and 0 <= y < ny and sign in (1, -1)
-        ):
-            return BridgePoint(ident, x, y, sign)
-    except (KeyError, TypeError):
-        pass
-    loc = f"diagram.bridge_points[{i}]"
-    if not isinstance(raw, dict):
-        raise DocumentError(f"{loc}: expected an object")
-    ident = _intfield(raw, "id", loc)
-    if ident != i:
-        raise DocumentError(f"{loc}: ids must be 0..n-1 in order, got {ident}")
-    x, y = _intfield(raw, "x", loc), _intfield(raw, "y", loc)
-    if not (0 <= x < nx and 0 <= y < ny):
-        raise DocumentError(f"{loc}: coordinates must lie in [0,{nx}) x [0,{ny})")
-    sign = _intfield(raw, "sign", loc)
-    if sign not in (1, -1):
-        raise DocumentError(f"{loc}.sign: expected +1 or -1")
-    return BridgePoint(ident, x, y, sign)
+    except KeyError:
+        ident, x, y, sign = (raw.get(k, _MISSING) for k in ("id", "x", "y", "sign"))
+    except TypeError:
+        raise DocumentError(f"diagram.bridge_points[{i}]: expected an object") from None
+    nx, ny = scale
+    if type(ident) is not int:
+        fault = _fault(ident, "id")
+    elif ident != i:
+        fault = f": ids must be 0..n-1 in order, got {ident}"
+    elif type(x) is not int:
+        fault = _fault(x, "x")
+    elif type(y) is not int:
+        fault = _fault(y, "y")
+    elif not (0 <= x < nx and 0 <= y < ny):
+        fault = f": coordinates must lie in [0,{nx}) x [0,{ny})"
+    elif type(sign) is not int:
+        fault = _fault(sign, "sign")
+    elif sign not in (1, -1):
+        fault = ".sign: expected +1 or -1"
+    else:
+        return BridgePoint(ident, x, y, sign)
+    raise DocumentError(f"diagram.bridge_points[{i}]{fault}")
 
 
 def _arc(raw: Any, i: int, n_points: int, scale: tuple[int, int]) -> Arc:
-    """Arc ``i``.  A well-formed arc passes one test; any other arc has
-    every field checked in order, and the first bad one named."""
-    nx, ny = scale
-    bx, by = nx * _FLOAT_BOUND, ny * _FLOAT_BOUND
-    # KeyError: a missing field; TypeError, ValueError: an arc that is not
-    # an object, or a vertex that does not unpack into two values
+    """Arc ``i``, its fields checked in order; the first bad one is named."""
     try:
         color, start, end, path = raw["color"], raw["start"], raw["end"], raw["path"]
-        if (
-            color in ("A", "B", "C") and type(start) is type(end) is int
-            and 0 <= start < n_points and 0 <= end < n_points
-            and type(path) is list and len(path) >= 2
-        ):
-            lifted = []
-            for v in path:
-                x, y = v
-                if not (type(v) is list and type(x) is type(y) is int
-                        and abs(x) < bx and abs(y) < by):
-                    break
-                lifted.append((x, y))
-            else:
-                return Arc(color, start, end, tuple(lifted))
-    except (KeyError, TypeError, ValueError):
-        pass
-    loc = f"diagram.arcs[{i}]"
-    if not isinstance(raw, dict):
-        raise DocumentError(f"{loc}: expected an object")
-    color = _require(raw, "color", loc)
+    except KeyError:
+        color, start, end, path = (raw.get(k, _MISSING) for k in ("color", "start", "end", "path"))
+    except TypeError:
+        raise DocumentError(f"diagram.arcs[{i}]: expected an object") from None
     if color not in ("A", "B", "C"):
-        raise DocumentError(f"{loc}.color: expected 'A', 'B' or 'C'")
-    start = _intfield(raw, "start", loc)
-    end = _intfield(raw, "end", loc)
-    for ident in (start, end):
-        if not 0 <= ident < n_points:
-            raise DocumentError(f"{loc}: unknown bridge point id {ident}")
-    path = _require(raw, "path", loc)
-    if not (isinstance(path, list) and len(path) >= 2):
-        raise DocumentError(f"{loc}.path: expected a list of >= 2 vertices")
-    lifted = []
-    for j, v in enumerate(path):
-        if not (type(v) is list and len(v) == 2 and type(v[0]) is int and type(v[1]) is int):
-            raise DocumentError(f"{loc}.path[{j}]: expected [X, Y] integers")
-        x, y = v
-        if not (-bx < x < bx and -by < y < by):
-            raise DocumentError(
-                f"{loc}.path[{j}]: expected [X, Y] integers, got one too large for a float"
-            )
-        lifted.append((x, y))
-    return Arc(color, start, end, tuple(lifted))
+        fault = _fault(color, "color", "expected 'A', 'B' or 'C'")
+    elif type(start) is not int:
+        fault = _fault(start, "start")
+    elif type(end) is not int:
+        fault = _fault(end, "end")
+    elif not 0 <= start < n_points:
+        fault = f": unknown bridge point id {start}"
+    elif not 0 <= end < n_points:
+        fault = f": unknown bridge point id {end}"
+    elif type(path) is not list or len(path) < 2:
+        fault = _fault(path, "path", "expected a list of >= 2 vertices")
+    else:
+        bx, by = scale[0] * _FLOAT_BOUND, scale[1] * _FLOAT_BOUND
+        lifted = []
+        for v in path:  # the first vertex not lifted is path[len(lifted)]
+            try:
+                x, y = v
+            except (TypeError, ValueError):  # not two values
+                x = y = None
+            if not (type(v) is list and type(x) is type(y) is int):
+                fault = f".path[{len(lifted)}]: expected [X, Y] integers"
+                break
+            if not (abs(x) < bx and abs(y) < by):
+                fault = (f".path[{len(lifted)}]: expected [X, Y] integers, "
+                         "got one too large for a float")
+                break
+            lifted.append((x, y))
+        else:
+            return Arc(color, start, end, tuple(lifted))
+    raise DocumentError(f"diagram.arcs[{i}]{fault}")
 
 
 def diagram_from_dict(doc: dict) -> tuple[TorusDiagram, Factorization | None]:

@@ -513,14 +513,14 @@ def _shift_range(a1, b1, a2, b2, n):
     return range(lo, math.floor(Fraction(max(a1, b1) - min(a2, b2), n)) + 1)
 
 
-def _all_pairs_crossings(diag):
-    """Reference for ``a_crossings``: test every pair of A segments, over
-    every shift by whole periods in x and y that brings their bounding boxes
-    together."""
+def _all_pairs_crossings(diag, color="A"):
+    """Reference for ``a_crossings``: test every pair of segments of
+    ``color``, over every shift by whole periods in x and y that brings their
+    bounding boxes together."""
     nx, ny = diag.scale
     segs = []
     for ai, arc in enumerate(diag.arcs):
-        if arc.color != "A":
+        if arc.color != color:
             continue
         for si, (p, q) in enumerate(arc.segments()):
             segs.append((ai, si, p, q, q[0] != p[0]))
@@ -590,6 +590,13 @@ def test_candidate_pairs_meet_in_both_axes_and_are_not_parallel():
 def test_a_crossings_matches_oracle_on_standard(d):
     diag = assemble(standard_factorization(d))
     assert a_crossings(diag) == _all_pairs_crossings(diag) == []
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: one C–C crossing per tile")
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_every_colour_shadow_is_embedded_on_standard(d):
+    diag = assemble(standard_factorization(d))
+    assert {c: _all_pairs_crossings(diag, c) for c in "ABC"} == {"A": [], "B": [], "C": []}
 
 
 def test_a_crossings_across_both_seams():

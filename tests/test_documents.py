@@ -1,6 +1,8 @@
 import copy
 import functools
+import itertools
 import json
+import operator
 import random
 from unittest import mock
 
@@ -338,7 +340,8 @@ def test_serialize_diagram_writes_extreme_integer_points_as_json_does():
 #
 # The per-item readers as they were before each took a one-test path for a
 # well-formed item, kept as the reference, with the branch of
-# ``diagram_from_dict`` that ran them.
+# ``diagram_from_dict`` that ran them.  Today's readers check each field once,
+# in the reference's order, and must name the same first bad field.
 
 
 def _outcome(read, doc):
@@ -525,6 +528,47 @@ def test_diagram_from_dict_matches_reference_reader_on_each_field_change():
             node[key] = kept
 
 
+def _change(doc, path, value):
+    """Set the field at ``path`` to a copy of ``value``, or delete it."""
+    node = functools.reduce(operator.getitem, path[:-1], doc)
+    if value is _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = copy.deepcopy(value)
+
+
+_POINT_FIELDS = [("bridge_points", 1, key) for key in ("id", "x", "y", "sign")]
+_ARC_FIELDS = [("arcs", 0, key) for key in ("color", "start", "end", "path")] + [
+    ("arcs", 0, "path", 1)]
+
+
+def test_diagram_from_dict_matches_reference_reader_on_two_changed_fields_of_an_item():
+    # which of two bad fields of one item is named first; a field is changed
+    # to the first two of its _replacements (the same kind where there is
+    # one), to True (the wrong kind, and 1 to an id) or deleted (not path[1])
+    text = _standard_v2_text(2)
+    n_points = len(json.loads(text)["bridge_points"])
+    outcomes = set()
+    for fields in (_POINT_FIELDS, _ARC_FIELDS):
+        for pair in itertools.combinations(fields, 2):
+            deep, shallow = sorted(pair, key=len, reverse=True)  # path[1] before path
+            for first in range(4):
+                for second in range(4):
+                    doc = json.loads(text)
+                    for path, k in ((deep, first), (shallow, second)):
+                        value = functools.reduce(operator.getitem, path, doc)
+                        changes = _replacements(value, n_points)[:2] + [True, _DELETE]
+                        if changes[k] is _DELETE and isinstance(path[-1], int):
+                            break  # a vertex is changed, not deleted
+                        _change(doc, path, changes[k])
+                    else:
+                        new = _outcome(diagram_from_dict, doc)
+                        assert new == _outcome(reference_item_by_item, doc), (pair, first, second)
+                        outcomes.add(new[0] if new[0] != "refused" else new[1].split(":")[0])
+    assert outcomes >= {"ok", "diagram.bridge_points[1]", "diagram.bridge_points[1].id",
+                        "diagram.arcs[0]", "diagram.arcs[0].path[1]"}
+
+
 @st.composite
 def mutated_v2_documents(draw):
     """Standard d = 2 or 3 with one to three fields replaced or deleted."""
@@ -548,7 +592,8 @@ def mutated_v2_documents(draw):
 
 
 # The next two keep the names they had when they tested a whole-list check
-# that ran before the per-item readers; they test the one-pass readers now.
+# that ran before the per-item readers; they test the single-path item
+# readers now, which check each field once, in order.
 @given(mutated_v2_documents())
 @settings(max_examples=300, deadline=None)
 def test_whole_list_check_matches_the_per_item_readers(doc):
@@ -573,9 +618,9 @@ def _built_documents():
 
 
 def test_built_documents_take_the_one_test_path():
-    # a one-test rule stricter than the field checks changes no outcome, but
-    # sends built documents down the slow path; the field checks name an item
-    # only there
+    # named for the combined accept test the item readers had; with one path
+    # now, a built document must still make no item-located _require or
+    # _intfield call, which would build a location for every item
     with mock.patch.object(documents, "_require", wraps=documents._require) as require, \
             mock.patch.object(documents, "_intfield", wraps=documents._intfield) as intfield:
         for text in _built_documents():
