@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Verbs: verify, build, check, invariants, orbit, export; ``check`` and
-``invariants`` format the certificate of ``diagram.certify``.  Factorization
+Verbs: verify, build, check, invariants, orbit, export.  ``check`` prints
+the lines of ``diagram.certify``'s certificate and ``invariants`` refuses a
+diagram with its fault; neither words a stage itself.  Factorization
 inputs come from a file, stdin (``-``), or ``--standard d``.  Exit codes:
 0 all checks pass, 1 a mathematical check failed, 2 input or usage error.
 """
@@ -14,15 +15,7 @@ import functools
 import json
 import sys
 
-from .diagram import (
-    BridgeParams,
-    DiagramError,
-    TorusDiagram,
-    _crossing_text,
-    _violation_text,
-    assemble,
-    certify,
-)
+from .diagram import DiagramError, TorusDiagram, assemble, certify
 from .documents import (
     DocumentError,
     check_expandable,
@@ -121,42 +114,11 @@ def _load_diagram(args: argparse.Namespace) -> tuple[TorusDiagram, Factorization
     return diag, source
 
 
-def _params_text(p: BridgeParams) -> str:
-    return f"({p.b}; {p.c1}, {p.c2}, {p.c3}), s = {p.s}"
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     diag, source = _load_diagram(args)
     cert = certify(diag, source)
-    payload: dict = {
-        "endpoints": not cert.endpoint_faults,
-        "transverse": not cert.violations,
-        "a_crossings": len(cert.crossings),
-        "params": dataclasses.asdict(cert.params) if cert.params else None,
-    }
-    lines = [f"endpoints: {'FAIL' if cert.endpoint_faults else 'ok'}"]
-    lines += [f"  {fault}" for fault in cert.endpoint_faults]
-    lines.append(f"transversality: {'FAIL' if cert.violations else 'ok'}")
-    lines += [f"  {_violation_text(v, cert.scale)}" for v in cert.violations]
-    lines.append(f"A crossings: {f'FAIL ({len(cert.crossings)})' if cert.crossings else 'none'}")
-    lines += [f"  {_crossing_text(c, cert.scale)}" for c in cert.crossings]
-    if cert.params is None:
-        lines.append(f"bridge parameters: unavailable ({cert.params_error})")
-    else:
-        lines.append(f"parameters: (b; c1, c2, c3) = {_params_text(cert.params)}")
-    if source is None:
-        lines.append("triviality: skipped (no source factorization)")
-    elif cert.params is None:
-        lines.append("triviality: skipped (bridge parameters unavailable)")
-    elif cert.source_error:
-        lines.append(f"triviality: skipped (source does not fit: {cert.source_error})")
-    else:
-        payload["trivial"] = cert.trivial
-        for name, flag in cert.trivial.items():
-            lines.append(f"triviality {name}: {'ok' if flag else 'FAIL'}")
-    payload["ok"] = cert.ok
-    lines.append(f"result: {'pass' if cert.ok else 'FAIL'}")
-    _emit(args, payload, lines)
+    _emit(args, {**cert.payload, "ok": cert.ok},
+          cert.lines + [f"result: {'pass' if cert.ok else 'FAIL'}"])
     return 0 if cert.ok else 1
 
 
@@ -173,7 +135,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
         "degree": ledger.degree,
         "genus_expected": ledger.genus_expected,
         "euler_expected": ledger.euler_expected,
-        "params": dataclasses.asdict(cert.params),
+        "params": cert.payload["params"],
         "sl": list(ledger.sl),
         "checks": ledger.checks,
         "ok": ledger.all_ok,
@@ -182,7 +144,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
         f"degree  d     = {ledger.degree}",
         f"genus         = {ledger.genus_expected}",
         f"euler char    = {ledger.euler_expected}",
-        f"params        = {_params_text(cert.params)}",
+        f"params        = {cert.params.text()}",
         f"self-linking  = {ledger.sl}",
     ]
     for name, flag in sorted(ledger.checks.items()):

@@ -26,7 +26,8 @@ strand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .factorization import Factorization, validate
@@ -83,6 +84,9 @@ class BridgeParams:
 
     def tuple3(self) -> tuple[int, int, int, int]:
         return (self.b, self.c1, self.c2, self.c3)
+
+    def text(self) -> str:
+        return f"({self.b}; {self.c1}, {self.c2}, {self.c3}), s = {self.s}"
 
 
 # Tile layout: column p sits at X = 4(p + 1) of Nx = 4(d + 1).  Each
@@ -512,61 +516,81 @@ def compare_source(diag: TorusDiagram, params: BridgeParams, f: Factorization) -
 
 
 @dataclass(frozen=True)
+class Stage:
+    """One stage of ``certify``: its report line, the items it found, how
+    one is worded, and its fault ("" when it passed)."""
+
+    line: str
+    found: list | tuple = ()
+    word: Callable[..., str] = str
+    fault: str = ""
+
+
+def _listing(line: str, found: list, word: Callable[..., str], count: str) -> Stage:
+    """A stage reporting each item it found; its fault is ``count`` and the first."""
+    return Stage(line, found, word, f"{count}, first: {word(found[0])}" if found else "")
+
+
+@dataclass(frozen=True)
 class Certificate:
-    """What each stage of ``certify`` found on one diagram.  ``params`` is
-    None when ``bridge_params`` refused it with ``params_error``; ``trivial``
-    (the L1, L2, L3 verdicts) is None without a source that fits."""
+    """What ``certify`` found: ``params`` (None when ``bridge_params``
+    refused them), the stages in order, the ``check --json`` payload and
+    the first failing stage's ``fault`` ("" when every stage passed)."""
 
-    scale: tuple[int, int]  # to word the messages
-    endpoint_faults: list[str]
-    violations: list[Violation]
-    crossings: list
     params: BridgeParams | None
-    params_error: str
-    source_error: str  # why the source does not fit, "" when it does or is absent
-    trivial: dict[str, bool] | None
-
-    @property
-    def fault(self) -> str:
-        """The first failing stage's message, "" when every stage passed."""
-        if self.endpoint_faults:
-            n, first = len(self.endpoint_faults), self.endpoint_faults[0]
-            return f"diagram has {n} endpoint faults, first: {first}"
-        if self.violations:
-            n, first = len(self.violations), _violation_text(self.violations[0], self.scale)
-            return f"diagram is not transverse ({n} violations), first: {first}"
-        if self.crossings:
-            n, first = len(self.crossings), _crossing_text(self.crossings[0], self.scale)
-            return f"diagram has {n} A crossings, first: {first}"
-        if self.params_error or self.source_error:
-            return self.params_error or self.source_error
-        if self.trivial and not self.trivial["L3"]:
-            return "source bands do not multiply to the full twist, so L3 is not trivial"
-        return ""
+    stages: tuple[Stage, ...]
+    payload: dict
+    fault: str
 
     @property
     def ok(self) -> bool:
         return not self.fault
 
+    @property
+    def lines(self) -> list[str]:
+        """The report of ``check`` but its result line; found items are worded only here."""
+        return [text for stage in self.stages
+                for text in (stage.line, *(f"  {stage.word(item)}" for item in stage.found))]
+
 
 def certify(diag: TorusDiagram, source: Factorization | None = None) -> Certificate:
     """Endpoints, transversality, A crossings, parameters and, when a source
     fits them (``compare_source``), the triviality of L1, L2 and L3: the tiles
-    fix L1 and L2, and L3 is trivial when the bands multiply to the full twist."""
-    faults = endpoint_faults(diag)
-    violations = check_transverse(diag)
-    crossings = a_crossings(diag)
-    params, params_error, source_error, trivial = None, "", "", None
+    fix L1 and L2, and L3 is trivial when the bands multiply to the full twist.
+    Each stage is one record, in order."""
+    faults, violations = endpoint_faults(diag), check_transverse(diag)
+    crossings, scale = a_crossings(diag), diag.scale
+    stages = [
+        _listing(f"endpoints: {'FAIL' if faults else 'ok'}", faults, str,
+                 f"diagram has {len(faults)} endpoint faults"),
+        _listing(f"transversality: {'FAIL' if violations else 'ok'}", violations,
+                 lambda v: _violation_text(v, scale),
+                 f"diagram is not transverse ({len(violations)} violations)"),
+        _listing(f"A crossings: {f'FAIL ({len(crossings)})' if crossings else 'none'}", crossings,
+                 lambda c: _crossing_text(c, scale), f"diagram has {len(crossings)} A crossings"),
+    ]
     try:
         params = bridge_params(diag)
     except DiagramError as exc:
-        params_error = str(exc)
-    if params is not None and source is not None:
+        params = None
+        stages.append(Stage(f"bridge parameters: unavailable ({exc})", fault=str(exc)))
+    else:
+        stages.append(Stage(f"parameters: (b; c1, c2, c3) = {params.text()}"))
+    payload = {"endpoints": not faults, "transverse": not violations,
+               "a_crossings": len(crossings), "params": asdict(params) if params else None}
+    if source is None or params is None:
+        reason = "no source factorization" if source is None else "bridge parameters unavailable"
+        stages.append(Stage(f"triviality: skipped ({reason})"))
+    else:
         try:
             compare_source(diag, params, source)
         except DiagramError as exc:
-            source_error = str(exc)
+            stages.append(Stage(f"triviality: skipped (source does not fit: {exc})", fault=str(exc)))
         else:
-            trivial = {"L1": True, "L2": True, "L3": validate(source).product_ok}
-    return Certificate(diag.scale, faults, violations, crossings, params, params_error,
-                       source_error, trivial)
+            l3 = validate(source).product_ok
+            payload["trivial"] = {"L1": True, "L2": True, "L3": l3}
+            stages += [Stage("triviality L1: ok"), Stage("triviality L2: ok")]
+            stages.append(Stage(f"triviality L3: {'ok' if l3 else 'FAIL'}", fault="" if l3 else
+                                "source bands do not multiply to the full twist, so L3 is not trivial"))
+    fault = next((stage.fault for stage in stages if stage.fault), "")
+    return Certificate(params, tuple(stages), payload, fault)

@@ -58,7 +58,7 @@ def _require(obj: dict, key: str, where: str) -> Any:
 
 def _intfield(obj: dict, key: str, where: str) -> int:
     v = obj.get(key, _MISSING)
-    if not isinstance(v, int) or isinstance(v, bool):
+    if type(v) is not int:
         raise DocumentError(where + _fault(v, key))
     return v
 
@@ -128,9 +128,7 @@ def factorization_from_dict(doc: dict, where: str = "factorization") -> Factoriz
         if not isinstance(raw, dict):
             raise DocumentError(f"{loc}: expected an object")
         letters = _require(raw, "conjugator", loc)
-        if not isinstance(letters, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in letters
-        ):
+        if not isinstance(letters, list) or not all(type(x) is int for x in letters):
             raise DocumentError(f"{loc}.conjugator: expected a list of integers")
         try:
             conj = BraidWord(strands, tuple(letters))

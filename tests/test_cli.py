@@ -554,10 +554,11 @@ def test_check_and_invariants_reports_are_pinned():
 
 def test_certificate_is_the_verdict_of_check_and_invariants():
     """On every pinned document the reader accepts, ``certify`` passes
-    exactly when ``check`` exits 0, and ``invariants`` refuses a failing
-    certificate with its first fault."""
+    exactly when ``check`` exits 0, ``check`` prints the certificate's lines
+    and payload, and ``invariants`` refuses a failing certificate with its
+    first fault."""
     verdicts = set()
-    for text, (check, _check_json, invariants, _invariants_json) in _pinned_reports():
+    for text, (check, check_json, invariants, _invariants_json) in _pinned_reports():
         try:
             diag, source = parse_diagram(text)
         except DocumentError:
@@ -565,6 +566,9 @@ def test_certificate_is_the_verdict_of_check_and_invariants():
             continue
         cert = certify(diag, source)
         assert cert.ok == (check[0] == 0)
+        result = f"result: {'pass' if cert.ok else 'FAIL'}"
+        assert check[1] == "".join(f"{line}\n" for line in [*cert.lines, result])
+        assert json.loads(check_json[1]) == {**cert.payload, "ok": cert.ok}
         if not cert.ok:
             assert invariants == (1, "", f"failed: {cert.fault}\n")
         verdicts.add(cert.ok)

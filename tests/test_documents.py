@@ -1,9 +1,11 @@
 import copy
+import enum
 import functools
 import itertools
 import json
 import operator
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -103,6 +105,12 @@ def test_parse_rejects_bad_exponent_and_sign():
         parse_factorization(
             json.dumps({**base, "factors": [{"conjugator": [], "exponent": 1, "sign": 0}]})
         )
+    # an int subclass, which JSON never gives, is refused like any other non-integer
+    exponent = enum.IntEnum("Exponent", "ONE").ONE
+    with pytest.raises(DocumentError, match=r"^factorization\.factors\[0\]\.exponent: expected "
+                                            rf"an integer, got {re.escape(repr(exponent))}$"):
+        factorization_from_dict({**base, "factors": [{"conjugator": [], "exponent": exponent,
+                                                      "sign": 1}]})
 
 
 def _d2_with_exponents(top, bottom, sign):
