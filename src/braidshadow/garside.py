@@ -6,11 +6,17 @@ two strands cross at most once).  Permutation braids are stored as
 permutation tuples, 0-indexed: x[i] is the exit position of the strand
 entering at position i.  Two words represent the same element of B_d if
 and only if their normal forms coincide, which gives the equality test.
+
+``normal_form`` first cancels adjacent inverse letters with a loop of its
+own (not ``words.free_reduce``: handle reduction uses that, and the two
+word-problem solvers share no code).  It then works on int codes: each
+strand count has one ``_Table`` that numbers its permutation braids in the
+order they are first seen and memoizes the left-weighted pair of two codes.
+Codes become permutation tuples again only in the returned ``NormalForm``.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .words import BraidError, BraidWord
@@ -58,12 +64,6 @@ def _right_descent_mask(p: Perm) -> list[bool]:
     return [q[i] > q[i + 1] for i in range(len(p) - 1)]
 
 
-# Unbounded, the pair cache grows towards (d!)^2 entries in a long-lived
-# process; a pass of 250 word-problem normal forms (d <= 7) uses about 11,000.
-_WEIGHT_PAIR_CACHE_SIZE = 1 << 16
-
-
-@functools.lru_cache(maxsize=_WEIGHT_PAIR_CACHE_SIZE)
 def _weight_pair(x: Perm, y: Perm) -> tuple[Perm, Perm]:
     """Rewrite the product of permutation braids x y as a left-weighted pair.
 
@@ -91,6 +91,54 @@ def _weight_pair(x: Perm, y: Perm) -> tuple[Perm, Perm]:
     return tuple(xl), tuple(yl)
 
 
+# A strand count's table is rebuilt, at the start of a call, once it holds
+# more pairs than this; unbounded it grows towards (d!)^2 pairs in a
+# long-lived process.  One pass of the word_problem benchmark (d <= 7)
+# weighs 8,003 to 8,148 distinct pairs (seeds 1 to 3).
+_WEIGHT_PAIR_CACHE_SIZE = 1 << 16
+
+
+class _Table:
+    """The permutation braids of one strand count, numbered on first sight.
+
+    ``perms[c]`` is the permutation of code ``c``, ``pairs`` maps a code
+    pair to its left-weighted pair, and ``letters[x]`` holds the codes of
+    letter x's simple factor and of that factor's tau image: sigma_i is its
+    transposition, sigma_i^{-1} = Delta^{-1} r with r the permutation braid
+    Delta sigma_i^{-1}.
+    """
+
+    def __init__(self, d: int) -> None:
+        self.perms: list[Perm] = []
+        self.codes: dict[Perm, int] = {}
+        self.pairs: dict[tuple[int, int], tuple[int, int]] = {}
+        self.ident = self.code(_identity_perm(d))
+        w0 = _w0(d)
+        self.w0 = self.code(w0)
+        self.letters: dict[int, tuple[int, int]] = {}
+        for i in range(1, d):
+            t = _transposition(d, i)
+            r = _then(w0, t)
+            self.letters[i] = (self.code(t), self.code(_tau(t)))
+            self.letters[-i] = (self.code(r), self.code(_tau(r)))
+
+    def code(self, p: Perm) -> int:
+        c = self.codes.get(p)
+        if c is None:
+            c = self.codes[p] = len(self.perms)
+            self.perms.append(p)
+        return c
+
+    def weigh(self, a: int, b: int) -> tuple[int, int]:
+        """Left-weighted pair of codes a b; called on a miss of ``pairs``, fills it."""
+        x, y = _weight_pair(self.perms[a], self.perms[b])
+        pair = self.pairs[a, b] = (self.code(x), self.code(y))
+        return pair
+
+
+_tables: dict[int, _Table] = {}
+
+
 @dataclass(frozen=True)
 class NormalForm:
     """Left-greedy Garside normal form Delta^delta_power x_1 ... x_k."""
@@ -111,55 +159,50 @@ class NormalForm:
         return self.delta_power == 0 and not self.factors
 
 
-@functools.cache
-def _letter_table(d: int) -> dict[int, tuple[Perm, Perm]]:
-    """Each letter's simple factor and that factor's tau image.
-
-    sigma_i is its transposition; sigma_i^{-1} = Delta^{-1} r with r the
-    permutation braid Delta sigma_i^{-1}.
-    """
-    w0 = _w0(d)
-    table: dict[int, tuple[Perm, Perm]] = {}
-    for i in range(1, d):
-        t = _transposition(d, i)
-        r = _then(w0, t)
-        table[i] = (t, _tau(t))
-        table[-i] = (r, _tau(r))
-    return table
-
-
 def normal_form(w: BraidWord) -> NormalForm:
     """Canonical form of a word; identical normal forms <=> equal braids."""
     d = w.strands
     if d == 1:
         return NormalForm(1, 0, ())
-    table = _letter_table(d)
-    ident = _identity_perm(d)
-    w0 = _w0(d)
+    letters: list[int] = []
+    for x in w.letters:
+        if letters and letters[-1] == -x:
+            letters.pop()
+        else:
+            letters.append(x)
+    table = _tables.get(d)
+    if table is None or len(table.pairs) > _WEIGHT_PAIR_CACHE_SIZE:
+        table = _tables[d] = _Table(d)
+    pairs, weigh, factor = table.pairs, table.weigh, table.letters
+    ident, w0 = table.ident, table.w0
     # Moving each Delta^{-1} to the front conjugates every factor before it
     # by Delta, so a letter's factor is tau'd once per inverse letter after it.
-    later_inverses = sum(1 for x in w.letters if x < 0)
+    later_inverses = sum(1 for x in letters if x < 0)
     p = -later_inverses
     # Kept left-weighted after every letter: right-multiplying by a simple
     # factor only re-weights pairs leftwards until one is already weighted.
-    out: list[Perm] = []
-    for x in w.letters:
+    # c is the factor at out[j], the right one of the next pair to weigh.
+    out: list[int] = []
+    for x in letters:
         if x < 0:
             later_inverses -= 1
-        out.append(table[x][later_inverses & 1])
+        c = factor[x][later_inverses & 1]
+        out.append(c)
         j = len(out) - 1
         while j:
-            left, right = _weight_pair(out[j - 1], out[j])
-            if left == out[j - 1]:
+            a = out[j - 1]
+            left, right = pairs.get((a, c)) or weigh(a, c)
+            if left == a:
                 break
-            out[j - 1], out[j] = left, right
+            out[j] = right
             j -= 1
+            out[j] = c = left
         while out and out[-1] == ident:
             out.pop()
         while out and out[0] == w0:
             p += 1
             out.pop(0)
-    return NormalForm(d, p, tuple(out))
+    return NormalForm(d, p, tuple(table.perms[c] for c in out))
 
 
 def equal(a: BraidWord, b: BraidWord) -> bool:

@@ -1,7 +1,11 @@
+import functools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidshadow.factorization import expand, standard_factorization
+from braidshadow import garside
+from braidshadow.factorization import expand, standard_factorization, validate
 from braidshadow.garside import (
     NormalForm,
     _identity_perm,
@@ -16,6 +20,7 @@ from braidshadow.words import (
     BraidError,
     BraidWord,
     compose,
+    free_reduce,
     full_twist,
     identity,
     invert,
@@ -32,6 +37,11 @@ def words(max_strands=5, max_len=24):
     )
 
 
+# _weight_pair has no cache of its own.  The oracle memoizes it here, apart
+# from the library's pair tables, so that each repeated pair costs one call.
+_weigh = functools.cache(_weight_pair)
+
+
 def _normalize_factors(d, factors):
     ident = _identity_perm(d)
     w0 = _w0(d)
@@ -41,7 +51,7 @@ def _normalize_factors(d, factors):
     while changed:
         changed = False
         for j in range(len(out) - 1):
-            x, y = _weight_pair(out[j], out[j + 1])
+            x, y = _weigh(out[j], out[j + 1])
             if (x, y) != (out[j], out[j + 1]):
                 out[j], out[j + 1] = x, y
                 changed = True
@@ -57,7 +67,8 @@ def _normalize_factors(d, factors):
 
 
 def _eager_normal_form(w):
-    """Reference normal form: tau on every factor per inverse letter, then bubble passes."""
+    """Reference normal form: tau on every factor per inverse letter, then bubble
+    passes.  It does no free reduction: every letter of w becomes a factor."""
     d = w.strands
     if d == 1:
         return NormalForm(1, 0, ())
@@ -106,6 +117,100 @@ def oracle_words(max_len=120):
 @settings(max_examples=300, deadline=None)
 def test_normal_form_matches_eager_oracle(w):
     assert normal_form(w) == _eager_normal_form(w)
+
+
+def _relators(d):
+    """The braid relators of B_d, each a word equal to the identity."""
+    rels = []
+    for i in range(1, d):
+        for j in range(i + 2, d):
+            rels.append((i, j, -i, -j))
+        if i + 1 < d:
+            rels.append((i, i + 1, i, -(i + 1), -i, -(i + 1)))
+    return rels
+
+
+def cancelling_words(max_len=40):
+    """Words on 2..7 strands with nested x x^-1 pairs and conjugated relators
+    u R u^-1 inserted, so that free reduction and the relators both have work."""
+
+    def for_strands(d):
+        letter = st.integers(1, d - 1).flatmap(lambda i: st.sampled_from([i, -i]))
+        chunk = st.lists(letter, max_size=6)
+        nested = chunk.map(lambda u: tuple(u) + tuple(-x for x in reversed(u)))
+        # B_2 has no relator; there the conjugated piece is a cancelling pair
+        relator = st.tuples(chunk, st.sampled_from(_relators(d) or [(1, -1)])).map(
+            lambda ur: tuple(ur[0]) + ur[1] + tuple(-x for x in reversed(ur[0]))
+        )
+        insertions = st.lists(st.tuples(st.integers(0, 10**6), st.one_of(nested, relator)),
+                              max_size=5)
+
+        def build(base, ins):
+            ls = list(base)
+            for pos, piece in ins:
+                pos %= len(ls) + 1
+                ls[pos:pos] = piece
+            return BraidWord(d, tuple(ls))
+
+        return st.builds(build, st.lists(letter, max_size=max_len), insertions)
+
+    return st.integers(2, 7).flatmap(for_strands)
+
+
+@given(cancelling_words())
+@settings(max_examples=200, deadline=None)
+def test_normal_form_of_cancelling_words_matches_eager_oracle(w):
+    nf = normal_form(w)
+    assert nf == _eager_normal_form(w)
+    assert nf == normal_form(free_reduce(w))
+
+
+def _counting_weight_pair(monkeypatch):
+    calls = []
+    weigh = garside._weight_pair
+
+    def counted(x, y):
+        calls.append((x, y))
+        return weigh(x, y)
+
+    monkeypatch.setattr(garside, "_weight_pair", counted)
+    return calls
+
+
+def test_pair_table_is_rebuilt_past_its_bound(monkeypatch):
+    bound = 40
+    monkeypatch.setattr(garside, "_WEIGHT_PAIR_CACHE_SIZE", bound)
+    monkeypatch.setattr(garside, "_tables", {})
+    calls = _counting_weight_pair(monkeypatch)
+    rng = random.Random(24)
+    rebuilt = set()
+    for _ in range(120):
+        d = rng.randint(3, 6)
+        w = BraidWord(d, tuple(rng.choice((1, -1)) * rng.randint(1, d - 1)
+                               for _ in range(rng.randint(0, 30))))
+        before = garside._tables.get(d)
+        held = len(before.pairs) if before is not None else None
+        weighed = len(calls)
+        nf = normal_form(w)
+        table = garside._tables[d]
+        if before is not None:
+            # rebuilt exactly when the table held more pairs than the bound
+            assert (table is not before) == (held > bound)
+            if table is not before:
+                rebuilt.add(d)
+        assert len(table.pairs) <= bound + len(calls) - weighed
+        assert nf == _eager_normal_form(w)
+    assert rebuilt == {4, 5, 6}
+
+
+def test_each_pair_is_weighed_once_per_table(monkeypatch):
+    calls = _counting_weight_pair(monkeypatch)
+    f = standard_factorization(5)
+    assert validate(f).valid
+    assert len(calls) == len(set(calls))
+    calls.clear()
+    assert validate(f).valid
+    assert calls == []
 
 
 @pytest.mark.parametrize("d", range(2, 8))
