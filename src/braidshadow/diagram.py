@@ -202,11 +202,8 @@ def assemble(f: Factorization) -> TorusDiagram:
         for strand_arcs in closed:
             arcs.extend(strand_arcs)
 
+    # validate leaves no strand uncut: it would link no other, and Delta^2 links every pair
     for strand in range(d):
-        if head[strand] is None:
-            raise DiagramError(
-                f"strand {strand + 1} is never cut; its A tangle would be closed"
-            )
         first, plus_id = head[strand]
         for (x, y) in first:
             add(strand, x, y + y0)
@@ -225,12 +222,11 @@ def _seg_intersection(p, q, r, s):
 
     Exact: (t, u, point), t and u the Fractions of the way along pq and
     rs, and the point a pair of Fractions in lattice coordinates.
+    Parallel segments (denominator 0) fail ``0 < tn < denom`` and give None.
     """
     d1x, d1y = q[0] - p[0], q[1] - p[1]
     d2x, d2y = s[0] - r[0], s[1] - r[1]
     denom = d1x * d2y - d1y * d2x
-    if denom == 0:
-        return None
     ex, ey = r[0] - p[0], r[1] - p[1]
     tn = ex * d2y - ey * d2x
     un = ex * d1y - ey * d1x
@@ -470,21 +466,15 @@ def bridge_params(diag: TorusDiagram) -> BridgeParams:
     """Count (b; c1, c2, c3) and s by walking the colors' partner lists.
 
     s is the number of mini unknots: components of L2 = B u C through
-    exactly two bridge points.  The declared ``stabilization_count`` must
-    equal it.  The counts are the bridge parameters only when the diagram
-    has no A crossings; ``certify`` checks that first.
+    exactly two bridge points, whatever ``stabilization_count`` declares
+    (``certify`` compares the two).  The counts are the bridge parameters
+    only when the diagram has no A crossings; ``certify`` checks that first.
     """
     a, b, c = (_partners(diag, color) for color in "ABC")
     l2 = _pair_components(b, c)
-    s = l2.count(2)
-    if diag.stabilization_count != s:
-        raise DiagramError(
-            f"stabilization_count s = {diag.stabilization_count} differs from the "
-            f"{s} mini unknots counted in L2"
-        )
     c1 = len(_pair_components(a, b))
     c3 = len(_pair_components(c, a))
-    return BridgeParams(diag.bridge_number, c1, len(l2), c3, s)
+    return BridgeParams(diag.bridge_number, c1, len(l2), c3, l2.count(2))
 
 
 def compare_source(diag: TorusDiagram, params: BridgeParams, f: Factorization) -> None:
@@ -533,9 +523,9 @@ def _listing(line: str, found: list, word: Callable[..., str], count: str) -> St
 
 @dataclass(frozen=True)
 class Certificate:
-    """What ``certify`` found: ``params`` (None when ``bridge_params``
-    refused them), the stages in order, the ``check --json`` payload and
-    the first failing stage's ``fault`` ("" when every stage passed)."""
+    """What ``certify`` found: ``params`` (None when refused, or when their s
+    is not the declared one), the stages in order, the ``check --json``
+    payload and the first failing stage's ``fault`` ("" when all passed)."""
 
     params: BridgeParams | None
     stages: tuple[Stage, ...]
@@ -554,10 +544,11 @@ class Certificate:
 
 
 def certify(diag: TorusDiagram, source: Factorization | None = None) -> Certificate:
-    """Endpoints, transversality, A crossings, parameters and, when a source
-    fits them (``compare_source``), the triviality of L1, L2 and L3: the tiles
-    fix L1 and L2, and L3 is trivial when the bands multiply to the full twist.
-    Each stage is one record, in order."""
+    """Endpoints, transversality, A crossings, parameters (counted s equal to
+    the declared ``stabilization_count``) and, when a source fits them
+    (``compare_source``), the triviality of L1, L2 and L3: the tiles fix L1 and
+    L2, and L3 is trivial when the bands multiply to the full twist.  Each
+    stage is one record, in order."""
     faults, violations = endpoint_faults(diag), check_transverse(diag)
     crossings, scale = a_crossings(diag), diag.scale
     stages = [
@@ -571,6 +562,9 @@ def certify(diag: TorusDiagram, source: Factorization | None = None) -> Certific
     ]
     try:
         params = bridge_params(diag)
+        if diag.stabilization_count != params.s:
+            raise DiagramError(f"stabilization_count s = {diag.stabilization_count} differs "
+                               f"from the {params.s} mini unknots counted in L2")
     except DiagramError as exc:
         params = None
         stages.append(Stage(f"bridge parameters: unavailable ({exc})", fault=str(exc)))

@@ -141,19 +141,12 @@ _tables: dict[int, _Table] = {}
 
 @dataclass(frozen=True)
 class NormalForm:
-    """Left-greedy Garside normal form Delta^delta_power x_1 ... x_k."""
+    """Left-greedy Garside normal form Delta^delta_power x_1 ... x_k, a plain
+    record: ``normal_form`` itself pops every identity and Delta factor."""
 
     strands: int
     delta_power: int
     factors: tuple[Perm, ...]
-
-    def __post_init__(self) -> None:
-        d = self.strands
-        ident = _identity_perm(d)
-        w0 = _w0(d)
-        for f in self.factors:
-            if f == ident or f == w0:
-                raise BraidError("normal form factor is identity or half twist")
 
     def is_trivial(self) -> bool:
         return self.delta_power == 0 and not self.factors
@@ -162,8 +155,6 @@ class NormalForm:
 def normal_form(w: BraidWord) -> NormalForm:
     """Canonical form of a word; identical normal forms <=> equal braids."""
     d = w.strands
-    if d == 1:
-        return NormalForm(1, 0, ())
     letters: list[int] = []
     for x in w.letters:
         if letters and letters[-1] == -x:
@@ -211,6 +202,4 @@ def equal(a: BraidWord, b: BraidWord) -> bool:
         raise BraidError(
             f"strand count mismatch: {a.strands} vs {b.strands}"
         )
-    if a.strands == 1:
-        return True
     return normal_form(a) == normal_form(b)

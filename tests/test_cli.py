@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from braidshadow.documents import (
 from braidshadow.factorization import (
     BandFactor,
     Factorization,
+    hurwitz_move,
     standard_factorization,
 )
 from braidshadow.words import BraidWord, identity
@@ -143,6 +145,13 @@ def test_malformed_file_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, ["verify", str(path)])
     assert code == 2
     assert "invalid JSON" in err
+    for text, message in [
+        ("[]", "top level: expected a JSON object"),
+        ('{"format_version":"1","strands":0,"factors":[]}',
+         "factorization: strand count must be >= 1, got 0"),
+    ]:
+        path.write_text(text)
+        assert run(capsys, ["verify", str(path)]) == (2, "", f"error: {message}\n")
 
 
 _NOT_UTF8 = b"\xff\xfe{}"
@@ -453,9 +462,7 @@ def test_one_parser_serves_many_calls(capsys, monkeypatch, tmp_path):
     assert (tmp_path / "d2.json").read_text() == (fresh / "d2.json").read_text() == text
 
 
-_GOLDEN = json.loads(
-    open(os.path.join(os.path.dirname(__file__), "golden_reports.json"), encoding="utf-8").read()
-)
+_GOLDEN = json.loads(pathlib.Path(_TESTS, "golden_reports.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -634,6 +641,24 @@ def test_edited_stabilization_count_is_refused(capsys, monkeypatch, declared, wi
     assert f"bridge parameters: unavailable ({message})" in out.splitlines()
     code, out, err = run(capsys, ["invariants", "-"], stdin=text, monkeypatch=monkeypatch)
     assert (code, out, err) == (1, "", f"failed: {message}\n")
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the source is not compared with the diagram")
+def test_check_refuses_a_diagram_of_a_moved_source(capsys, monkeypatch):
+    source = standard_factorization(3)
+    moved = hurwitz_move(hurwitz_move(source, 2, "right"), 4, "left")
+    text = serialize_diagram(assemble(moved), source=source)
+    assert run(capsys, ["check", "-"], stdin=text, monkeypatch=monkeypatch)[0] == 1
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 10: a C arc moved by a period passes")
+def test_check_refuses_a_c_arc_wrapped_one_period_further(capsys, monkeypatch):
+    f = standard_factorization(3)
+    doc = json.loads(serialize_diagram(assemble(f), source=f))
+    arc = doc["arcs"][3]
+    assert (arc["color"], arc["start"], arc["end"]) == ("C", 3, 0)  # m1 -> p0 of tile 1
+    arc["path"][-1][0] += doc["scale"][0]
+    assert run(capsys, ["check", "-"], stdin=json.dumps(doc), monkeypatch=monkeypatch)[0] == 1
 
 
 def test_loop_arc_is_refused(capsys, monkeypatch):

@@ -116,7 +116,10 @@ def oracle_words(max_len=120):
 @given(oracle_words())
 @settings(max_examples=300, deadline=None)
 def test_normal_form_matches_eager_oracle(w):
-    assert normal_form(w) == _eager_normal_form(w)
+    nf = normal_form(w)
+    assert nf == _eager_normal_form(w)
+    # normal_form pops identity and Delta factors; NormalForm does not check
+    assert not {_identity_perm(w.strands), _w0(w.strands)} & set(nf.factors)
 
 
 def _relators(d):
