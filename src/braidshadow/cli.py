@@ -18,7 +18,6 @@ import sys
 from .diagram import DiagramError, TorusDiagram, assemble, certify
 from .documents import (
     DocumentError,
-    check_expandable,
     parse_diagram,
     parse_factorization,
     serialize_diagram,
@@ -157,9 +156,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 def _cmd_orbit(args: argparse.Namespace) -> int:
     if args.budget < 1:
         raise DocumentError(f"--budget: node budget must be >= 1, got {args.budget}")
-    # the orbit keys every band, whatever the exponent sum
-    f = check_expandable(_load_factorization(args))
-    orbit = hurwitz_orbit(f, args.budget)
+    orbit = hurwitz_orbit(_load_factorization(args), args.budget)
     payload = {
         "size": orbit.size,
         "truncated": orbit.truncated,

@@ -363,28 +363,28 @@ def _violation_text(v: Violation, scale: tuple[int, int]) -> str:
     )
 
 
+# per colour, the functional a*x + b*y (unit coordinates) that its arcs
+# strictly increase, and the way that is worded
+_RISING = {"A": (0, 1, "upward"), "B": (-1, 0, "left"), "C": (1, -1, "down-right")}
+
+
 def check_transverse(diag: TorusDiagram) -> list[Violation]:
     """Color-wise monotonicity of every oriented arc; the violations found.
 
-    A arcs (oriented - to +) must strictly gain height, B arcs strictly
+    A arcs (oriented - to +) must strictly gain height y, B arcs strictly
     lose x, and C arcs strictly lose y - x (the slope-1 foliation
-    coordinate, in fractions of a period: dy/Ny < dx/Nx).
+    coordinate): each strictly raises its colour's functional in
+    ``_RISING``, which is a * dX * Ny + b * dY * Nx on the lattice.
     """
     nx, ny = diag.scale
+    rising = {color: (a * ny, b * nx, way) for color, (a, b, way) in _RISING.items()}
     violations: list[Violation] = []
     for ai, arc in enumerate(diag.arcs):
+        a, b, way = rising[arc.color]
         for si, (p, q) in enumerate(arc.segments()):
-            if arc.color == "A":
-                bad = q[1] <= p[1]
-                reason = "A segment not moving strictly upward"
-            elif arc.color == "B":
-                bad = q[0] >= p[0]
-                reason = "B segment not moving strictly left"
-            else:
-                bad = (q[1] - p[1]) * nx >= (q[0] - p[0]) * ny
-                reason = "C segment not moving strictly down-right"
-            if bad:
-                violations.append(Violation(ai, arc.color, si, p, q, reason))
+            if a * (q[0] - p[0]) + b * (q[1] - p[1]) <= 0:
+                violations.append(Violation(ai, arc.color, si, p, q,
+                                            f"{arc.color} segment not moving strictly {way}"))
     return violations
 
 

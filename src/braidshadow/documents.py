@@ -26,7 +26,7 @@ import json
 from typing import Any
 
 from .diagram import Arc, BridgePoint, TorusDiagram
-from .factorization import MAX_EXPONENT, BandFactor, Factorization
+from .factorization import BandFactor, Factorization
 from .words import BraidError, BraidWord
 
 FORMAT_VERSION = "1"
@@ -70,6 +70,8 @@ def _load_json(text: str) -> dict:
         raise DocumentError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal beyond int()'s digit limit
+        raise DocumentError("invalid JSON: an integer literal has too many digits") from exc
     except RecursionError as exc:
         raise DocumentError("invalid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
@@ -142,25 +144,9 @@ def factorization_from_dict(doc: dict, where: str = "factorization") -> Factoriz
         except BraidError as exc:
             raise DocumentError(f"{loc}: {exc}") from exc
     try:
-        f = Factorization(strands, tuple(factors))
+        return Factorization(strands, tuple(factors))
     except BraidError as exc:
         raise DocumentError(f"{where}: {exc}") from exc
-    # validate expands the bands only when their exponent sum is the full
-    # twist's: a wrong sum decides the product unexpanded
-    if sum(factor.signed_exponent() for factor in f.factors) == strands * (strands - 1):
-        check_expandable(f, where)
-    return f
-
-
-def check_expandable(f: Factorization, where: str = "factorization") -> Factorization:
-    """Refuse a band exponent too large to expand into a word, naming its field."""
-    for i, factor in enumerate(f.factors):
-        if factor.exponent > MAX_EXPONENT:
-            raise DocumentError(
-                f"{where}.factors[{i}].exponent: {factor.exponent} is too large to expand "
-                f"(at most {MAX_EXPONENT})"
-            )
-    return f
 
 
 def parse_factorization(text: str) -> Factorization:

@@ -17,8 +17,8 @@ from itertools import chain
 from .garside import equal, normal_form
 from .words import BraidError, BraidWord, free_reduce, full_twist, invert
 
-# the largest band exponent expanded into a word: a band is expanded letter
-# by letter, and the word problem is linear in the word's length
+# the largest exponent a band takes: a band is expanded letter by letter,
+# and the word problem is linear in the word's length
 MAX_EXPONENT = 10**6
 
 
@@ -33,6 +33,8 @@ class BandFactor:
     def __post_init__(self) -> None:
         if self.exponent < 1:
             raise BraidError(f"band exponent must be >= 1, got {self.exponent}")
+        if self.exponent > MAX_EXPONENT:
+            raise BraidError(f"band exponent must be <= {MAX_EXPONENT}, got {self.exponent}")
         if self.sign not in (1, -1):
             raise BraidError(f"band sign must be +1 or -1, got {self.sign}")
         if self.conjugator.strands < 2:
@@ -44,10 +46,6 @@ class BandFactor:
 
     def word(self) -> BraidWord:
         """Expanded word g sigma_1^{sign*exponent} g^{-1} (no reduction)."""
-        if self.exponent > MAX_EXPONENT:
-            raise BraidError(
-                f"band exponent {self.exponent} is too large to expand (at most {MAX_EXPONENT})"
-            )
         g = self.conjugator.letters
         core = (self.sign,) * self.exponent
         return BraidWord(self.strands, g + core + tuple(-x for x in reversed(g)))
@@ -112,9 +110,8 @@ def validate(f: Factorization) -> ValidationReport:
     """Check product = Delta^2, exponent sum = d(d-1), and (if smooth) n = d^2-d.
 
     Invalid input yields a failing report.  The bands are expanded only
-    when the exponent sum is right, and then a band exponent above
-    ``MAX_EXPONENT`` raises BraidError.  Negative bands are accepted here
-    but rejected by diagram assembly.
+    when the exponent sum is right.  Negative bands are accepted here but
+    rejected by diagram assembly.
     """
     d = f.strands
     total = sum(factor.signed_exponent() for factor in f.factors)
@@ -244,8 +241,6 @@ def hurwitz_orbit(f: Factorization, bound: int) -> HurwitzOrbit:
     with that key, each distinct (direction, key a, key b) triple is keyed
     once, by moving two representatives, in a memo that lives for this
     call, and a new node records only the move that first reached it.
-    Keying expands every band, so a band exponent above ``MAX_EXPONENT``
-    raises BraidError.
     """
     if bound < 1:
         raise ValueError(f"node budget must be >= 1, got {bound}")

@@ -1,9 +1,12 @@
 """Fixtures shared by several test modules: a seeded generator of valid
-factorizations and a positive word for the half twist.  The library never
-calls either; the tests use them as inputs and as independent oracles."""
+factorizations, a positive word for the half twist and the order-3
+rotation of a torus diagram.  The library never calls them; the tests use
+them as inputs and as independent oracles."""
 
 import random
+from dataclasses import replace
 
+from braidshadow.diagram import Arc, BridgePoint, TorusDiagram, bridge_params
 from braidshadow.factorization import Factorization, hurwitz_move, standard_factorization
 from braidshadow.words import BraidError, BraidWord
 
@@ -46,3 +49,35 @@ def half_twist_word(d: int) -> BraidWord:
     for i in range(1, d):
         letters.extend(range(i, 0, -1))
     return BraidWord(d, tuple(letters))
+
+
+_RECOLOUR = {"A": "B", "B": "C", "C": "A"}
+
+
+def rotate(diag: TorusDiagram) -> TorusDiagram:
+    """The order-3 map M(u, v) = (-v, u - v) of the torus, with each arc
+    recoloured A -> B -> C -> A.
+
+    M cycles the three foliations (A up, B left, C down-right), so a
+    transverse diagram stays transverse, and (b; c1, c2, c3) becomes
+    (b; c3, c1, c2).  On the lattice (X, Y) goes to (-Y, X Ny - Y Nx) at
+    scale (Ny, Nx Ny); bridge points are reduced mod the scale and each
+    path is moved by whole periods to start in [0, Ny) x [0, Nx Ny).  The
+    declared ``stabilization_count`` becomes the s counted in the image.
+    """
+    nx, ny = diag.scale
+    mx, my = ny, nx * ny
+
+    def image(x: int, y: int) -> tuple[int, int]:
+        return -y, x * ny - y * nx
+
+    points = tuple(BridgePoint(p.ident, -p.y % mx, (p.x * ny - p.y * nx) % my, p.sign)
+                   for p in diag.bridge_points)
+    arcs = []
+    for arc in diag.arcs:
+        path = [image(*v) for v in arc.path]
+        dx, dy = path[0][0] // mx * mx, path[0][1] // my * my
+        arcs.append(Arc(_RECOLOUR[arc.color], arc.start, arc.end,
+                        tuple((x - dx, y - dy) for x, y in path)))
+    rotated = TorusDiagram(diag.strands, (mx, my), points, tuple(arcs))
+    return replace(rotated, stabilization_count=bridge_params(rotated).s)

@@ -865,20 +865,16 @@ def test_diagram_strands_below_two_exit_2(capsys, monkeypatch, verb, strands):
     assert err == f"error: diagram.strands: expected an integer >= 2, got {strands}\n"
 
 
-# The next two keep the names they had when version 1 was read: every verb
-# that reads a diagram now refuses a version-1 document, naming its version,
-# and only the version-2 half of the export test is left.
-@pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("argv", [["check"], ["check", "--json"], ["invariants"],
                                   ["invariants", "--json"], ["export"]])
-def test_version_1_documents_report_as_before(capsys, d, argv):
-    # the version-1 ``build --standard d`` document, as written before the integer lattice
-    code, out, err = run(capsys, [*argv, os.path.join(_TESTS, f"v1_standard_{d}.json")])
+def test_version_1_documents_are_refused(capsys, argv):
+    # the version-1 ``build --standard 2`` document, as written before the integer lattice
+    code, out, err = run(capsys, [*argv, os.path.join(_TESTS, "v1_standard_2.json")])
     assert (code, out) == (2, "")
     assert err == "error: diagram: unsupported format_version '1' (expected '2')\n"
 
 
-def test_v1_and_v2_documents_export_one_circle_per_bridge_point(capsys, monkeypatch):
+def test_export_draws_one_circle_per_bridge_point(capsys, monkeypatch):
     code, out, _ = run(capsys, ["export", "-"], stdin=serialize_diagram(*_standard_3()),
                        monkeypatch=monkeypatch)
     assert code == 0 and out.count("<circle") == 48
@@ -972,16 +968,12 @@ def test_mutated_version_2_documents_exit_0_1_or_2(text):
 
 @pytest.mark.parametrize("verb", ["check", "invariants"])
 def test_a_source_band_exponent_too_large_to_expand_fails(capsys, monkeypatch, verb):
-    # its exponent sum is wrong, which decides the product without the word
+    # its exponent sum is wrong, and the band is still refused where it is read
     doc = _standard_2_document()
     doc["source_factorization"]["factors"][0]["exponent"] = 10**60
     code, out, err = run(capsys, [verb, "-"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
-    assert code == 1
-    if verb == "check":
-        assert (out.splitlines()[-2:], err) == (["triviality L3: FAIL", "result: FAIL"], "")
-    else:
-        assert (out, err) == ("", "failed: source bands do not multiply to the full twist, "
-                                  "so L3 is not trivial\n")
+    assert (code, out, err) == (2, "", "error: diagram.source_factorization.factors[0]: band "
+                                       f"exponent must be <= 1000000, got {10**60}\n")
 
 
 def _huge_exponent_source():
@@ -993,10 +985,10 @@ def _huge_exponent_source():
     return doc
 
 
-_TOO_LARGE = ".factors[0].exponent: 100000000000000000000 is too large to expand (at most 1000000)\n"
+_TOO_LARGE = ".factors[0]: band exponent must be <= 1000000, got 100000000000000000000\n"
 
 
-@pytest.mark.parametrize("verb", ["verify", "orbit"])
+@pytest.mark.parametrize("verb", ["verify", "orbit", "build"])
 def test_a_band_exponent_too_large_to_expand_exits_2(capsys, monkeypatch, verb):
     text = json.dumps(_huge_exponent_source())
     code, out, err = run(capsys, [verb, "-"], stdin=text, monkeypatch=monkeypatch)
@@ -1020,14 +1012,35 @@ def test_a_source_band_exponent_too_large_to_expand_exits_2(capsys, monkeypatch,
 
 
 def test_orbit_refuses_a_band_too_large_to_key_whatever_its_sum(capsys, monkeypatch):
-    # verify decides a wrong sum without the words; the orbit keys every band
+    # both bands at e, a wrong sum, so verify would decide it without the
+    # words: every verb refuses the band all the same, with one message.  At
+    # 4,300 digits the sum 2e has more digits than int-to-str converts.
     doc = json.loads(serialize_factorization(standard_factorization(2)))
-    doc["factors"][0]["exponent"] = 10**20
-    text = json.dumps(doc)
-    code, out, _ = run(capsys, ["verify", "-"], stdin=text, monkeypatch=monkeypatch)
-    assert code == 1 and out.endswith("result: INVALID\n")
-    code, out, err = run(capsys, ["orbit", "-"], stdin=text, monkeypatch=monkeypatch)
-    assert (code, out, err) == (2, "", "error: factorization" + _TOO_LARGE)
+    for e in (10**20, 10**4300 - 1):
+        doc["factors"][0]["exponent"] = doc["factors"][1]["exponent"] = e
+        expected = f"error: factorization.factors[0]: band exponent must be <= 1000000, got {e}\n"
+        for argv in (["verify", "-"], ["verify", "--json", "-"], ["orbit", "-"], ["build", "-"]):
+            code, out, err = run(capsys, argv, stdin=json.dumps(doc), monkeypatch=monkeypatch)
+            assert (code, out, err) == (2, "", expected)
+
+
+@pytest.mark.parametrize("verb", ["verify", "check", "--fact"])
+def test_an_integer_literal_of_5000_digits_exits_2(capsys, monkeypatch, tmp_path, verb):
+    # json.loads refuses a literal of more digits than int() converts with a
+    # plain ValueError, not a JSONDecodeError
+    def huge(text):
+        return text.replace('"exponent":1', '"exponent":' + "9" * 5000, 1)
+
+    fact = serialize_factorization(standard_factorization(2))
+    diagram = serialize_diagram(*_standard_2())
+    path = tmp_path / "d2.json"
+    path.write_text(diagram)
+    argv, stdin = {"verify": (["verify", "-"], huge(fact)),
+                   "check": (["check", "-"], huge(diagram)),
+                   "--fact": (["check", str(path), "--fact", "-"], huge(fact))}[verb]
+    code, out, err = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == "error: invalid JSON: an integer literal has too many digits\n"
 
 
 @pytest.mark.parametrize("argv, start", [

@@ -32,7 +32,7 @@ from braidshadow.documents import serialize_diagram
 from braidshadow.garside import equal
 from braidshadow.invariants import make_ledger
 from braidshadow.words import BraidWord, compose, full_twist, identity, invert
-from support import random_factorization
+from support import random_factorization, rotate
 
 
 # -- reference: the incidence walk that the partner walk replaced --------------
@@ -603,6 +603,39 @@ def test_a_crossings_matches_oracle_on_standard(d):
 def test_every_colour_shadow_is_embedded_on_standard(d):
     diag = assemble(standard_factorization(d))
     assert {c: _all_pairs_crossings(diag, c) for c in "ABC"} == {"A": [], "B": [], "C": []}
+
+
+def _rotations(diag):
+    """The certificates (no source) of ``diag`` and of its first two rotations."""
+    once = rotate(diag)
+    return certify(diag), certify(once), certify(rotate(once))
+
+
+def test_rotation_keeps_endpoints_and_transversality_and_permutes_params():
+    """The order-3 rotation of ``support.rotate`` maps each colour's rule to
+    the next one's, so it keeps the endpoint and transversality verdicts and
+    sends (b; c1, c2, c3) to (b; c3, c1, c2).  The second rotation's A arcs
+    are the original's B arcs, which do not cross."""
+    for f in [standard_factorization(d) for d in range(2, 7)] + _acceptance_corpus():
+        certs = _rotations(assemble(f))
+        b, c1, c2, c3 = certs[0].params.tuple3()
+        assert [c.params.tuple3() for c in certs] == [(b, c1, c2, c3), (b, c3, c1, c2),
+                                                      (b, c2, c3, c1)]
+        assert {(c.payload["endpoints"], c.payload["transverse"]) for c in certs} == {(True, True)}
+        assert certs[2].payload["a_crossings"] == 0
+
+
+@pytest.mark.parametrize("d, crossings", [(2, 2), (3, 6)])
+def test_first_rotation_shows_the_c_crossings_as_a_crossings(d, crossings):
+    diag = assemble(standard_factorization(d))
+    assert len(a_crossings(rotate(diag))) == len(_all_pairs_crossings(diag, "C")) == crossings
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: one C–C crossing per tile")
+def test_first_rotation_keeps_the_crossing_verdict():
+    for d in range(2, 6):
+        certs = _rotations(assemble(standard_factorization(d)))
+        assert certs[1].payload["a_crossings"] == certs[0].payload["a_crossings"] == 0
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: touching or overlapping A arcs")

@@ -16,12 +16,10 @@ from braidshadow.diagram import Arc, BridgePoint, TorusDiagram, assemble
 from braidshadow.documents import (
     _FLOAT_BOUND,
     DIAGRAM_VERSION,
-    MAX_EXPONENT,
     DocumentError,
     _check_version,
     _intfield,
     _require,
-    check_expandable,
     diagram_from_dict,
     factorization_from_dict,
     parse_diagram,
@@ -30,6 +28,7 @@ from braidshadow.documents import (
     serialize_factorization,
 )
 from braidshadow.factorization import (
+    MAX_EXPONENT,
     BandFactor,
     Factorization,
     standard_factorization,
@@ -120,26 +119,29 @@ def _d2_with_exponents(top, bottom, sign):
 
 
 def test_exponents_are_read_up_to_the_expansion_bound_when_the_sum_is_right():
-    # s1^E s1^-(E-2) has the full twist's exponent sum, so validate would expand it
+    # s1^E s1^-(E-2) has the full twist's exponent sum
     f = factorization_from_dict(_d2_with_exponents(MAX_EXPONENT, MAX_EXPONENT - 2, -1))
     assert [b.exponent for b in f.factors] == [MAX_EXPONENT, MAX_EXPONENT - 2]
     doc = _d2_with_exponents(MAX_EXPONENT + 1, MAX_EXPONENT - 1, -1)
-    with pytest.raises(DocumentError, match=r"^source\.factors\[0\]\.exponent: 1000001 is too large "
-                                            r"to expand \(at most 1000000\)$"):
+    with pytest.raises(DocumentError, match=r"^source\.factors\[0\]: band exponent must be "
+                                            r"<= 1000000, got 1000001$"):
         factorization_from_dict(doc, "source")
+    # the first bad factor in document order is named
     doc = _d2_with_exponents(1, MAX_EXPONENT + 1, 1)
     doc["factors"].insert(0, {"conjugator": [1], "exponent": MAX_EXPONENT, "sign": -1})
-    with pytest.raises(DocumentError, match=r"^factorization\.factors\[2\]\.exponent"):
+    doc["factors"].append({"conjugator": [], "exponent": MAX_EXPONENT + 2, "sign": 1})
+    with pytest.raises(DocumentError, match=r"^factorization\.factors\[2\]: band exponent must "
+                                            r"be <= 1000000, got 1000001$"):
         factorization_from_dict(doc)
 
 
-def test_an_exponent_too_large_to_expand_is_read_when_the_sum_is_wrong():
-    # a wrong sum decides the product unexpanded; only the orbit keys it
-    f = parse_factorization(json.dumps(_d2_with_exponents(10**60, 1, 1)))
-    assert f.factors[0].exponent == 10**60
-    with pytest.raises(DocumentError, match=r"^factorization\.factors\[0\]\.exponent: 10{60} is"):
-        check_expandable(f)
-    assert check_expandable(standard_factorization(3)) == standard_factorization(3)
+def test_an_exponent_above_the_bound_is_refused_whatever_the_sum():
+    for top, bottom, sign in ((10**60, 1, 1), (MAX_EXPONENT + 1, 1, 1), (10**60, 10**60, -1)):
+        with pytest.raises(DocumentError, match=r"^factorization\.factors\[0\]: band exponent "
+                                                rf"must be <= 1000000, got {top}$"):
+            parse_factorization(json.dumps(_d2_with_exponents(top, bottom, sign)))
+    assert parse_factorization(serialize_factorization(standard_factorization(3))) == \
+        standard_factorization(3)
 
 
 def test_parse_reports_json_location():
