@@ -10,7 +10,6 @@ inputs come from a file, stdin (``-``), or ``--standard d``.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -81,8 +80,7 @@ def _emit(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
 def _cmd_verify(args: argparse.Namespace) -> int:
     f = _load_factorization(args)
     report = validate(f)
-    payload = dataclasses.asdict(report)
-    payload["valid"] = report.valid
+    payload = {**vars(report), "valid": report.valid}
     lines = [
         f"strands          d = {report.strands}",
         f"factors          n = {report.factor_count}"
@@ -130,15 +128,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     sl1 = -diag.strands if source is not None else None
     smooth = source.is_smooth_quasipositive() if source is not None else True
     ledger = make_ledger(cert.params, diag.strands, sl1, smooth=smooth)
-    payload = {
-        "degree": ledger.degree,
-        "genus_expected": ledger.genus_expected,
-        "euler_expected": ledger.euler_expected,
-        "params": cert.payload["params"],
-        "sl": list(ledger.sl),
-        "checks": ledger.checks,
-        "ok": ledger.all_ok,
-    }
+    payload = {**vars(ledger), "params": cert.payload["params"], "ok": ledger.all_ok}
     lines = [
         f"degree  d     = {ledger.degree}",
         f"genus         = {ledger.genus_expected}",

@@ -220,8 +220,8 @@ def assemble(f: Factorization) -> TorusDiagram:
 def _seg_intersection(p, q, r, s):
     """Proper interior intersection of segments pq and rs, or None.
 
-    Exact: (t, u, point), t and u the Fractions of the way along pq and
-    rs, and the point a pair of Fractions in lattice coordinates.
+    Exact: (t, point), t the Fraction of the way along pq, and the point
+    a pair of Fractions in lattice coordinates.
     Parallel segments (denominator 0) fail ``0 < tn < denom`` and give None.
     """
     d1x, d1y = q[0] - p[0], q[1] - p[1]
@@ -234,7 +234,7 @@ def _seg_intersection(p, q, r, s):
         denom, tn, un = -denom, -tn, -un
     if 0 < tn < denom and 0 < un < denom:
         t = Fraction(tn, denom)
-        return t, Fraction(un, denom), (p[0] + t * d1x, p[1] + t * d1y)
+        return t, (p[0] + t * d1x, p[1] + t * d1y)
     return None
 
 
@@ -258,7 +258,7 @@ def _pair_crossings(seg1, seg2, nx: int, ny: int) -> list:
         for dy in _shifts(*y1, *y2, ny):
             hit = _seg_intersection(p, q, (r[0] + dx, r[1] + dy), (s[0] + dx, s[1] + dy))
             if hit is not None:
-                t, _u, pt = hit
+                t, pt = hit
                 out.append((ai, si, t, bi, pt))
     return out
 
@@ -342,7 +342,6 @@ class Violation:
     segment_index: int
     start: Point
     end: Point
-    reason: str
 
 
 def _unit(v: tuple, scale: tuple[int, int]) -> tuple[float, float]:
@@ -359,7 +358,8 @@ def _crossing_text(crossing: tuple, scale: tuple[int, int]) -> str:
 def _violation_text(v: Violation, scale: tuple[int, int]) -> str:
     return (
         f"arc {v.arc_index} ({v.color}) segment {v.segment_index}: "
-        f"{v.reason} [{_unit(v.start, scale)} -> {_unit(v.end, scale)}]"
+        f"{v.color} segment not moving strictly {_RISING[v.color][2]} "
+        f"[{_unit(v.start, scale)} -> {_unit(v.end, scale)}]"
     )
 
 
@@ -377,14 +377,13 @@ def check_transverse(diag: TorusDiagram) -> list[Violation]:
     ``_RISING``, which is a * dX * Ny + b * dY * Nx on the lattice.
     """
     nx, ny = diag.scale
-    rising = {color: (a * ny, b * nx, way) for color, (a, b, way) in _RISING.items()}
+    rising = {color: (a * ny, b * nx) for color, (a, b, _way) in _RISING.items()}
     violations: list[Violation] = []
     for ai, arc in enumerate(diag.arcs):
-        a, b, way = rising[arc.color]
+        a, b = rising[arc.color]
         for si, (p, q) in enumerate(arc.segments()):
             if a * (q[0] - p[0]) + b * (q[1] - p[1]) <= 0:
-                violations.append(Violation(ai, arc.color, si, p, q,
-                                            f"{arc.color} segment not moving strictly {way}"))
+                violations.append(Violation(ai, arc.color, si, p, q))
     return violations
 
 

@@ -31,6 +31,7 @@ from .words import BraidError, BraidWord
 
 FORMAT_VERSION = "1"
 DIAGRAM_VERSION = "2"
+MAX_STRANDS = 1000  # a document's bound: Garside's letter table grows as d^2
 # the largest float plus half its spacing: X / N rounds to a finite float
 # exactly when |X| < N * _FLOAT_BOUND
 _FLOAT_BOUND = 2**1024 - 2**970
@@ -121,6 +122,8 @@ def factorization_from_dict(doc: dict, where: str = "factorization") -> Factoriz
     _check_type(doc, where, "factorization")
     _check_version(doc, where)
     strands = _intfield(doc, "strands", where)
+    if strands > MAX_STRANDS:
+        raise DocumentError(f"{where}.strands: expected an integer <= {MAX_STRANDS}")
     raw_factors = _require(doc, "factors", where)
     if not isinstance(raw_factors, list):
         raise DocumentError(f"{where}.factors: expected a list")
@@ -255,6 +258,8 @@ def diagram_from_dict(doc: dict) -> tuple[TorusDiagram, Factorization | None]:
     _check_type(doc, where, "diagram")
     _check_version(doc, where, DIAGRAM_VERSION)
     strands = _intfield(doc, "strands", where)
+    if strands > MAX_STRANDS:
+        raise DocumentError(f"{where}.strands: expected an integer <= {MAX_STRANDS}")
     if strands < 2:
         raise DocumentError(f"{where}.strands: expected an integer >= 2, got {strands}")
     stab = _intfield(doc, "stabilization_count", where)

@@ -46,7 +46,6 @@ class InvariantLedger:
     degree: int
     genus_expected: int
     euler_expected: int
-    params: BridgeParams
     sl: tuple[int, int, int]
     checks: dict[str, bool]
 
@@ -84,7 +83,6 @@ def make_ledger(
         degree=d,
         genus_expected=genus_expected(d),
         euler_expected=euler_expected(d),
-        params=p,
         sl=(sl1, -p.c2, -p.c3),
         checks=checks,
     )

@@ -76,6 +76,4 @@ def full_twist(d: int) -> BraidWord:
     For d = 1 this is the empty word.  The word is positive, of length
     d(d-1), and its underlying permutation is the identity.
     """
-    if d < 1:
-        raise BraidError(f"full twist needs d >= 1, got {d}")
     return BraidWord(d, tuple(range(1, d)) * d)

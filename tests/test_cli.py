@@ -211,10 +211,16 @@ def test_reports_are_deterministic(capsys):
     assert len(outs) == 1
 
 
-def test_standard_below_two_is_a_usage_error(capsys):
+def test_standard_below_two_is_a_usage_error(capsys, monkeypatch):
     code, _, err = run(capsys, ["build", "--standard", "1"])
     assert code == 2
     assert "--standard" in err and "Traceback" not in err
+    # a one-strand document is read: it is valid, but assembly refuses it
+    one = '{"format_version":"1","type":"factorization","strands":1,"factors":[]}'
+    assert run(capsys, ["build", "-"], stdin=one, monkeypatch=monkeypatch) == (
+        1, "", "failed: diagram assembly needs at least 2 strands\n")
+    code, out, _ = run(capsys, ["verify", "-"], stdin=one, monkeypatch=monkeypatch)
+    assert (code, out.splitlines()[-1]) == (0, "result: valid")
 
 
 def test_orbit_zero_budget_is_a_usage_error(capsys):
@@ -394,6 +400,22 @@ def _set(doc, path, value):
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
+
+
+@pytest.mark.parametrize("strands", [1001, 10**3999])
+@pytest.mark.parametrize("verb", ["verify", "build", "orbit", "check", "invariants", "export"])
+def test_strand_count_above_the_bound_exits_2(capsys, monkeypatch, verb, strands):
+    if verb in ("verify", "build", "orbit"):
+        doc = {"format_version": "1", "type": "factorization", "strands": strands, "factors": []}
+        docs = [(doc, "factorization.strands")]
+    else:
+        diagram, embedded = _standard_2_document(), _standard_2_document()
+        diagram["strands"] = strands
+        embedded["source_factorization"]["strands"] = strands
+        docs = [(diagram, "diagram.strands"), (embedded, "diagram.source_factorization.strands")]
+    for doc, path in docs:
+        code, out, err = run(capsys, [verb, "-"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
+        assert (code, out, err) == (2, "", f"error: {path}: expected an integer <= 1000\n")
 
 
 @pytest.mark.parametrize("verb", ["check", "invariants"])

@@ -13,7 +13,6 @@ from braidshadow.diagram import (
     DiagramError,
     TorusDiagram,
     _candidate_pairs,
-    _seg_intersection,
     a_crossings,
     assemble,
     bridge_params,
@@ -540,13 +539,35 @@ def _all_pairs_crossings(diag, color="A"):
             for mx in _shift_range(p[0], q[0], r[0], s[0], nx):
                 for my in _shift_range(p[1], q[1], r[1], s[1], ny):
                     dx, dy = mx * nx, my * ny
-                    hit = _seg_intersection(
-                        p, q, (r[0] + dx, r[1] + dy), (s[0] + dx, s[1] + dy)
-                    )
+                    hit = _proper_crossing(p, q, (r[0] + dx, r[1] + dy), (s[0] + dx, s[1] + dy))
                     if hit is not None:
-                        t, _u, pt = hit
+                        t, pt = hit
                         out.append((ai, si, t, bi, pt))
     return out
+
+
+def _orientation(a, b, c):
+    """Sign of the turn a -> b -> c: +1 left, -1 right, 0 collinear."""
+    cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    return (cross > 0) - (cross < 0)
+
+
+def _proper_crossing(p, q, r, s):
+    """(t, point) where pq and rs cross at a point interior to both, else None.
+
+    Proper crossing by the four orientation signs: r and s lie strictly on
+    opposite sides of pq, and p and q strictly on opposite sides of rs.  t
+    solves p + t (q - p) = r + u (s - r) by Cramer's rule.
+    """
+    if _orientation(p, q, r) * _orientation(p, q, s) >= 0:
+        return None
+    if _orientation(r, s, p) * _orientation(r, s, q) >= 0:
+        return None
+    a, c = q[0] - p[0], q[1] - p[1]
+    b, e = r[0] - s[0], r[1] - s[1]
+    fx, fy = r[0] - p[0], r[1] - p[1]
+    t = Fraction(fx * e - b * fy, a * e - b * c)
+    return t, (p[0] + t * a, p[1] + t * c)
 
 
 # On a lattice of 1000 per period, quarter-period values repeat often, which

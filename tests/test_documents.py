@@ -16,6 +16,7 @@ from braidshadow.diagram import Arc, BridgePoint, TorusDiagram, assemble
 from braidshadow.documents import (
     _FLOAT_BOUND,
     DIAGRAM_VERSION,
+    MAX_STRANDS,
     DocumentError,
     _check_version,
     _intfield,
@@ -427,6 +428,8 @@ def reference_item_by_item(doc):
     where = "diagram"
     _check_version(doc, where, DIAGRAM_VERSION)
     strands = _intfield(doc, "strands", where)
+    if strands > MAX_STRANDS:
+        raise DocumentError(f"{where}.strands: expected an integer <= {MAX_STRANDS}")
     if strands < 2:
         raise DocumentError(f"{where}.strands: expected an integer >= 2, got {strands}")
     stab = _intfield(doc, "stabilization_count", where)
