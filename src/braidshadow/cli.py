@@ -16,6 +16,7 @@ import sys
 
 from .diagram import DiagramError, TorusDiagram, assemble, certify
 from .documents import (
+    MAX_STRANDS,
     DocumentError,
     parse_diagram,
     parse_factorization,
@@ -60,6 +61,8 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _load_factorization(args: argparse.Namespace) -> Factorization:
     if args.standard is not None:
+        if args.standard > MAX_STRANDS:
+            raise DocumentError(f"--standard: expected an integer <= {MAX_STRANDS}")
         try:
             return standard_factorization(args.standard)
         except BraidError as exc:

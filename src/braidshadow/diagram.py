@@ -27,7 +27,7 @@ strand.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .factorization import Factorization, validate
@@ -570,7 +570,7 @@ def certify(diag: TorusDiagram, source: Factorization | None = None) -> Certific
     else:
         stages.append(Stage(f"parameters: (b; c1, c2, c3) = {params.text()}"))
     payload = {"endpoints": not faults, "transverse": not violations,
-               "a_crossings": len(crossings), "params": asdict(params) if params else None}
+               "a_crossings": len(crossings), "params": {**vars(params)} if params else None}
     if source is None or params is None:
         reason = "no source factorization" if source is None else "bridge parameters unavailable"
         stages.append(Stage(f"triviality: skipped ({reason})"))

@@ -250,7 +250,6 @@ def hurwitz_orbit(f: Factorization, bound: int) -> HurwitzOrbit:
     seen: dict[NodeKey, OrbitMove | None] = {start_key: None}
     queue: deque[NodeKey] = deque([start_key])
     moved: dict[tuple[str, FactorKey, FactorKey], FactorKey] = {}
-    truncated = False
     while queue:
         node_key = queue.popleft()
         for i in range(1, len(node_key)):
@@ -266,11 +265,7 @@ def hurwitz_orbit(f: Factorization, bound: int) -> HurwitzOrbit:
                 if key in seen:
                     continue
                 if len(seen) >= bound:
-                    truncated = True
-                    queue.clear()
-                    break
+                    return HurwitzOrbit(f, seen, tuple(sorted(seen)), True)
                 seen[key] = (node_key, i, direction)
                 queue.append(key)
-            if truncated:
-                break
-    return HurwitzOrbit(f, seen, tuple(sorted(seen)), truncated)
+    return HurwitzOrbit(f, seen, tuple(sorted(seen)), False)

@@ -22,6 +22,7 @@ from braidshadow.documents import (
     serialize_factorization,
 )
 from braidshadow.factorization import (
+    MAX_EXPONENT,
     BandFactor,
     Factorization,
     hurwitz_move,
@@ -57,10 +58,12 @@ def test_readme_library_example_runs():
     exec(example, {})
 
 
-def test_verify_standard_3(capsys):
-    code, out, _ = run(capsys, ["verify", "--standard", "3"])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+def test_verify_standard(capsys, d):
+    code, out, _ = run(capsys, ["verify", "--standard", str(d)])
     assert code == 0
-    assert "n = 6" in out and "product = full twist: ok" in out
+    assert f"n = {d * d - d}" in out and "product = full twist: ok" in out
+    assert out.splitlines()[-1] == "result: valid"
 
 
 def test_verify_json_keys(capsys):
@@ -203,12 +206,20 @@ def test_deeply_nested_json_exits_2(capsys, monkeypatch, tmp_path, through_file)
     assert (code, out, err) == (2, "", "error: invalid JSON: nested too deeply\n")
 
 
-def test_reports_are_deterministic(capsys):
-    outs = set()
-    for _ in range(3):
-        _, out, _ = run(capsys, ["verify", "--standard", "3", "--json"])
-        outs.add(out)
-    assert len(outs) == 1
+def test_reports_are_deterministic(capsys, monkeypatch, tmp_path):
+    # str hashes are salted per process, so only fresh processes under two
+    # hash seeds show an output that follows hash order
+    _, document, _ = run(capsys, ["build", "--standard", "4"])
+    (tmp_path / "d4.json").write_text(document, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    for argv in (["build", "--standard", "4"], ["check", "--json", "d4.json"],
+                 ["invariants", "--json", "d4.json"], ["export", "d4.json"],
+                 ["orbit", "--standard", "3", "--budget", "200", "--json"]):
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, ""), argv
+        for seed in ("1", "2"):
+            monkeypatch.setenv("PYTHONHASHSEED", seed)
+            assert _fresh_process(argv, tmp_path) == (0, out, ""), (argv, seed)
 
 
 def test_standard_below_two_is_a_usage_error(capsys, monkeypatch):
@@ -221,6 +232,12 @@ def test_standard_below_two_is_a_usage_error(capsys, monkeypatch):
         1, "", "failed: diagram assembly needs at least 2 strands\n")
     code, out, _ = run(capsys, ["verify", "-"], stdin=one, monkeypatch=monkeypatch)
     assert (code, out.splitlines()[-1]) == (0, "result: valid")
+    # above the strand bound, refused before a band is built
+    monkeypatch.setattr("braidshadow.cli.standard_factorization",
+                        lambda d: pytest.fail(f"standard_factorization({d}) was called"))
+    for verb in ("verify", "build", "orbit"):
+        assert run(capsys, [verb, "--standard", "1001"]) == (
+            2, "", "error: --standard: expected an integer <= 1000\n")
 
 
 def test_orbit_zero_budget_is_a_usage_error(capsys):
@@ -912,6 +929,7 @@ def test_export_draws_one_circle_per_bridge_point(capsys, monkeypatch):
         (("bridge_points", 0, "y"), 8, "diagram.bridge_points[0]: coordinates must lie in "
          "[0,12) x [0,8)"),
         (("arcs", 0, "path", 1), [-8, True], "diagram.arcs[0].path[1]: expected [X, Y] integers"),
+        (("arcs", 0, "path", 1), True, "diagram.arcs[0].path[1]: expected [X, Y] integers"),
         (("arcs", 0, "path"), [[4, 3]], "diagram.arcs[0].path: expected a list of >= 2 vertices"),
         # X / Nx would overflow a float, though X itself is read exactly
         (("arcs", 0, "path", 1, 0), -12 * 2**1024, "diagram.arcs[0].path[1]: expected [X, Y] "
@@ -920,7 +938,7 @@ def test_export_draws_one_circle_per_bridge_point(capsys, monkeypatch):
          "(expected '2')"),
     ],
     ids=["scale-zero", "scale-float", "point-float", "point-outside", "vertex-bool",
-         "one-vertex", "vertex-overflow", "version-3"],
+         "vertex-true", "one-vertex", "vertex-overflow", "version-3"],
 )
 def test_version_2_refusals_name_the_field(capsys, monkeypatch, path, value, message):
     doc = _standard_2_document()
@@ -1038,7 +1056,7 @@ def test_orbit_refuses_a_band_too_large_to_key_whatever_its_sum(capsys, monkeypa
     # words: every verb refuses the band all the same, with one message.  At
     # 4,300 digits the sum 2e has more digits than int-to-str converts.
     doc = json.loads(serialize_factorization(standard_factorization(2)))
-    for e in (10**20, 10**4300 - 1):
+    for e in (MAX_EXPONENT + 1, 10**20, 10**4300 - 1):
         doc["factors"][0]["exponent"] = doc["factors"][1]["exponent"] = e
         expected = f"error: factorization.factors[0]: band exponent must be <= 1000000, got {e}\n"
         for argv in (["verify", "-"], ["verify", "--json", "-"], ["orbit", "-"], ["build", "-"]):
