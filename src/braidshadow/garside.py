@@ -13,6 +13,8 @@ word-problem solvers share no code).  It then works on int codes: each
 strand count has one ``_Table`` that numbers its permutation braids in the
 order they are first seen and memoizes the left-weighted pair of two codes.
 Codes become permutation tuples again only in the returned ``NormalForm``.
+Pairs are weighed in one scan of generator moves (``_weight_pair``): a
+left-weighted pair is unique (El-Rifai and Morton, 1994), whatever the order.
 """
 
 from __future__ import annotations
@@ -58,37 +60,23 @@ def _tau(p: Perm) -> Perm:
     return _then(_then(w0, p), w0)
 
 
-def _right_descent_mask(p: Perm) -> list[bool]:
-    """mask[i] true iff sigma_{i+1} is a suffix of p."""
-    q = _inverse(p)
-    return [q[i] > q[i + 1] for i in range(len(p) - 1)]
-
-
 def _weight_pair(x: Perm, y: Perm) -> tuple[Perm, Perm]:
-    """Rewrite the product of permutation braids x y as a left-weighted pair.
+    """Left-weighted pair x' y' of the product of permutation braids x y.
 
-    Slides prefix generators of y onto the tail of x while lengths still
-    add; the result x' y' satisfies S(y') contained in F(x') and
-    represents the same positive braid.
+    sigma_{i+1} starts y if y[i] > y[i+1] and ends x if q[i] > q[i+1], q = x^-1.
+    Moving one from y to x swaps both pairs, so the scan steps back one place.
     """
-    xl = list(x)
+    q = list(_inverse(x))
     yl = list(y)
-    moved = True
-    while moved:
-        moved = False
-        fmask = _right_descent_mask(tuple(xl))
-        for i in range(len(yl) - 1):
-            if yl[i] > yl[i + 1] and not fmask[i]:
-                # transfer sigma_{i+1}: append to x (swap values), strip from y (swap places)
-                for k in range(len(xl)):
-                    if xl[k] == i:
-                        xl[k] = i + 1
-                    elif xl[k] == i + 1:
-                        xl[k] = i
-                yl[i], yl[i + 1] = yl[i + 1], yl[i]
-                moved = True
-                break
-    return tuple(xl), tuple(yl)
+    i, last = 0, len(yl) - 1
+    while i < last:
+        if yl[i] > yl[i + 1] and q[i] < q[i + 1]:
+            q[i], q[i + 1] = q[i + 1], q[i]
+            yl[i], yl[i + 1] = yl[i + 1], yl[i]
+            i = i - 1 if i else 0
+        else:
+            i += 1
+    return _inverse(tuple(q)), tuple(yl)
 
 
 # A strand count's table is rebuilt, at the start of a call, once it holds

@@ -1,13 +1,19 @@
 """Fixtures shared by several test modules: a seeded generator of valid
-factorizations, a positive word for the half twist and the order-3
-rotation of a torus diagram.  The library never calls them; the tests use
-them as inputs and as independent oracles."""
+factorizations, the standard bands with short conjugators, a positive word
+for the half twist and the order-3 rotation of a torus diagram.  The
+library never calls them; the tests use them as inputs and as independent
+oracles."""
 
 import random
 from dataclasses import replace
 
 from braidshadow.diagram import Arc, BridgePoint, TorusDiagram, bridge_params
-from braidshadow.factorization import Factorization, hurwitz_move, standard_factorization
+from braidshadow.factorization import (
+    BandFactor,
+    Factorization,
+    hurwitz_move,
+    standard_factorization,
+)
 from braidshadow.words import BraidError, BraidWord
 
 
@@ -39,6 +45,20 @@ def random_factorization(
         f = nxt
         done += 1
     return f
+
+
+def short_standard_factorization(d: int) -> Factorization:
+    """The bands of ``standard_factorization(d)`` with short conjugators.
+
+    Band j of each of the d rounds is g_j s1 g_j^{-1} = s_j, j = 1..d-1, with
+    g_j = (s_{j-1} s_j)(s_{j-2} s_{j-1}) ... (s1 s2) of 2(j-1) letters in place
+    of (s1 ... s_{d-1})^{j-1}.
+    """
+    bands = tuple(
+        BandFactor(BraidWord(d, tuple(x for k in range(j - 1, 0, -1) for x in (k, k + 1))))
+        for j in range(1, d)
+    )
+    return Factorization(d, bands * d)
 
 
 def half_twist_word(d: int) -> BraidWord:

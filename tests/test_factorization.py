@@ -27,7 +27,7 @@ from braidshadow.words import (
     identity,
     invert,
 )
-from support import random_factorization
+from support import random_factorization, short_standard_factorization
 
 
 def test_band_factor_word():
@@ -387,3 +387,10 @@ def test_random_factorization_is_valid_with_short_conjugators():
         f = random_factorization(3, rng, moves=8, max_conjugator_length=4)
         assert validate(f).valid
         assert all(len(g.conjugator) <= 4 for g in f.factors)
+
+
+@pytest.mark.parametrize("d", range(2, 11))
+def test_short_standard_factorization_has_the_standard_bands(d):
+    short = short_standard_factorization(d)
+    assert factorization_key(short) == factorization_key(standard_factorization(d))
+    assert max(len(factor.conjugator) for factor in short.factors) == 2 * (d - 2)

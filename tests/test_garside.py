@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 
 import pytest
@@ -9,7 +10,9 @@ from braidshadow.factorization import expand, standard_factorization, validate
 from braidshadow.garside import (
     NormalForm,
     _identity_perm,
+    _inverse,
     _tau,
+    _then,
     _transposition,
     _w0,
     _weight_pair,
@@ -37,9 +40,43 @@ def words(max_strands=5, max_len=24):
     )
 
 
-# _weight_pair has no cache of its own.  The oracle memoizes it here, apart
-# from the library's pair tables, so that each repeated pair costs one call.
-_weigh = functools.cache(_weight_pair)
+def _right_descent_mask(p):
+    """mask[i] true iff sigma_{i+1} is a suffix of p."""
+    q = _inverse(p)
+    return [q[i] > q[i + 1] for i in range(len(p) - 1)]
+
+
+def _slide_weight_pair(x, y):
+    """Rewrite the product of permutation braids x y as a left-weighted pair.
+
+    Slides prefix generators of y onto the tail of x while lengths still
+    add; the result x' y' satisfies S(y') contained in F(x') and
+    represents the same positive braid.  The reference that the library's
+    one-scan ``_weight_pair`` is compared against.
+    """
+    xl = list(x)
+    yl = list(y)
+    moved = True
+    while moved:
+        moved = False
+        fmask = _right_descent_mask(tuple(xl))
+        for i in range(len(yl) - 1):
+            if yl[i] > yl[i + 1] and not fmask[i]:
+                # transfer sigma_{i+1}: append to x (swap values), strip from y (swap places)
+                for k in range(len(xl)):
+                    if xl[k] == i:
+                        xl[k] = i + 1
+                    elif xl[k] == i + 1:
+                        xl[k] = i
+                yl[i], yl[i + 1] = yl[i + 1], yl[i]
+                moved = True
+                break
+    return tuple(xl), tuple(yl)
+
+
+# The oracle memoizes the slide here, apart from the library's pair tables,
+# so that each repeated pair costs one call.
+_weigh = functools.cache(_slide_weight_pair)
 
 
 def _normalize_factors(d, factors):
@@ -166,6 +203,39 @@ def test_normal_form_of_cancelling_words_matches_eager_oracle(w):
     nf = normal_form(w)
     assert nf == _eager_normal_form(w)
     assert nf == normal_form(free_reduce(w))
+
+
+def _length(p):
+    """Number of crossings of a permutation braid: its inversions."""
+    return sum(a > b for a, b in itertools.combinations(p, 2))
+
+
+def _weight_pairs_to_check():
+    """Every pair of permutation braids on 2..5 strands, then 100 seeded
+    random pairs on each of 6..24 strands."""
+    for d in range(2, 6):
+        yield from itertools.product(itertools.permutations(range(d)), repeat=2)
+    rng = random.Random(11)
+    for d in range(6, 25):
+        for _ in range(100):
+            yield tuple(rng.sample(range(d), d)), tuple(rng.sample(range(d), d))
+
+
+def test_weight_pair_matches_the_slide_and_the_definition():
+    for x, y in _weight_pairs_to_check():
+        got = _weight_pair(x, y)
+        assert got == _slide_weight_pair(x, y), (x, y)
+        xw, yw = got
+        # same braid: the same permutation and lengths that still add
+        assert _then(xw, yw) == _then(x, y)
+        lx, ly = _length(xw), _length(yw)
+        assert lx + ly == _length(x) + _length(y)
+        # left-weighted: every sigma_i that shortens y' from the left also
+        # shortens x' from the right
+        for i in range(1, len(x)):
+            t = _transposition(len(x), i)
+            if _length(_then(t, yw)) < ly:
+                assert _length(_then(xw, t)) < lx, (x, y, i)
 
 
 def _counting_weight_pair(monkeypatch):
