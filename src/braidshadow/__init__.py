@@ -36,7 +36,6 @@ from .diagram import (
     bridge_params,
     certify,
     check_transverse,
-    compare_source,
 )
 from .invariants import (
     InvariantLedger,
@@ -74,7 +73,6 @@ __all__ = [
     "bridge_params",
     "certify",
     "check_transverse",
-    "compare_source",
     "compose",
     "equal",
     "expand",

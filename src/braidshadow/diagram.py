@@ -29,6 +29,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .factorization import Factorization, validate
 
@@ -39,16 +40,14 @@ class DiagramError(ValueError):
     """Raised when a diagram is malformed or an operation's input is unusable."""
 
 
-@dataclass(frozen=True)
-class BridgePoint:
+class BridgePoint(NamedTuple):
     ident: int
     x: int  # in [0, Nx)
     y: int  # in [0, Ny)
     sign: int  # +1 or -1
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     color: str  # 'A', 'B' or 'C'
     start: int  # id of the (-) endpoint
     end: int  # id of the (+) endpoint
@@ -425,7 +424,7 @@ def endpoint_faults(diag: TorusDiagram) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# bridge parameters and the source factorization
+# bridge parameters
 
 
 def _partners(diag: TorusDiagram, color: str) -> list[int]:
@@ -476,30 +475,6 @@ def bridge_params(diag: TorusDiagram) -> BridgeParams:
     return BridgeParams(diag.bridge_number, c1, len(l2), c3, l2.count(2))
 
 
-def compare_source(diag: TorusDiagram, params: BridgeParams, f: Factorization) -> None:
-    """Check that ``params`` of ``diag`` fit its source factorization.
-
-    The strand counts must agree, the bridge pairs beyond the s counted
-    mini unknots must make one four-point tile per band (b - s = 2n), and
-    L2 = B u C must have one component per band plus one per
-    stabilization.  With s counted, the two together say that L2 has
-    exactly n components besides the mini unknots, each through four
-    bridge points.  The pairwise links L1 (the closure of the trivial
-    d-braid) and L2 (a split union of the band and stabilization
-    components) are then fixed by the tile construction, and L3 is trivial
-    exactly when ``validate`` finds the bands multiply to the full twist;
-    ``certify`` records the three verdicts, none yet read from the diagram
-    itself (ROADMAP item 4).
-    """
-    if f.strands != diag.strands:
-        raise DiagramError("factorization and diagram strand counts differ")
-    if params.b - params.s != 2 * len(f.factors):
-        raise DiagramError("diagram tile count does not match the factorization")
-    expected = len(f.factors) + params.s
-    if params.c2 != expected:
-        raise DiagramError(f"L2 has {params.c2} split components, expected {expected}")
-
-
 # ---------------------------------------------------------------------------
 # the certificate
 
@@ -542,12 +517,37 @@ class Certificate:
                 for text in (stage.line, *(f"  {stage.word(item)}" for item in stage.found))]
 
 
+def _misfit(diag: TorusDiagram, source: Factorization) -> str:
+    """The first field in which ``diag`` differs from ``assemble(source)``,
+    with both values, or "": strands, scale, ``stabilization_count``, the point
+    and arc counts, then each bridge point and each arc.  The strand counts are
+    compared before ``assemble`` validates the source; its refusal is the misfit."""
+    if source.strands != diag.strands:
+        return f"the source has {source.strands} strands, the diagram {diag.strands}"
+    try:
+        built = assemble(source)
+    except DiagramError as exc:
+        return str(exc)
+    fields = [
+        ("scale", diag.scale, built.scale),
+        ("stabilization_count", diag.stabilization_count, built.stabilization_count),
+        ("bridge point count", len(diag.bridge_points), len(built.bridge_points)),
+        ("arc count", len(diag.arcs), len(built.arcs)),
+    ]
+    for kind, mine, theirs in (("bridge point", diag.bridge_points, built.bridge_points),
+                               ("arc", diag.arcs, built.arcs)):
+        if mine != theirs:  # items are named one by one only when the lists differ
+            fields += ((f"{kind} {i}", *pair) for i, pair in enumerate(zip(mine, theirs)))
+    return next((f"diagram {name} is {mine}, the source builds {theirs}"
+                 for name, mine, theirs in fields if mine != theirs), "")
+
+
 def certify(diag: TorusDiagram, source: Factorization | None = None) -> Certificate:
     """Endpoints, transversality, A crossings, parameters (counted s equal to
-    the declared ``stabilization_count``) and, when a source fits them
-    (``compare_source``), the triviality of L1, L2 and L3: the tiles fix L1 and
-    L2, and L3 is trivial when the bands multiply to the full twist.  Each
-    stage is one record, in order."""
+    the declared ``stabilization_count``) and, when the diagram is exactly the
+    one its source builds (``assemble`` validates the source), the triviality
+    of L1, L2 and L3: the tiles fix L1 and L2, and L3 is trivial because the
+    bands multiply to the full twist.  Each stage is one record, in order."""
     faults, violations = endpoint_faults(diag), check_transverse(diag)
     crossings, scale = a_crossings(diag), diag.scale
     stages = [
@@ -574,16 +574,10 @@ def certify(diag: TorusDiagram, source: Factorization | None = None) -> Certific
     if source is None or params is None:
         reason = "no source factorization" if source is None else "bridge parameters unavailable"
         stages.append(Stage(f"triviality: skipped ({reason})"))
+    elif misfit := _misfit(diag, source):
+        stages.append(Stage(f"triviality: skipped (source does not fit: {misfit})", fault=misfit))
     else:
-        try:
-            compare_source(diag, params, source)
-        except DiagramError as exc:
-            stages.append(Stage(f"triviality: skipped (source does not fit: {exc})", fault=str(exc)))
-        else:
-            l3 = validate(source).product_ok
-            payload["trivial"] = {"L1": True, "L2": True, "L3": l3}
-            stages += [Stage("triviality L1: ok"), Stage("triviality L2: ok")]
-            stages.append(Stage(f"triviality L3: {'ok' if l3 else 'FAIL'}", fault="" if l3 else
-                                "source bands do not multiply to the full twist, so L3 is not trivial"))
+        payload["trivial"] = {"L1": True, "L2": True, "L3": True}
+        stages += [Stage(f"triviality {link}: ok") for link in ("L1", "L2", "L3")]
     fault = next((stage.fault for stage in stages if stage.fault), "")
     return Certificate(params, tuple(stages), payload, fault)

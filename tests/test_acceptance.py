@@ -17,8 +17,8 @@ from braidshadow.diagram import (
     TorusDiagram,
     assemble,
     bridge_params,
+    certify,
     check_transverse,
-    compare_source,
 )
 from braidshadow.documents import (
     parse_diagram,
@@ -108,8 +108,9 @@ def test_criterion_4_self_linking(corpus):
     ok = True
     for f, diag in corpus:
         d = f.strands
-        params = bridge_params(diag)
-        compare_source(diag, params, f)
+        cert = certify(diag, f)
+        params = cert.params
+        ok = ok and cert.ok
         # L1 closes the trivial d-braid
         sl1 = transverse_sl(identity(d))
         ok = ok and sl1 == -d == -params.c1
@@ -172,9 +173,8 @@ def test_criterion_5_transversality(corpus):
 def test_criterion_6_triviality_and_mutation(corpus):
     ok = True
     for f, diag in corpus:
-        compare_source(diag, bridge_params(diag), f)
-        ok = ok and validate(f).product_ok
-    # mutation: append sigma_2 to one conjugator after assembly; L3 must fail
+        ok = ok and certify(diag, f).payload.get("trivial") == {"L1": True, "L2": True, "L3": True}
+    # mutation: append sigma_2 to one conjugator after assembly; the source must fail
     rng = random.Random(606)
     failures = 0
     trials = 0
@@ -196,9 +196,9 @@ def test_criterion_6_triviality_and_mutation(corpus):
             factors[idx].sign,
         )
         mutated = Factorization(f.strands, tuple(factors))
-        # the counts still match, so only the product can catch the mutation
-        compare_source(diag, bridge_params(diag), mutated)
-        if not validate(mutated).product_ok:
+        # the counts still match, but the product is no longer the full twist
+        cert = certify(diag, mutated)
+        if cert.fault == "factorization does not multiply to the full twist":
             failures += 1
         trials += 1
     ok = ok and failures == 100
