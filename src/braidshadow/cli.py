@@ -108,6 +108,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _load_diagram(args: argparse.Namespace) -> tuple[TorusDiagram, Factorization | None]:
+    if args.input == args.fact == "-":
+        raise DocumentError("--fact: stdin is already the diagram input")
     diag, source = parse_diagram(_read_text(args.input))
     if args.fact:
         source = parse_factorization(_read_text(args.fact))
@@ -118,7 +120,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     diag, source = _load_diagram(args)
     cert = certify(diag, source)
     _emit(args, {**cert.payload, "ok": cert.ok},
-          cert.lines + [f"result: {'pass' if cert.ok else 'FAIL'}"])
+          [*cert.lines, f"result: {'pass' if cert.ok else 'FAIL'}"])
     return 0 if cert.ok else 1
 
 
@@ -127,10 +129,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     cert = certify(diag, source)
     if not cert.ok:
         raise DiagramError(cert.fault)
-    # L1 closes the trivial d-braid, whose self-linking is -d
-    sl1 = -diag.strands if source is not None else None
-    smooth = source.is_smooth_quasipositive() if source is not None else True
-    ledger = make_ledger(cert.params, diag.strands, sl1, smooth=smooth)
+    ledger = make_ledger(cert.params, diag.strands, source)
     payload = {**vars(ledger), "params": cert.payload["params"], "ok": ledger.all_ok}
     lines = [
         f"degree  d     = {ledger.degree}",

@@ -26,7 +26,6 @@ strand.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -480,41 +479,20 @@ def bridge_params(diag: TorusDiagram) -> BridgeParams:
 
 
 @dataclass(frozen=True)
-class Stage:
-    """One stage of ``certify``: its report line, the items it found, how
-    one is worded, and its fault ("" when it passed)."""
-
-    line: str
-    found: list | tuple = ()
-    word: Callable[..., str] = str
-    fault: str = ""
-
-
-def _listing(line: str, found: list, word: Callable[..., str], count: str) -> Stage:
-    """A stage reporting each item it found; its fault is ``count`` and the first."""
-    return Stage(line, found, word, f"{count}, first: {word(found[0])}" if found else "")
-
-
-@dataclass(frozen=True)
 class Certificate:
     """What ``certify`` found: ``params`` (None when refused, or when their s
-    is not the declared one), the stages in order, the ``check --json``
-    payload and the first failing stage's ``fault`` ("" when all passed)."""
+    is not the declared one), the report of ``check`` but its result line, the
+    ``check --json`` payload and the first failing stage's ``fault`` ("" when
+    all passed)."""
 
     params: BridgeParams | None
-    stages: tuple[Stage, ...]
+    lines: list[str]
     payload: dict
     fault: str
 
     @property
     def ok(self) -> bool:
         return not self.fault
-
-    @property
-    def lines(self) -> list[str]:
-        """The report of ``check`` but its result line; found items are worded only here."""
-        return [text for stage in self.stages
-                for text in (stage.line, *(f"  {stage.word(item)}" for item in stage.found))]
 
 
 def _misfit(diag: TorusDiagram, source: Factorization) -> str:
@@ -547,18 +525,24 @@ def certify(diag: TorusDiagram, source: Factorization | None = None) -> Certific
     the declared ``stabilization_count``) and, when the diagram is exactly the
     one its source builds (``assemble`` validates the source), the triviality
     of L1, L2 and L3: the tiles fix L1 and L2, and L3 is trivial because the
-    bands multiply to the full twist.  Each stage is one record, in order."""
-    faults, violations = endpoint_faults(diag), check_transverse(diag)
-    crossings, scale = a_crossings(diag), diag.scale
-    stages = [
-        _listing(f"endpoints: {'FAIL' if faults else 'ok'}", faults, str,
-                 f"diagram has {len(faults)} endpoint faults"),
-        _listing(f"transversality: {'FAIL' if violations else 'ok'}", violations,
-                 lambda v: _violation_text(v, scale),
-                 f"diagram is not transverse ({len(violations)} violations)"),
-        _listing(f"A crossings: {f'FAIL ({len(crossings)})' if crossings else 'none'}", crossings,
-                 lambda c: _crossing_text(c, scale), f"diagram has {len(crossings)} A crossings"),
-    ]
+    bands multiply to the full twist.  Each stage appends its line, each item
+    it found and, when it fails, its fault, in order."""
+    scale, lines, faults = diag.scale, [], []
+
+    def stage(line: str, found: tuple | list = (), count: str = "", fault: str = "") -> None:
+        """A listing stage's fault is its ``count`` and first item found."""
+        lines.extend([line, *(f"  {item}" for item in found)])
+        faults.append(f"{count}, first: {found[0]}" if found else fault)
+
+    ends = endpoint_faults(diag)
+    violations = [_violation_text(v, scale) for v in check_transverse(diag)]
+    crossings = [_crossing_text(c, scale) for c in a_crossings(diag)]
+    stage(f"endpoints: {'FAIL' if ends else 'ok'}", ends,
+          f"diagram has {len(ends)} endpoint faults")
+    stage(f"transversality: {'FAIL' if violations else 'ok'}", violations,
+          f"diagram is not transverse ({len(violations)} violations)")
+    stage(f"A crossings: {f'FAIL ({len(crossings)})' if crossings else 'none'}", crossings,
+          f"diagram has {len(crossings)} A crossings")
     try:
         params = bridge_params(diag)
         if diag.stabilization_count != params.s:
@@ -566,18 +550,18 @@ def certify(diag: TorusDiagram, source: Factorization | None = None) -> Certific
                                f"from the {params.s} mini unknots counted in L2")
     except DiagramError as exc:
         params = None
-        stages.append(Stage(f"bridge parameters: unavailable ({exc})", fault=str(exc)))
+        stage(f"bridge parameters: unavailable ({exc})", fault=str(exc))
     else:
-        stages.append(Stage(f"parameters: (b; c1, c2, c3) = {params.text()}"))
-    payload = {"endpoints": not faults, "transverse": not violations,
+        stage(f"parameters: (b; c1, c2, c3) = {params.text()}")
+    payload = {"endpoints": not ends, "transverse": not violations,
                "a_crossings": len(crossings), "params": {**vars(params)} if params else None}
     if source is None or params is None:
         reason = "no source factorization" if source is None else "bridge parameters unavailable"
-        stages.append(Stage(f"triviality: skipped ({reason})"))
+        stage(f"triviality: skipped ({reason})")
     elif misfit := _misfit(diag, source):
-        stages.append(Stage(f"triviality: skipped (source does not fit: {misfit})", fault=misfit))
+        stage(f"triviality: skipped (source does not fit: {misfit})", fault=misfit)
     else:
         payload["trivial"] = {"L1": True, "L2": True, "L3": True}
-        stages += [Stage(f"triviality {link}: ok") for link in ("L1", "L2", "L3")]
-    fault = next((stage.fault for stage in stages if stage.fault), "")
-    return Certificate(params, tuple(stages), payload, fault)
+        for link in ("L1", "L2", "L3"):
+            stage(f"triviality {link}: ok")
+    return Certificate(params, lines, payload, next(filter(None, faults), ""))

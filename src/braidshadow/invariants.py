@@ -5,11 +5,14 @@ Euler characteristic chi = c1 + c2 + c3 - b, which must be 3d - d^2 for
 a smooth degree-d surface (genus (d-1)(d-2)/2).  Each pairwise link
 L_lambda attains the Bennequin bound, sl_lambda = -c_lambda; these
 values are reported, and sl1 is checked only when it is known apart
-from the parameters.  The ledger keeps only checks that can fail:
-``euler`` for smooth input, and ``sl1_matches_braid_word`` when there is
-a source factorization, whose L1 closes the trivial d-braid (sl1 = -d).
-Every formula is stable under mini-stabilization: s enters b and c2
-with equal weight and cancels.
+from the parameters.  The ledger keeps only checks that can fail on some
+parameters: ``euler`` for smooth input, and ``sl1_matches_braid_word``
+when there is a source factorization, whose L1 closes the trivial d-braid
+(sl1 = -d).  With a source, ``certify`` passes only the diagram that
+``assemble`` builds from it, whose tiles give c1 = d and, for a smooth
+source, the Euler identity; there both checks test that construction,
+not the document.  Every formula is stable under mini-stabilization: s
+enters b and c2 with equal weight and cancels.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagram import BridgeParams
+from .factorization import Factorization
 from .words import BraidError, BraidWord, exponent_sum
 
 
@@ -55,29 +59,21 @@ class InvariantLedger:
         return bool(self.checks) and all(self.checks.values())
 
 
-def make_ledger(
-    p: BridgeParams,
-    d: int,
-    sl1: int | None = None,
-    smooth: bool = True,
-) -> InvariantLedger:
+def make_ledger(p: BridgeParams, d: int, source: Factorization | None = None) -> InvariantLedger:
     """Assemble the invariant ledger for a stabilized diagram.
 
-    sl2 and sl3 take their Bennequin-equality values -c2 and -c3.  sl1 is
-    the self-linking of L1 when it is known apart from the parameters
-    (-d for a diagram built from a source factorization, whose L1 closes
-    the trivial d-braid), checked against -c1; otherwise it is -c1 and
-    nothing is checked.  For singular (non-smooth) input the Euler
-    identity is not checked, since it only applies to smooth degree-d
-    surfaces; singular input without an sl1 thus gets a ledger with no
-    checks, which does not pass.
+    sl2 and sl3 take their Bennequin-equality values -c2 and -c3.  With a
+    source factorization sl1 is -d, since L1 closes the trivial d-braid, and
+    is checked against -c1; without one it is -c1 and nothing is checked.
+    The Euler identity applies only to smooth degree-d surfaces, so it is
+    not checked for a singular source.
     """
     checks: dict[str, bool] = {}
-    if sl1 is None:
-        sl1 = -p.c1
-    else:
+    sl1 = -p.c1
+    if source is not None:
+        sl1 = -d
         checks["sl1_matches_braid_word"] = sl1 == -p.c1
-    if smooth:
+    if source is None or source.is_smooth_quasipositive():
         checks["euler"] = p.euler() == euler_expected(d)
     return InvariantLedger(
         degree=d,

@@ -114,7 +114,7 @@ def test_criterion_4_self_linking(corpus):
         # L1 closes the trivial d-braid
         sl1 = transverse_sl(identity(d))
         ok = ok and sl1 == -d == -params.c1
-        ok = ok and make_ledger(params, d, sl1).checks["sl1_matches_braid_word"]
+        ok = ok and make_ledger(params, d, f).checks["sl1_matches_braid_word"]
         # total self-linking identity at the Bennequin-equality values
         # sl_lambda = -c_lambda: sl1 + sl2 + sl3 = d^2 - 3d - b, insensitive
         # to extra stabilizations

@@ -756,6 +756,47 @@ def test_loop_arc_is_refused(capsys, monkeypatch):
     assert err.startswith("failed: diagram has ")
 
 
+def test_a_diagram_failing_every_stage_lists_each_and_faults_on_the_first(capsys, monkeypatch):
+    # on a lattice of tenths: A arcs 0 and 1 cross, B arc 0 runs right, and
+    # both C arcs end at point 1, so no C arc ends at point 3
+    points = (
+        BridgePoint(0, 2, 2, -1),
+        BridgePoint(1, 4, 6, 1),
+        BridgePoint(2, 4, 2, -1),
+        BridgePoint(3, 2, 6, 1),
+    )
+    arcs = (
+        Arc("A", 0, 1, ((2, 2), (4, 6))),
+        Arc("A", 2, 3, ((4, 2), (2, 6))),
+        Arc("B", 0, 3, ((2, 2), (12, 6))),
+        Arc("B", 2, 1, ((4, 2), (-6, 6))),
+        Arc("C", 0, 1, ((2, 2), (14, 6))),
+        Arc("C", 2, 1, ((4, 2), (14, 6))),
+    )
+    diag = TorusDiagram(2, (10, 10), points, arcs)
+    cert = certify(diag)
+    assert cert.params is None
+    assert cert.fault == ("diagram has 2 endpoint faults, "
+                          "first: bridge point 1 meets 2 C arc ends, expected 1")
+    assert cert.lines == [
+        "endpoints: FAIL",
+        "  bridge point 1 meets 2 C arc ends, expected 1",
+        "  bridge point 3 meets 0 C arc ends, expected 1",
+        "transversality: FAIL",
+        "  arc 2 (B) segment 0: B segment not moving strictly left [(0.2, 0.2) -> (1.2, 0.6)]",
+        "A crossings: FAIL (1)",
+        "  A arcs 0 and 1 cross at (0.300000, 0.400000)",
+        "bridge parameters: unavailable (bridge point 1 touches 2 C arcs, expected 1)",
+        "triviality: skipped (no source factorization)",
+    ]
+    text = serialize_diagram(diag)
+    code, out, err = run(capsys, ["check", "-"], stdin=text, monkeypatch=monkeypatch)
+    assert (code, err) == (1, "")
+    assert out == "".join(f"{line}\n" for line in [*cert.lines, "result: FAIL"])
+    code, out, err = run(capsys, ["invariants", "-"], stdin=text, monkeypatch=monkeypatch)
+    assert (code, out, err) == (1, "", f"failed: {cert.fault}\n")
+
+
 def test_check_skips_triviality_when_parameters_are_unavailable(capsys, monkeypatch):
     doc = _standard_2_document()
     doc["arcs"][2]["end"] = 0  # bridge point 0 now meets two C arcs
@@ -832,6 +873,14 @@ def test_fact_option_with_a_mutated_conjugator_fails_l3(capsys, monkeypatch, tmp
 # A document whose ``type`` names the other kind is refused before its
 # version is read; one without a ``type`` is still read.
 _DIAGRAM_NOT_FACTORIZATION = "error: factorization.type: expected 'factorization', got 'diagram'\n"
+
+
+@pytest.mark.parametrize("verb", ["check", "invariants"])
+def test_fact_from_stdin_when_the_diagram_is_read_from_stdin_exits_2(capsys, monkeypatch, verb):
+    text = serialize_diagram(*_standard_2())
+    code, out, err = run(capsys, [verb, "-", "--fact", "-"], stdin=text, monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", "error: --fact: stdin is already the diagram input\n")
+    assert sys.stdin.read() == text  # refused before anything was read
 
 
 @pytest.mark.parametrize("verb", ["verify", "build", "orbit"])

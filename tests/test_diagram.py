@@ -206,10 +206,14 @@ def reference_verdicts(diag, f):
 
 
 def source_verdicts(diag, f):
-    """(L1, L2, L3) as ``check`` reports them, or the fault of its source stage."""
+    """(L1, L2, L3) as ``check`` reports them, or the fault of its source
+    stage, the only stage that fails: the stages before it pass."""
     cert = certify(diag, f)
-    trivial = cert.payload.get("trivial")
-    return tuple(trivial.values()) if trivial else cert.stages[-1].fault
+    payload = cert.payload
+    assert payload["endpoints"] and payload["transverse"] and payload["a_crossings"] == 0
+    assert payload["params"] is not None
+    trivial = payload.get("trivial")
+    return tuple(trivial.values()) if trivial else cert.fault
 
 
 def pipeline(f):
@@ -460,7 +464,7 @@ def test_certify_refuses_a_arcs_that_cross_where_parameters_and_source_pass():
     moved = arc._replace(path=(arc.path[0], (x + diag.scale[0] // 2, y), *arc.path[2:]))
     diag = replace(diag, arcs=diag.arcs[:ai] + (moved,) + diag.arcs[ai + 1:])
     params = bridge_params(diag)
-    assert make_ledger(params, 2, sl1=-2).all_ok
+    assert make_ledger(params, 2, f).all_ok
     cert = certify(diag, f)
     crossings = a_crossings(diag)
     assert not cert.ok and crossings
