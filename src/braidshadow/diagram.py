@@ -62,7 +62,6 @@ class TorusDiagram:
     scale: tuple[int, int]  # (Nx, Ny): lattice points per period
     bridge_points: tuple[BridgePoint, ...]
     arcs: tuple[Arc, ...]
-    stabilization_count: int = 0
 
     @property
     def bridge_number(self) -> int:
@@ -109,8 +108,8 @@ def assemble(f: Factorization) -> TorusDiagram:
     crossing is cut at a quarter and three quarters of the step by a
     (+, -) pair joined by a mini unknot, one B arc wrapping left and one
     C arc wrapping right, so the diagram has no A crossings and
-    ``stabilization_count`` is b - 2n = 2 * sum(|g_i|).  A cut closes the
-    strand's open A arc and starts the next.  A tile adds its band's four
+    s = b - 2n = 2 * sum(|g_i|) mini unknots.  A cut closes the strand's
+    open A arc and starts the next.  A tile adds its band's four
     points, then its stabilization pairs; then its B arcs, its C arcs and
     the A arcs its cuts closed, strand by strand.  The factorization must
     validate (product equal to the full twist) and every band must be
@@ -207,8 +206,7 @@ def assemble(f: Factorization) -> TorusDiagram:
             add(strand, x, y + y0)
         arcs.append(Arc("A", open_start[strand], plus_id, tuple(open_path[strand])))
 
-    s = len(points) // 2 - 2 * len(f.factors)
-    return TorusDiagram(d, (nx, y0), tuple(points), tuple(arcs), s)
+    return TorusDiagram(d, (nx, y0), tuple(points), tuple(arcs))
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +461,9 @@ def bridge_params(diag: TorusDiagram) -> BridgeParams:
     """Count (b; c1, c2, c3) and s by walking the colors' partner lists.
 
     s is the number of mini unknots: components of L2 = B u C through
-    exactly two bridge points, whatever ``stabilization_count`` declares
-    (``certify`` compares the two).  The counts are the bridge parameters
-    only when the diagram has no A crossings; ``certify`` checks that first.
+    exactly two bridge points; no document declares it.  The counts are the
+    bridge parameters only when the diagram has no A crossings; ``certify``
+    checks that first.
     """
     a, b, c = (_partners(diag, color) for color in "ABC")
     l2 = _pair_components(b, c)
@@ -480,8 +478,8 @@ def bridge_params(diag: TorusDiagram) -> BridgeParams:
 
 @dataclass(frozen=True)
 class Certificate:
-    """What ``certify`` found: ``params`` (None when refused, or when their s
-    is not the declared one), the report of ``check`` but its result line, the
+    """What ``certify`` found: ``params`` (None when ``bridge_params`` refused
+    the diagram), the report of ``check`` but its result line, the
     ``check --json`` payload and the first failing stage's ``fault`` ("" when
     all passed)."""
 
@@ -497,9 +495,9 @@ class Certificate:
 
 def _misfit(diag: TorusDiagram, source: Factorization) -> str:
     """The first field in which ``diag`` differs from ``assemble(source)``,
-    with both values, or "": strands, scale, ``stabilization_count``, the point
-    and arc counts, then each bridge point and each arc.  The strand counts are
-    compared before ``assemble`` validates the source; its refusal is the misfit."""
+    with both values, or "": strands, scale, the point and arc counts, then
+    each bridge point and each arc.  The strand counts are compared before
+    ``assemble`` validates the source; its refusal is the misfit."""
     if source.strands != diag.strands:
         return f"the source has {source.strands} strands, the diagram {diag.strands}"
     try:
@@ -508,7 +506,6 @@ def _misfit(diag: TorusDiagram, source: Factorization) -> str:
         return str(exc)
     fields = [
         ("scale", diag.scale, built.scale),
-        ("stabilization_count", diag.stabilization_count, built.stabilization_count),
         ("bridge point count", len(diag.bridge_points), len(built.bridge_points)),
         ("arc count", len(diag.arcs), len(built.arcs)),
     ]
@@ -521,11 +518,11 @@ def _misfit(diag: TorusDiagram, source: Factorization) -> str:
 
 
 def certify(diag: TorusDiagram, source: Factorization | None = None) -> Certificate:
-    """Endpoints, transversality, A crossings, parameters (counted s equal to
-    the declared ``stabilization_count``) and, when the diagram is exactly the
-    one its source builds (``assemble`` validates the source), the triviality
-    of L1, L2 and L3: the tiles fix L1 and L2, and L3 is trivial because the
-    bands multiply to the full twist.  Each stage appends its line, each item
+    """Endpoints, transversality, A crossings, parameters (counted from the
+    arcs by ``bridge_params``) and, when the diagram is exactly the one its
+    source builds (``assemble`` validates the source), the triviality of L1,
+    L2 and L3: the tiles fix L1 and L2, and L3 is trivial because the bands
+    multiply to the full twist.  Each stage appends its line, each item
     it found and, when it fails, its fault, in order."""
     scale, lines, faults = diag.scale, [], []
 
@@ -545,9 +542,6 @@ def certify(diag: TorusDiagram, source: Factorization | None = None) -> Certific
           f"diagram has {len(crossings)} A crossings")
     try:
         params = bridge_params(diag)
-        if diag.stabilization_count != params.s:
-            raise DiagramError(f"stabilization_count s = {diag.stabilization_count} differs "
-                               f"from the {params.s} mini unknots counted in L2")
     except DiagramError as exc:
         params = None
         stage(f"bridge parameters: unavailable ({exc})", fault=str(exc))

@@ -4,10 +4,12 @@ Both documents carry an explicit ``format_version`` and a ``type``
 (``"factorization"`` or ``"diagram"``).  A document whose type names the
 other kind is refused; one without a type is still read.  Generator
 letters are stored exactly as in memory (positive i for sigma_i, negative
-for its inverse).  A diagram document (version 2) stores its lattice
+for its inverse).  A diagram document (version 3) stores its lattice
 ``scale`` [Nx, Ny] and every coordinate as a lattice integer, arc
-vertices lifted, exactly as in memory.  Factorization documents, alone
-or embedded, are version 1.
+vertices lifted, exactly as in memory, and nothing its arcs determine: a
+bridge point's id is its position in the list, and s is counted by
+``diagram.bridge_params``.  Factorization documents, alone or embedded,
+are version 1.
 
 Each bridge point and arc is read by one function, in one pass: its
 fields are checked one rule at a time, in document order, and the first
@@ -30,7 +32,7 @@ from .factorization import BandFactor, Factorization
 from .words import BraidError, BraidWord
 
 FORMAT_VERSION = "1"
-DIAGRAM_VERSION = "2"
+DIAGRAM_VERSION = "3"
 MAX_STRANDS = 1000  # a document's bound: Garside's letter table grows as d^2
 # the largest float plus half its spacing: X / N rounds to a finite float
 # exactly when |X| < N * _FLOAT_BOUND
@@ -168,8 +170,7 @@ def serialize_diagram(diag: TorusDiagram, source: Factorization | None = None) -
         for arc in diag.arcs
     )
     points = ",".join(
-        f'{{"id":{p.ident},"sign":{p.sign},"x":{p.x},"y":{p.y}}}'
-        for p in diag.bridge_points
+        f'{{"sign":{p.sign},"x":{p.x},"y":{p.y}}}' for p in diag.bridge_points
     )
     source_field = (
         "" if source is None
@@ -179,7 +180,6 @@ def serialize_diagram(diag: TorusDiagram, source: Factorization | None = None) -
         f'{{"arcs":[{arcs}],"bridge_points":[{points}],'
         f'"format_version":{json.dumps(DIAGRAM_VERSION)},'
         f'"scale":[{",".join(map(str, diag.scale))}],{source_field}'
-        f'"stabilization_count":{diag.stabilization_count},'
         f'"strands":{diag.strands},"type":"diagram"}}\n'
     )
 
@@ -187,17 +187,13 @@ def serialize_diagram(diag: TorusDiagram, source: Factorization | None = None) -
 def _bridge_point(raw: Any, i: int, scale: tuple[int, int]) -> BridgePoint:
     """Bridge point ``i``, its fields checked in order; the first bad one is named."""
     try:
-        ident, x, y, sign = raw["id"], raw["x"], raw["y"], raw["sign"]
+        x, y, sign = raw["x"], raw["y"], raw["sign"]
     except KeyError:
-        ident, x, y, sign = (raw.get(k, _MISSING) for k in ("id", "x", "y", "sign"))
+        x, y, sign = (raw.get(k, _MISSING) for k in ("x", "y", "sign"))
     except TypeError:
         raise DocumentError(f"diagram.bridge_points[{i}]: expected an object") from None
     nx, ny = scale
-    if type(ident) is not int:
-        fault = _fault(ident, "id")
-    elif ident != i:
-        fault = f": ids must be 0..n-1 in order, got {ident}"
-    elif type(x) is not int:
+    if type(x) is not int:
         fault = _fault(x, "x")
     elif type(y) is not int:
         fault = _fault(y, "y")
@@ -208,7 +204,7 @@ def _bridge_point(raw: Any, i: int, scale: tuple[int, int]) -> BridgePoint:
     elif sign not in (1, -1):
         fault = ".sign: expected +1 or -1"
     else:
-        return BridgePoint(ident, x, y, sign)
+        return BridgePoint(i, x, y, sign)
     raise DocumentError(f"diagram.bridge_points[{i}]{fault}")
 
 
@@ -262,11 +258,6 @@ def diagram_from_dict(doc: dict) -> tuple[TorusDiagram, Factorization | None]:
         raise DocumentError(f"{where}.strands: expected an integer <= {MAX_STRANDS}")
     if strands < 2:
         raise DocumentError(f"{where}.strands: expected an integer >= 2, got {strands}")
-    stab = _intfield(doc, "stabilization_count", where)
-    if stab < 0:
-        raise DocumentError(
-            f"{where}.stabilization_count: expected a non-negative integer, got {stab}"
-        )
     scale = _require(doc, "scale", where)
     if not (
         isinstance(scale, list) and len(scale) == 2
@@ -282,7 +273,7 @@ def diagram_from_dict(doc: dict) -> tuple[TorusDiagram, Factorization | None]:
     if not isinstance(raw_arcs, list):
         raise DocumentError(f"{where}.arcs: expected a list")
     arcs = [_arc(raw, i, len(points), scale) for i, raw in enumerate(raw_arcs)]
-    diag = TorusDiagram(strands, scale, tuple(points), tuple(arcs), stab)
+    diag = TorusDiagram(strands, scale, tuple(points), tuple(arcs))
     source = None
     if "source_factorization" in doc:
         source = factorization_from_dict(

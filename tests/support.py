@@ -5,9 +5,8 @@ library never calls them; the tests use them as inputs and as independent
 oracles."""
 
 import random
-from dataclasses import replace
 
-from braidshadow.diagram import Arc, BridgePoint, TorusDiagram, bridge_params
+from braidshadow.diagram import Arc, BridgePoint, TorusDiagram
 from braidshadow.factorization import (
     BandFactor,
     Factorization,
@@ -82,8 +81,7 @@ def rotate(diag: TorusDiagram) -> TorusDiagram:
     transverse diagram stays transverse, and (b; c1, c2, c3) becomes
     (b; c3, c1, c2).  On the lattice (X, Y) goes to (-Y, X Ny - Y Nx) at
     scale (Ny, Nx Ny); bridge points are reduced mod the scale and each
-    path is moved by whole periods to start in [0, Ny) x [0, Nx Ny).  The
-    declared ``stabilization_count`` becomes the s counted in the image.
+    path is moved by whole periods to start in [0, Ny) x [0, Nx Ny).
     """
     nx, ny = diag.scale
     mx, my = ny, nx * ny
@@ -99,5 +97,4 @@ def rotate(diag: TorusDiagram) -> TorusDiagram:
         dx, dy = path[0][0] // mx * mx, path[0][1] // my * my
         arcs.append(Arc(_RECOLOUR[arc.color], arc.start, arc.end,
                         tuple((x - dx, y - dy) for x, y in path)))
-    rotated = TorusDiagram(diag.strands, (mx, my), points, tuple(arcs))
-    return replace(rotated, stabilization_count=bridge_params(rotated).s)
+    return TorusDiagram(diag.strands, (mx, my), points, tuple(arcs))

@@ -86,7 +86,7 @@ def test_criterion_2_parameter_formula():
         diag = assemble(f)
         params = bridge_params(diag)
         s = 2 * sum(len(g.conjugator) for g in f.factors)
-        ok = ok and diag.stabilization_count == s
+        ok = ok and params.s == s
         n = d * (d - 1)
         ok = ok and params.tuple3() == (2 * n + s, d, n + s, d)
         if d == 2:
@@ -274,7 +274,7 @@ def _random_diagram_document(rng):
             for _ in range(rng.randrange(2, 5))
         )
         arcs.append(Arc(rng.choice("ABC"), start, end, path))
-    return TorusDiagram(rng.randrange(2, 6), (nx, ny), points, tuple(arcs), rng.randrange(4))
+    return TorusDiagram(rng.randrange(2, 6), (nx, ny), points, tuple(arcs))
 
 
 def test_criterion_9_io_round_trips():

@@ -50,12 +50,25 @@ def test_package_exports_resolve_sorted_and_unique():
     assert names == sorted(set(names))
 
 
-def test_readme_library_example_runs():
+def _readme_python(needle):
+    """The README's Python example that contains ``needle``."""
     with open(os.path.join(_TESTS, os.pardir, "README.md"), encoding="utf-8") as fh:
-        readme = fh.read()
-    example = readme.split("```python\n", 1)[1].split("```", 1)[0]
-    assert "certify(" in example
-    exec(example, {})
+        blocks = [b.split("```", 1)[0] for b in fh.read().split("```python\n")[1:]]
+    return next(b for b in blocks if needle in b)
+
+
+def test_readme_library_example_runs():
+    exec(_readme_python("certify("), {})
+
+
+def test_readme_migration_of_a_version_2_document_gives_build_output(capsys):
+    # the README's edit of the version-2 ``build --standard 2`` document
+    namespace = {}
+    exec(_readme_python('"stabilization_count"'), namespace)
+    old = pathlib.Path(_TESTS, "v2_standard_2.json").read_text(encoding="utf-8")
+    code, built, _ = run(capsys, ["build", "--standard", "2"])
+    assert code == 0
+    assert namespace["to_version_3"](old) == built
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
@@ -247,8 +260,8 @@ def test_orbit_zero_budget_is_a_usage_error(capsys):
 
 
 def _diagram_text(points, arcs):
-    return json.dumps({"format_version": "2", "type": "diagram", "strands": 2, "scale": [1, 1],
-                       "stabilization_count": 0, "bridge_points": points, "arcs": arcs})
+    return json.dumps({"format_version": "3", "type": "diagram", "strands": 2, "scale": [1, 1],
+                       "bridge_points": points, "arcs": arcs})
 
 
 def test_non_object_bridge_point_exits_2(capsys, monkeypatch):
@@ -435,17 +448,6 @@ def test_strand_count_above_the_bound_exits_2(capsys, monkeypatch, verb, strands
         assert (code, out, err) == (2, "", f"error: {path}: expected an integer <= 1000\n")
 
 
-@pytest.mark.parametrize("verb", ["check", "invariants"])
-def test_negative_stabilization_count_exits_2(capsys, monkeypatch, verb):
-    doc = _standard_2_document()
-    doc["stabilization_count"] = -1
-    code, out, err = run(capsys, [verb, "-"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
-    assert (code, out) == (2, "")
-    assert err == (
-        "error: diagram.stabilization_count: expected a non-negative integer, got -1\n"
-    )
-
-
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(braidshadow.__file__)))
 
 
@@ -540,7 +542,6 @@ _CORRUPTIONS = (
     _move_point,
     lambda doc: doc["arcs"].pop(),
     lambda doc: doc["arcs"][0].update(color=_NEXT_COLOR[doc["arcs"][0]["color"]]),
-    lambda doc: doc.update(stabilization_count=doc["stabilization_count"] + 1),
     lambda doc: doc.pop("source_factorization"),
     lambda doc: doc["source_factorization"]["factors"].pop(),
     _append_letter,
@@ -550,7 +551,7 @@ _CORRUPTIONS = (
 
 def _pinned_documents():
     """Standard d = 2..5 and the acceptance corpus, each as built and under
-    each of the nine corruptions above."""
+    each of the eight corruptions above."""
     texts = [serialize_diagram(assemble(f), source=f)
              for f in [standard_factorization(d) for d in range(2, 6)] + _acceptance_corpus()]
     for text in texts:
@@ -597,8 +598,6 @@ _PINNED_DIGESTS = (
     "19bbf7ec934836856989a3f71afcb68a31b60848339c01edb7503eee7fd0ed1e",
     # arc 0 recoloured
     "d5029dbb0180a16a460c4c1e56e524e02ab9ae7b79c575e4fb8dba725c86a67b",
-    # stabilization_count + 1
-    "970263d03f45225b4da014eab175b05e7d5024a737a07af3b8098d90b9f6ce7e",
     # source dropped
     "47a0be82418f31b09587a0e7a657a7935c7c7f49f907e12740e6327b50874363",
     # source's last band dropped
@@ -659,50 +658,6 @@ def test_arcs_running_from_plus_to_minus_are_refused(capsys, monkeypatch):
     code, out, err = run(capsys, ["invariants", "-"], stdin=text, monkeypatch=monkeypatch)
     assert (code, out) == (1, "")
     assert err.startswith("failed: diagram has 24 endpoint faults, first: arc 0 (B) starts at")
-
-
-def _over_stabilized_document():
-    doc = _standard_2_document()
-    doc["stabilization_count"] = 9
-    del doc["source_factorization"]
-    return json.dumps(doc)
-
-
-def test_check_refuses_more_stabilizations_than_bridge_points(capsys, monkeypatch):
-    code, out, _ = run(
-        capsys, ["check", "-"], stdin=_over_stabilized_document(), monkeypatch=monkeypatch
-    )
-    assert code == 1
-    assert out.splitlines()[3:] == [
-        "bridge parameters: unavailable "
-        "(stabilization_count s = 9 differs from the 0 mini unknots counted in L2)",
-        "triviality: skipped (no source factorization)",
-        "result: FAIL",
-    ]
-
-
-def test_invariants_refuses_more_stabilizations_than_bridge_points(capsys, monkeypatch):
-    code, out, err = run(
-        capsys, ["invariants", "-"], stdin=_over_stabilized_document(), monkeypatch=monkeypatch
-    )
-    assert (code, out) == (1, "")
-    assert err == "failed: stabilization_count s = 9 differs from the 0 mini unknots counted in L2\n"
-
-
-@pytest.mark.parametrize("with_source", [True, False])
-@pytest.mark.parametrize("declared", [11, 13, 14])
-def test_edited_stabilization_count_is_refused(capsys, monkeypatch, declared, with_source):
-    f = standard_factorization(3)
-    doc = json.loads(serialize_diagram(assemble(f), source=f if with_source else None))
-    assert doc["stabilization_count"] == 12
-    doc["stabilization_count"] = declared
-    text = json.dumps(doc)
-    message = f"stabilization_count s = {declared} differs from the 12 mini unknots counted in L2"
-    code, out, _ = run(capsys, ["check", "-"], stdin=text, monkeypatch=monkeypatch)
-    assert code == 1
-    assert f"bridge parameters: unavailable ({message})" in out.splitlines()
-    code, out, err = run(capsys, ["invariants", "-"], stdin=text, monkeypatch=monkeypatch)
-    assert (code, out, err) == (1, "", f"failed: {message}\n")
 
 
 def _refused_by_both_verbs(capsys, monkeypatch, text, misfit):
@@ -998,10 +953,13 @@ def test_diagram_strands_below_two_exit_2(capsys, monkeypatch, verb, strands):
 @pytest.mark.parametrize("argv", [["check"], ["check", "--json"], ["invariants"],
                                   ["invariants", "--json"], ["export"]])
 def test_version_1_documents_are_refused(capsys, argv):
-    # the version-1 ``build --standard 2`` document, as written before the integer lattice
-    code, out, err = run(capsys, [*argv, os.path.join(_TESTS, "v1_standard_2.json")])
-    assert (code, out) == (2, "")
-    assert err == "error: diagram: unsupported format_version '1' (expected '2')\n"
+    # ``build --standard 2`` as written in version 1, before the integer
+    # lattice, and in version 2, with a declared s and point ids
+    for version in ("1", "2"):
+        path = os.path.join(_TESTS, f"v{version}_standard_2.json")
+        code, out, err = run(capsys, [*argv, path])
+        assert (code, out) == (2, "")
+        assert err == f"error: diagram: unsupported format_version '{version}' (expected '3')\n"
 
 
 def test_export_draws_one_circle_per_bridge_point(capsys, monkeypatch):
@@ -1025,8 +983,9 @@ def test_export_draws_one_circle_per_bridge_point(capsys, monkeypatch):
         # X / Nx would overflow a float, though X itself is read exactly
         (("arcs", 0, "path", 1, 0), -12 * 2**1024, "diagram.arcs[0].path[1]: expected [X, Y] "
          "integers, got one too large for a float"),
-        (("format_version",), "3", "diagram: unsupported format_version '3' "
-         "(expected '2')"),
+        # any version but the reader's own is refused
+        (("format_version",), "4", "diagram: unsupported format_version '4' "
+         "(expected '3')"),
     ],
     ids=["scale-zero", "scale-float", "point-float", "point-outside", "vertex-bool",
          "vertex-true", "one-vertex", "vertex-overflow", "version-3"],
@@ -1062,7 +1021,7 @@ def _cli_replacements(value, in_path):
 
 
 @st.composite
-def _mutated_v2_documents(draw):
+def _mutated_documents(draw):
     doc = _standard_2_document()
     for _ in range(draw(st.integers(1, 3))):
         fields = []
@@ -1082,7 +1041,7 @@ def _mutated_v2_documents(draw):
     return json.dumps(doc)
 
 
-@given(_mutated_v2_documents())
+@given(_mutated_documents())
 @settings(max_examples=200, deadline=None)
 def test_mutated_version_2_documents_exit_0_1_or_2(text):
     for argv in (["check", "-"], ["invariants", "-"], ["export", "-"]):

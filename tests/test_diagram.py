@@ -133,7 +133,7 @@ def pairwise_links(
     d = diag.strands
     if f.strands != d:
         raise DiagramError("factorization and diagram strand counts differ")
-    s = diag.stabilization_count
+    s = bridge_params(diag).s
     if (diag.bridge_number - s) // 2 != len(f.factors):
         raise DiagramError("diagram tile count does not match the factorization")
     l1 = TangleLink("H1", identity(d), ())
@@ -236,7 +236,7 @@ def test_component_labels():
 
 def test_standard_d2_parameters_exact():
     diag, params = pipeline(standard_factorization(2))
-    assert diag.stabilization_count == 0
+    assert params.s == 0
     assert params.tuple3() == (4, 2, 2, 2)
     assert check_transverse(diag) == []
 
@@ -246,7 +246,7 @@ def test_standard_d3_corrected_parameter_tuple():
     diag, params = pipeline(f)
     s = 2 * sum(len(g.conjugator) for g in f.factors)
     assert s == 12
-    assert diag.stabilization_count == s
+    assert params.s == s
     assert params.tuple3() == (24, 3, 18, 3)
 
 
@@ -271,7 +271,7 @@ def test_build_documents_are_pinned():
     for f in inputs:
         digest.update(serialize_diagram(assemble(f), f).encode())
     assert digest.hexdigest() == (
-        "c9f6a756ba4edf1e0583bf7ad694e7576bb434b646c49d05f1420379310b960d"
+        "13d5922808768614385be151cbaeb9f7e5bcb3e113b910543516cfcd2e29f2a6"
     )
 
 
@@ -280,24 +280,15 @@ def test_stabilization_count_matches_conjugator_length():
     for _ in range(6):
         d = rng.choice((2, 3))
         f = random_factorization(d, rng, moves=6, max_conjugator_length=3)
-        diag, params = pipeline(f)
+        _, params = pipeline(f)
         s = 2 * sum(len(g.conjugator) for g in f.factors)
-        assert diag.stabilization_count == s
+        assert params.s == s
         n = len(f.factors)
         assert params.tuple3() == (2 * n + s, d, n + s, d)
     # the s counted from the diagram's mini unknots
     for f in _acceptance_corpus() + [standard_factorization(d) for d in range(5, 11)]:
         s = 2 * sum(len(g.conjugator) for g in f.factors)
         assert bridge_params(assemble(f)).s == s
-
-
-def test_bridge_params_counts_s_and_certify_compares_the_declared_one():
-    diag = assemble(standard_factorization(3))
-    declared = replace(diag, stabilization_count=13)
-    assert bridge_params(declared) == bridge_params(diag)
-    cert = certify(declared)
-    message = "stabilization_count s = 13 differs from the 12 mini unknots counted in L2"
-    assert (cert.params, cert.fault, cert.payload["params"]) == (None, message, None)
 
 
 def test_partner_walk_matches_reference_on_standard_and_corpus():
@@ -361,7 +352,7 @@ def test_assemble_rejects_negative_bands():
 
 def test_assemble_stabilizes_inside_tiles():
     diag = assemble(standard_factorization(3))
-    assert diag.stabilization_count == 12
+    assert bridge_params(diag).s == 12
     assert a_crossings(diag) == []
     assert check_transverse(diag) == []
 

@@ -245,15 +245,11 @@ def factorization_to_dict(f):
 
 def diagram_to_dict(diag, source=None):
     doc = {
-        "format_version": "2",
+        "format_version": "3",
         "type": "diagram",
         "strands": diag.strands,
         "scale": list(diag.scale),
-        "stabilization_count": diag.stabilization_count,
-        "bridge_points": [
-            {"id": p.ident, "x": p.x, "y": p.y, "sign": p.sign}
-            for p in diag.bridge_points
-        ],
+        "bridge_points": [{"x": p.x, "y": p.y, "sign": p.sign} for p in diag.bridge_points],
         "arcs": [
             {"color": arc.color, "start": arc.start, "end": arc.end,
              "path": [list(v) for v in arc.path]}
@@ -305,7 +301,7 @@ def hand_built_diagrams(draw, reach=10**6):
         )
         for _ in range(draw(st.integers(0, 5)))
     )
-    return TorusDiagram(strands, scale, points, arcs, draw(st.integers(0, 9)))
+    return TorusDiagram(strands, scale, points, arcs)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
@@ -380,9 +376,6 @@ def reference_bridge_point(raw, i, loc, scale):
     """Bridge point ``i``, every field checked in order."""
     if not isinstance(raw, dict):
         raise DocumentError(f"{loc}: expected an object")
-    ident = _intfield(raw, "id", loc)
-    if ident != i:
-        raise DocumentError(f"{loc}: ids must be 0..n-1 in order, got {ident}")
     nx, ny = scale
     x, y = _intfield(raw, "x", loc), _intfield(raw, "y", loc)
     if not (0 <= x < nx and 0 <= y < ny):
@@ -390,7 +383,7 @@ def reference_bridge_point(raw, i, loc, scale):
     sign = _intfield(raw, "sign", loc)
     if sign not in (1, -1):
         raise DocumentError(f"{loc}.sign: expected +1 or -1")
-    return BridgePoint(ident, x, y, sign)
+    return BridgePoint(i, x, y, sign)
 
 
 def reference_arc(raw, loc, n_points, scale):
@@ -432,11 +425,6 @@ def reference_item_by_item(doc):
         raise DocumentError(f"{where}.strands: expected an integer <= {MAX_STRANDS}")
     if strands < 2:
         raise DocumentError(f"{where}.strands: expected an integer >= 2, got {strands}")
-    stab = _intfield(doc, "stabilization_count", where)
-    if stab < 0:
-        raise DocumentError(
-            f"{where}.stabilization_count: expected a non-negative integer, got {stab}"
-        )
     scale = _require(doc, "scale", where)
     if not (
         isinstance(scale, list) and len(scale) == 2
@@ -458,7 +446,7 @@ def reference_item_by_item(doc):
         reference_arc(raw, f"{where}.arcs[{i}]", len(points), scale)
         for i, raw in enumerate(raw_arcs)
     ]
-    diag = TorusDiagram(strands, scale, tuple(points), tuple(arcs), stab)
+    diag = TorusDiagram(strands, scale, tuple(points), tuple(arcs))
     source = None
     if "source_factorization" in doc:
         source = factorization_from_dict(
@@ -482,7 +470,7 @@ def _assert_reads_as_the_reference(doc):
 
 
 @functools.cache
-def _standard_v2_text(d):
+def _standard_text(d):
     f = standard_factorization(d)
     return serialize_diagram(assemble(f), source=f)
 
@@ -526,7 +514,7 @@ def _replacements(value, n_points):
 
 def test_diagram_from_dict_matches_reference_reader_on_each_field_change():
     # every single-field change to the standard d = 2 document
-    doc = json.loads(_standard_v2_text(2))
+    doc = json.loads(_standard_text(2))
     n_points = len(doc["bridge_points"])
     for node, key in _fields(doc):
         kept = node[key]
@@ -550,7 +538,7 @@ def _change(doc, path, value):
         node[path[-1]] = copy.deepcopy(value)
 
 
-_POINT_FIELDS = [("bridge_points", 1, key) for key in ("id", "x", "y", "sign")]
+_POINT_FIELDS = [("bridge_points", 1, key) for key in ("x", "y", "sign")]
 _ARC_FIELDS = [("arcs", 0, key) for key in ("color", "start", "end", "path")] + [
     ("arcs", 0, "path", 1)]
 
@@ -558,8 +546,8 @@ _ARC_FIELDS = [("arcs", 0, key) for key in ("color", "start", "end", "path")] + 
 def test_diagram_from_dict_matches_reference_reader_on_two_changed_fields_of_an_item():
     # which of two bad fields of one item is named first; a field is changed
     # to the first two of its _replacements (the same kind where there is
-    # one), to True (the wrong kind, and 1 to an id) or deleted (not path[1])
-    text = _standard_v2_text(2)
+    # one), to True (the wrong kind) or deleted (not path[1])
+    text = _standard_text(2)
     n_points = len(json.loads(text)["bridge_points"])
     outcomes = set()
     for fields in (_POINT_FIELDS, _ARC_FIELDS):
@@ -578,14 +566,14 @@ def test_diagram_from_dict_matches_reference_reader_on_two_changed_fields_of_an_
                         new = _outcome(diagram_from_dict, doc)
                         assert new == _outcome(reference_item_by_item, doc), (pair, first, second)
                         outcomes.add(new[0] if new[0] != "refused" else new[1].split(":")[0])
-    assert outcomes >= {"ok", "diagram.bridge_points[1]", "diagram.bridge_points[1].id",
+    assert outcomes >= {"ok", "diagram.bridge_points[1]", "diagram.bridge_points[1].x",
                         "diagram.arcs[0]", "diagram.arcs[0].path[1]"}
 
 
 @st.composite
-def mutated_v2_documents(draw):
+def mutated_documents(draw):
     """Standard d = 2 or 3 with one to three fields replaced or deleted."""
-    doc = json.loads(_standard_v2_text(draw(st.sampled_from([2, 3]))))
+    doc = json.loads(_standard_text(draw(st.sampled_from([2, 3]))))
     for _ in range(draw(st.integers(1, 3))):
         fields = []
         stack = [(doc, False)]
@@ -607,7 +595,7 @@ def mutated_v2_documents(draw):
 # The next two keep the names they had when they tested a whole-list check
 # that ran before the per-item readers; they test the single-path item
 # readers now, which check each field once, in order.
-@given(mutated_v2_documents())
+@given(mutated_documents())
 @settings(max_examples=300, deadline=None)
 def test_whole_list_check_matches_the_per_item_readers(doc):
     # equal diagrams, or the message of the first bad field in document order
@@ -616,7 +604,7 @@ def test_whole_list_check_matches_the_per_item_readers(doc):
 
 @pytest.mark.parametrize("d", range(2, 9))
 def test_whole_list_check_reads_standard_diagrams(d):
-    doc = json.loads(_standard_v2_text(d))
+    doc = json.loads(_standard_text(d))
     f = standard_factorization(d)
     assert diagram_from_dict(doc) == reference_item_by_item(doc) == (assemble(f), f)
 
@@ -648,8 +636,6 @@ _BOUND_X = 12 * _FLOAT_BOUND  # Nx * _FLOAT_BOUND for standard d = 2
 @pytest.mark.parametrize(
     "path, value, read",
     [
-        (("bridge_points", 1, "id"), True, False),
-        (("bridge_points", 0, "id"), False, False),
         (("bridge_points", 0, "sign"), True, False),
         (("bridge_points", 0, "x"), True, False),
         (("bridge_points", 0, "y"), False, False),
@@ -670,13 +656,13 @@ _BOUND_X = 12 * _FLOAT_BOUND  # Nx * _FLOAT_BOUND for standard d = 2
         (("arcs", 0, "end"), 7, True),
         (("arcs", 0, "start"), -1, False),
     ],
-    ids=["id-true", "id-false", "sign-true", "x-true", "y-false", "x-float", "sign-minus",
+    ids=["sign-true", "x-true", "y-false", "x-float", "sign-minus",
          "vertex-true", "vertex-3-ints", "vertex-object", "vertex-string", "vertex-tuple",
          "path-null", "path-1-vertex", "vertex-at-bound", "vertex-at-minus-bound",
          "vertex-inside-bound", "color-lower", "end-n-points", "end-last-point", "start-minus"],
 )
 def test_one_test_boundary_reads_as_the_reference(path, value, read):
-    doc = json.loads(_standard_v2_text(2))
+    doc = json.loads(_standard_text(2))
     assert len(doc["bridge_points"]) == 8 and doc["scale"][0] == 12
     _set(doc, path, value)
     new = _outcome(diagram_from_dict, doc)
