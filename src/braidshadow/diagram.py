@@ -10,12 +10,13 @@ g_n s1^{-k_n} g_n^{-1} ... g_1 s1^{-k_1} g_1^{-1}.  ``assemble`` draws
 each tile once, straight into diagram coordinates, cutting the A strands
 in place at the tile's bridge points.
 
-Arc paths are stored as PL vertex lists in *lifted* coordinates: the
-first vertex lies in [0,Nx) x [0,Ny) and later vertices may leave it;
-reducing mod (Nx, Ny) gives the torus picture.  Every arc is oriented
-from its (-) bridge point to its (+) bridge point.  Transversality is
-the color-wise monotonicity of those oriented arcs: A strictly up, B
-strictly left, C strictly decreasing in y - x.
+A bridge point is its position in ``bridge_points``, which an arc's
+``start`` and ``end`` index.  Arc paths are stored as PL vertex lists in
+*lifted* coordinates: the first vertex lies in [0,Nx) x [0,Ny) and later
+vertices may leave it; reducing mod (Nx, Ny) gives the torus picture.
+Every arc is oriented from its (-) bridge point to its (+) bridge point.
+Transversality is the color-wise monotonicity of those oriented arcs: A
+strictly up, B strictly left, C strictly decreasing in y - x.
 
 Orientation convention: within a tile the (+) pair sits on the lower
 band level and the (-) pair above it, and each mini-stabilization cuts
@@ -40,7 +41,6 @@ class DiagramError(ValueError):
 
 
 class BridgePoint(NamedTuple):
-    ident: int
     x: int  # in [0, Nx)
     y: int  # in [0, Ny)
     sign: int  # +1 or -1
@@ -48,12 +48,9 @@ class BridgePoint(NamedTuple):
 
 class Arc(NamedTuple):
     color: str  # 'A', 'B' or 'C'
-    start: int  # id of the (-) endpoint
-    end: int  # id of the (+) endpoint
+    start: int  # index in bridge_points of the (-) endpoint
+    end: int  # index in bridge_points of the (+) endpoint
     path: tuple[Point, ...]  # lifted PL vertices, path[0] at the (-) point
-
-    def segments(self) -> list[tuple[Point, Point]]:
-        return list(zip(self.path, self.path[1:]))
 
 
 @dataclass(frozen=True)
@@ -62,10 +59,6 @@ class TorusDiagram:
     scale: tuple[int, int]  # (Nx, Ny): lattice points per period
     bridge_points: tuple[BridgePoint, ...]
     arcs: tuple[Arc, ...]
-
-    @property
-    def bridge_number(self) -> int:
-        return len(self.bridge_points) // 2
 
 
 @dataclass(frozen=True)
@@ -137,29 +130,29 @@ def assemble(f: Factorization) -> TorusDiagram:
     head: list[tuple[list[Point], int] | None] = [None] * d
     cur = list(range(d))  # the strand at each column
 
-    def point(x: int, y: int, sign: int) -> BridgePoint:
-        points.append(BridgePoint(len(points), x, y, sign))
-        return points[-1]
+    def point(x: int, y: int, sign: int) -> int:
+        points.append(BridgePoint(x, y, sign))
+        return len(points) - 1
 
-    def join(color: str, minus: BridgePoint, plus: BridgePoint, wraps: int) -> Arc:
-        """A straight arc from ``minus`` to ``plus`` moved by ``wraps`` periods in x."""
-        path = ((minus.x, minus.y), (plus.x + wraps * nx, plus.y))
-        return Arc(color, minus.ident, plus.ident, path)
+    def join(color: str, minus: int, plus: int, wraps: int) -> Arc:
+        """A straight arc from point ``minus`` to ``plus`` moved by ``wraps`` periods in x."""
+        (mx, my, _), (px, py, _) = points[minus], points[plus]
+        return Arc(color, minus, plus, ((mx, my), (px + wraps * nx, py)))
 
     def add(strand: int, x: int, y: int) -> None:
         if open_path[strand][-1] != (x, y):
             open_path[strand].append((x, y))
 
-    def cut(strand: int, plus: BridgePoint, minus: BridgePoint) -> None:
-        """End the strand's open path at ``plus`` and start the next at ``minus``."""
+    def cut(strand: int, plus: int, minus: int) -> None:
+        """End the strand's open path at point ``plus`` and start the next at ``minus``."""
         path = open_path[strand]
-        path.append((plus.x, plus.y))
+        path.append(points[plus][:2])
         if open_start[strand] is None:
-            head[strand] = (path, plus.ident)
+            head[strand] = (path, plus)
         else:
-            closed[strand].append(Arc("A", open_start[strand], plus.ident, tuple(path)))
-        open_path[strand] = [(minus.x, minus.y)]
-        open_start[strand] = minus.ident
+            closed[strand].append(Arc("A", open_start[strand], plus, tuple(path)))
+        open_path[strand] = [points[minus][:2]]
+        open_start[strand] = minus
 
     def run_box(word: tuple[int, ...], y: int) -> None:
         """Draw a braid box from row y, stabilizing each letter's crossing."""
@@ -201,10 +194,10 @@ def assemble(f: Factorization) -> TorusDiagram:
 
     # validate leaves no strand uncut: it would link no other, and Delta^2 links every pair
     for strand in range(d):
-        first, plus_id = head[strand]
+        first, plus = head[strand]
         for (x, y) in first:
             add(strand, x, y + y0)
-        arcs.append(Arc("A", open_start[strand], plus_id, tuple(open_path[strand])))
+        arcs.append(Arc("A", open_start[strand], plus, tuple(open_path[strand])))
 
     return TorusDiagram(d, (nx, y0), tuple(points), tuple(arcs))
 
@@ -319,7 +312,7 @@ def a_crossings(diag: TorusDiagram):
         (ai, si, p, q, sorted((p[0], q[0])), sorted((p[1], q[1])))
         for ai, arc in enumerate(diag.arcs)
         if arc.color == "A"
-        for si, (p, q) in enumerate(arc.segments())
+        for si, (p, q) in enumerate(zip(arc.path, arc.path[1:]))
     ]
     out = []
     for u, v in _candidate_pairs(segs, *diag.scale):
@@ -377,7 +370,7 @@ def check_transverse(diag: TorusDiagram) -> list[Violation]:
     violations: list[Violation] = []
     for ai, arc in enumerate(diag.arcs):
         a, b = rising[arc.color]
-        for si, (p, q) in enumerate(arc.segments()):
+        for si, (p, q) in enumerate(zip(arc.path, arc.path[1:])):
             if a * (q[0] - p[0]) + b * (q[1] - p[1]) <= 0:
                 violations.append(Violation(ai, arc.color, si, p, q))
     return violations
@@ -395,28 +388,28 @@ def endpoint_faults(diag: TorusDiagram) -> list[str]:
         return ["diagram has no bridge points"]
     nx, ny = diag.scale
     faults = []
-    ends = {p.ident: {"A": 0, "B": 0, "C": 0} for p in diag.bridge_points}
+    ends = [{"A": 0, "B": 0, "C": 0} for _ in diag.bridge_points]
     for ai, arc in enumerate(diag.arcs):
-        for ident, (x, y), sign, role in (
+        for i, (x, y), sign, role in (
             (arc.start, arc.path[0], -1, "starts"),
             (arc.end, arc.path[-1], 1, "ends"),
         ):
-            p = diag.bridge_points[ident]
+            p = diag.bridge_points[i]
             if (x - p.x) % nx or (y - p.y) % ny:
                 faults.append(
                     f"arc {ai} ({arc.color}) ends at ({x % nx / nx:.6f}, {y % ny / ny:.6f}), "
-                    f"not at its bridge point {ident} ({p.x / nx}, {p.y / ny})"
+                    f"not at its bridge point {i} ({p.x / nx}, {p.y / ny})"
                 )
             if p.sign != sign:
                 faults.append(
-                    f"arc {ai} ({arc.color}) {role} at bridge point {ident}, "
+                    f"arc {ai} ({arc.color}) {role} at bridge point {i}, "
                     f"a ({'+' if p.sign > 0 else '-'}) point; arcs run from (-) to (+)"
                 )
-            ends[ident][arc.color] += 1
-    for ident, counts in ends.items():
+            ends[i][arc.color] += 1
+    for i, counts in enumerate(ends):
         for color, count in counts.items():
             if count != 1:
-                faults.append(f"bridge point {ident} meets {count} {color} arc ends, expected 1")
+                faults.append(f"bridge point {i} meets {count} {color} arc ends, expected 1")
     return faults
 
 
@@ -433,9 +426,9 @@ def _partners(diag: TorusDiagram, color: str) -> list[int]:
             partner[arc.start], partner[arc.end] = arc.end, arc.start
             touches[arc.start] += 1
             touches[arc.end] += 1
-    for ident, count in enumerate(touches):
+    for i, count in enumerate(touches):
         if count != 1:
-            raise DiagramError(f"bridge point {ident} touches {count} {color} arcs, expected 1")
+            raise DiagramError(f"bridge point {i} touches {count} {color} arcs, expected 1")
     return partner
 
 
@@ -469,7 +462,7 @@ def bridge_params(diag: TorusDiagram) -> BridgeParams:
     l2 = _pair_components(b, c)
     c1 = len(_pair_components(a, b))
     c3 = len(_pair_components(c, a))
-    return BridgeParams(diag.bridge_number, c1, len(l2), c3, l2.count(2))
+    return BridgeParams(len(diag.bridge_points) // 2, c1, len(l2), c3, l2.count(2))
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ letters are stored exactly as in memory (positive i for sigma_i, negative
 for its inverse).  A diagram document (version 3) stores its lattice
 ``scale`` [Nx, Ny] and every coordinate as a lattice integer, arc
 vertices lifted, exactly as in memory, and nothing its arcs determine: a
-bridge point's id is its position in the list, and s is counted by
-``diagram.bridge_params``.  Factorization documents, alone or embedded,
-are version 1.
+bridge point is its position in the list, which arcs' ``start`` and
+``end`` index, and s is counted by ``diagram.bridge_params``; version 2's
+``stabilization_count`` and bridge point ``id`` are refused by name.
+Factorization documents, alone or embedded, are version 1.
 
 Each bridge point and arc is read by one function, in one pass: its
 fields are checked one rule at a time, in document order, and the first
@@ -193,7 +194,9 @@ def _bridge_point(raw: Any, i: int, scale: tuple[int, int]) -> BridgePoint:
     except TypeError:
         raise DocumentError(f"diagram.bridge_points[{i}]: expected an object") from None
     nx, ny = scale
-    if type(x) is not int:
+    if "id" in raw:
+        fault = ".id: a version 3 bridge point has no id; its position in the list is its id"
+    elif type(x) is not int:
         fault = _fault(x, "x")
     elif type(y) is not int:
         fault = _fault(y, "y")
@@ -204,7 +207,7 @@ def _bridge_point(raw: Any, i: int, scale: tuple[int, int]) -> BridgePoint:
     elif sign not in (1, -1):
         fault = ".sign: expected +1 or -1"
     else:
-        return BridgePoint(i, x, y, sign)
+        return BridgePoint(x, y, sign)
     raise DocumentError(f"diagram.bridge_points[{i}]{fault}")
 
 
@@ -253,6 +256,9 @@ def diagram_from_dict(doc: dict) -> tuple[TorusDiagram, Factorization | None]:
     where = "diagram"
     _check_type(doc, where, "diagram")
     _check_version(doc, where, DIAGRAM_VERSION)
+    if "stabilization_count" in doc:
+        raise DocumentError(f"{where}.stabilization_count: a version 3 document does not "
+                            "declare s; it is counted from the arcs")
     strands = _intfield(doc, "strands", where)
     if strands > MAX_STRANDS:
         raise DocumentError(f"{where}.strands: expected an integer <= {MAX_STRANDS}")

@@ -49,7 +49,7 @@ def export_svg(diag: TorusDiagram) -> str:
                 for sy1, sy2 in ys:
                     out.append(f'{head}{sx1},{sy1} {sx2},{sy2}"/>')
     out.append("</g>")
-    for pt in diag.bridge_points:
+    for i, pt in enumerate(diag.bridge_points):
         fill = "black" if pt.sign > 0 else "white"
         sx = f"{_MARGIN + pt.x / nx * _SIZE:.2f}"
         sy = f"{_MARGIN + (ny - pt.y) / ny * _SIZE:.2f}"
@@ -60,7 +60,7 @@ def export_svg(diag: TorusDiagram) -> str:
         label = "+" if pt.sign > 0 else "−"
         out.append(
             f'<text x="{sx}" y="{float(sy) - 5:.2f}" '
-            f'font-size="9" text-anchor="middle">{label}{pt.ident}</text>'
+            f'font-size="9" text-anchor="middle">{label}{i}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -1,8 +1,8 @@
 """Fixtures shared by several test modules: a seeded generator of valid
 factorizations, the standard bands with short conjugators, a positive word
-for the half twist and the order-3 rotation of a torus diagram.  The
-library never calls them; the tests use them as inputs and as independent
-oracles."""
+for the half twist, and the order-3 rotation and a random renumbering of
+a torus diagram.  The library never calls them; the tests use them as
+inputs and as independent oracles."""
 
 import random
 
@@ -89,7 +89,7 @@ def rotate(diag: TorusDiagram) -> TorusDiagram:
     def image(x: int, y: int) -> tuple[int, int]:
         return -y, x * ny - y * nx
 
-    points = tuple(BridgePoint(p.ident, -p.y % mx, (p.x * ny - p.y * nx) % my, p.sign)
+    points = tuple(BridgePoint(-p.y % mx, (p.x * ny - p.y * nx) % my, p.sign)
                    for p in diag.bridge_points)
     arcs = []
     for arc in diag.arcs:
@@ -98,3 +98,17 @@ def rotate(diag: TorusDiagram) -> TorusDiagram:
         arcs.append(Arc(_RECOLOUR[arc.color], arc.start, arc.end,
                         tuple((x - dx, y - dy) for x, y in path)))
     return TorusDiagram(diag.strands, (mx, my), points, tuple(arcs))
+
+
+def renumber(diag: TorusDiagram, rng: random.Random) -> TorusDiagram:
+    """The same diagram with its bridge points and its arcs listed in a
+    random order drawn from ``rng``, every arc end remapped to its point's
+    new position: an isotopy of the document that changes no geometry."""
+    n = len(diag.bridge_points)
+    order = rng.sample(range(n), n)  # position j holds the point at order[j]
+    position = {i: j for j, i in enumerate(order)}
+    arcs = [Arc(arc.color, position[arc.start], position[arc.end], arc.path)
+            for arc in diag.arcs]
+    rng.shuffle(arcs)
+    points = tuple(diag.bridge_points[i] for i in order)
+    return TorusDiagram(diag.strands, diag.scale, points, tuple(arcs))

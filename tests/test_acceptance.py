@@ -134,8 +134,8 @@ def _violating_fixtures():
 
     def one_arc(color, path, expect_seg):
         points = (
-            BridgePoint(0, path[0][0] % 10, path[0][1] % 10, -1),
-            BridgePoint(1, path[-1][0] % 10, path[-1][1] % 10, 1),
+            BridgePoint(path[0][0] % 10, path[0][1] % 10, -1),
+            BridgePoint(path[-1][0] % 10, path[-1][1] % 10, 1),
         )
         diag = TorusDiagram(2, (10, 10), points, (Arc(color, 0, 1, tuple(path)),))
         fixtures.append((diag, 0, expect_seg))
@@ -263,7 +263,7 @@ def _random_diagram_document(rng):
     nx, ny = rng.randint(1, 10**6), rng.randint(1, 10**6)
     npts = rng.randrange(2, 8) * 2
     points = tuple(
-        BridgePoint(i, rng.randrange(nx), rng.randrange(ny), 1 if i % 2 == 0 else -1)
+        BridgePoint(rng.randrange(nx), rng.randrange(ny), 1 if i % 2 == 0 else -1)
         for i in range(npts)
     )
     arcs = []

@@ -29,7 +29,7 @@ from braidshadow.factorization import (
     standard_factorization,
 )
 from braidshadow.words import BraidWord, identity
-from support import random_factorization
+from support import random_factorization, renumber
 from test_diagram import _acceptance_corpus
 
 _TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -311,7 +311,7 @@ def test_invariants_refuses_moved_bridge_point(capsys, monkeypatch):
 
 def test_invariants_refuses_non_transverse_diagram(capsys, monkeypatch):
     # on a lattice of tenths
-    points = (BridgePoint(0, 2, 6, -1), BridgePoint(1, 2, 3, 1))
+    points = (BridgePoint(2, 6, -1), BridgePoint(2, 3, 1))
     arcs = (
         Arc("A", 0, 1, ((2, 6), (2, 13))),
         Arc("B", 0, 1, ((2, 6), (-8, 13))),
@@ -345,10 +345,10 @@ def test_check_and_invariants_refuse_a_crossing(capsys, monkeypatch):
     # two A arcs crossing once at (0.3, 0.4), on a lattice of tenths; B and
     # C arcs close them up
     points = (
-        BridgePoint(0, 2, 2, -1),
-        BridgePoint(1, 4, 6, 1),
-        BridgePoint(2, 4, 2, -1),
-        BridgePoint(3, 2, 6, 1),
+        BridgePoint(2, 2, -1),
+        BridgePoint(4, 6, 1),
+        BridgePoint(4, 2, -1),
+        BridgePoint(2, 6, 1),
     )
     arcs = (
         Arc("A", 0, 1, ((2, 2), (4, 6))),
@@ -366,10 +366,10 @@ def test_check_and_invariants_refuse_a_crossing(capsys, monkeypatch):
 def test_check_and_invariants_refuse_a_crossing_across_the_x_seam(capsys, monkeypatch):
     # A arcs 0 -> 1 and 2 -> 3 cross once at (0, 0.4), on the x = 0 seam
     points = (
-        BridgePoint(0, 9, 2, -1),
-        BridgePoint(1, 1, 6, 1),
-        BridgePoint(2, 1, 2, -1),
-        BridgePoint(3, 9, 6, 1),
+        BridgePoint(9, 2, -1),
+        BridgePoint(1, 6, 1),
+        BridgePoint(1, 2, -1),
+        BridgePoint(9, 6, 1),
     )
     arcs = (
         Arc("A", 0, 1, ((9, 2), (11, 6))),
@@ -591,9 +591,9 @@ _PINNED_DIGESTS = (
     # as built
     "b361856f7ce9009baceda6eaf5b2c1237307dcf7442eb49afa9e861c36329779",
     # bridge point 0's sign flipped
-    "dabd13cb61f9d74f656793ec0859e9856fcf88777f15fe8e1a42621577577f31",
+    "3eccfa7de76dc0b162cc442b73eb1fa5fb03d0c5c1d46416765e75684a3e2474",
     # bridge point 0 moved
-    "8862f520090d0b2c4bd696a09db2e01455d7e552b8bf5aacbd250b7004f24d57",
+    "0c6d4be25e3d031cc14667dab293e35ea6e8433125703dd44b44989563ee318c",
     # last arc dropped
     "19bbf7ec934836856989a3f71afcb68a31b60848339c01edb7503eee7fd0ed1e",
     # arc 0 recoloured
@@ -691,10 +691,34 @@ def test_check_refuses_a_c_arc_wrapped_one_period_further(capsys, monkeypatch):
         "the source builds Arc(color='C', start=3, end=0, path=((8, 3), (20, 1)))")
 
 
+def test_renumbered_points_and_arcs_keep_every_report_without_a_source():
+    """Consistent renumbering, a must-pass class of ROADMAP item 10: with no
+    source, ``check``, ``check --json`` and ``invariants --json`` print the
+    same bytes and ``export`` draws the same points.  With the source
+    embedded, item 1's exact rule names the first renumbered field, today's
+    declared limit."""
+    rng = random.Random(33)
+    for f in [standard_factorization(d) for d in (2, 3, 4)] + _acceptance_corpus()[3:6]:
+        diag = assemble(f)
+        moved = renumber(diag, rng)
+        assert moved != diag
+        text, moved_text = serialize_diagram(diag), serialize_diagram(moved)
+        assert _report(["check", "-"], text)[0] == 0
+        for argv in (["check"], ["check", "--json"], ["invariants", "--json"]):
+            assert _report([*argv, "-"], moved_text) == _report([*argv, "-"], text), argv
+        circles = [_report(["export", "-"], t)[1].count("<circle") for t in (text, moved_text)]
+        assert circles == [len(diag.bridge_points)] * 2
+        code, out, _ = _report(["check", "-"], serialize_diagram(moved, source=f))
+        assert code == 1
+        assert out.splitlines()[-2].startswith(tuple(
+            f"triviality: skipped (source does not fit: diagram {kind} "
+            for kind in ("bridge point", "arc")))
+
+
 def test_loop_arc_is_refused(capsys, monkeypatch):
     # three bridge points on a lattice of tenths; A arc 0 runs from point 0
     # back to itself, once around the y period
-    points = (BridgePoint(0, 2, 2, -1), BridgePoint(1, 4, 6, 1), BridgePoint(2, 6, 2, -1))
+    points = (BridgePoint(2, 2, -1), BridgePoint(4, 6, 1), BridgePoint(6, 2, -1))
     arcs = (
         Arc("A", 0, 0, ((2, 2), (2, 12))),
         Arc("A", 2, 1, ((6, 2), (4, 6))),
@@ -715,10 +739,10 @@ def test_a_diagram_failing_every_stage_lists_each_and_faults_on_the_first(capsys
     # on a lattice of tenths: A arcs 0 and 1 cross, B arc 0 runs right, and
     # both C arcs end at point 1, so no C arc ends at point 3
     points = (
-        BridgePoint(0, 2, 2, -1),
-        BridgePoint(1, 4, 6, 1),
-        BridgePoint(2, 4, 2, -1),
-        BridgePoint(3, 2, 6, 1),
+        BridgePoint(2, 2, -1),
+        BridgePoint(4, 6, 1),
+        BridgePoint(4, 2, -1),
+        BridgePoint(2, 6, 1),
     )
     arcs = (
         Arc("A", 0, 1, ((2, 2), (4, 6))),
@@ -960,6 +984,28 @@ def test_version_1_documents_are_refused(capsys, argv):
         code, out, err = run(capsys, [*argv, path])
         assert (code, out) == (2, "")
         assert err == f"error: diagram: unsupported format_version '{version}' (expected '3')\n"
+
+
+@pytest.mark.parametrize("argv", [["check"], ["invariants", "--json"], ["export"]])
+def test_version_2_fields_in_a_version_3_document_are_named(capsys, monkeypatch, argv):
+    # the version-2 ``build --standard 2`` with only format_version set to "3"
+    doc = json.loads(pathlib.Path(_TESTS, "v2_standard_2.json").read_text(encoding="utf-8"))
+    doc["format_version"] = "3"
+
+    def refusal():
+        return run(capsys, [*argv, "-"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
+
+    assert refusal() == (2, "", "error: diagram.stabilization_count: a version 3 document "
+                                "does not declare s; it is counted from the arcs\n")
+    del doc["stabilization_count"]
+    assert refusal() == (2, "", "error: diagram.bridge_points[0].id: a version 3 bridge point "
+                                "has no id; its position in the list is its id\n")
+    # without the ids it is the version-3 document, and other unknown keys are ignored
+    for point in doc["bridge_points"]:
+        del point["id"]
+        point["note"] = "ignored"
+    doc["note"] = "ignored"
+    assert refusal()[0] == 0
 
 
 def test_export_draws_one_circle_per_bridge_point(capsys, monkeypatch):

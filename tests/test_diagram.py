@@ -35,21 +35,22 @@ from support import random_factorization, rotate
 
 # -- reference: the incidence walk that the partner walk replaced --------------
 # ``_incidence`` and ``_pair_components`` as ``bridge_params`` used them before
-# it walked partner lists, kept verbatim as the oracle for (c1, c2, c3, s).
+# it walked partner lists, kept as the oracle for (c1, c2, c3, s); a bridge
+# point is keyed by its position in ``bridge_points``.
 
 
 def _incidence(diag: TorusDiagram, color: str) -> dict[int, list[int]]:
     """arc indices of the given color at each bridge point; must be exactly one."""
-    inc: dict[int, list[int]] = {p.ident: [] for p in diag.bridge_points}
+    inc: dict[int, list[int]] = {i: [] for i in range(len(diag.bridge_points))}
     for ai, arc in enumerate(diag.arcs):
         if arc.color != color:
             continue
         inc[arc.start].append(ai)
         inc[arc.end].append(ai)
-    for ident, lst in inc.items():
+    for i, lst in inc.items():
         if len(lst) != 1:
             raise DiagramError(
-                f"bridge point {ident} touches {len(lst)} {color} arcs, expected 1"
+                f"bridge point {i} touches {len(lst)} {color} arcs, expected 1"
             )
     return inc
 
@@ -134,7 +135,7 @@ def pairwise_links(
     if f.strands != d:
         raise DiagramError("factorization and diagram strand counts differ")
     s = bridge_params(diag).s
-    if (diag.bridge_number - s) // 2 != len(f.factors):
+    if (len(diag.bridge_points) // 2 - s) // 2 != len(f.factors):
         raise DiagramError("diagram tile count does not match the factorization")
     l1 = TangleLink("H1", identity(d), ())
     labels = tuple(component_label(fac.exponent) for fac in f.factors) + ("unknot",) * s
@@ -315,7 +316,7 @@ def matched_diagrams(draw):
     if fault is not None:
         i = draw(st.integers(0, len(arcs) - 1))
         arcs = arcs[:i] + arcs[i + 1:] if fault == "drop" else arcs + [arcs[i]]
-    points = tuple(BridgePoint(i, 0, 0, 1) for i in range(n))
+    points = (BridgePoint(0, 0, 1),) * n
     return TorusDiagram(2, (1, 1), points, tuple(arcs))
 
 
@@ -488,8 +489,8 @@ def test_assembled_arcs_run_from_minus_to_plus():
 
 def test_check_transverse_locates_bad_segment():
     points = (
-        BridgePoint(0, 2, 6, -1),
-        BridgePoint(1, 2, 3, 1),
+        BridgePoint(2, 6, -1),
+        BridgePoint(2, 3, 1),
     )
     # A arc heading downward, on a lattice of tenths: every segment violates
     arc = Arc("A", 0, 1, ((2, 6), (2, 3)))
@@ -514,7 +515,7 @@ def _all_pairs_crossings(diag, color="A"):
     for ai, arc in enumerate(diag.arcs):
         if arc.color != color:
             continue
-        for si, (p, q) in enumerate(arc.segments()):
+        for si, (p, q) in enumerate(zip(arc.path, arc.path[1:])):
             segs.append((ai, si, p, q, q[0] != p[0]))
     out = []
     for u in range(len(segs)):
@@ -584,7 +585,7 @@ def test_candidate_pairs_meet_in_both_axes_and_are_not_parallel():
         (ai, si, p, q, sorted((p[0], q[0])), sorted((p[1], q[1])))
         for ai, arc in enumerate(diag.arcs)
         if arc.color == "A"
-        for si, (p, q) in enumerate(arc.segments())
+        for si, (p, q) in enumerate(zip(arc.path, arc.path[1:]))
     ]
     meet_y, expected = [], []
     for u in range(len(segs)):
@@ -687,7 +688,7 @@ def test_exact_tests_decide_what_a_tolerance_could_not():
     # an A segment climbing one row of 10**12, and a C segment along the
     # slope-1 foliation to the last lattice step
     n = 10**12
-    points = (BridgePoint(0, 0, 0, -1), BridgePoint(1, 0, 1, 1))
+    points = (BridgePoint(0, 0, -1), BridgePoint(0, 1, 1))
     arcs = (
         Arc("A", 0, 1, ((0, 0), (n // 2, 1))),
         Arc("C", 0, 1, ((0, 0), (n, n + 1), (2 * n, 2 * n + 1))),

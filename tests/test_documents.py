@@ -284,12 +284,11 @@ def hand_built_diagrams(draw, reach=10**6):
     n_points = draw(st.integers(0, 6))
     points = tuple(
         BridgePoint(
-            i,
             draw(st.integers(0, scale[0] - 1)),
             draw(st.integers(0, scale[1] - 1)),
             draw(st.sampled_from([1, -1])),
         )
-        for i in range(n_points)
+        for _ in range(n_points)
     )
     vertex = st.tuples(_coords(scale[0], reach), _coords(scale[1], reach))
     arcs = tuple(
@@ -337,7 +336,7 @@ def test_serialize_factorization_matches_json_reference(f):
 
 
 def test_serialize_diagram_writes_extreme_integer_points_as_json_does():
-    points = (BridgePoint(0, 0, 10**400 - 1, 1), BridgePoint(1, 0, -(2**64), -1))
+    points = (BridgePoint(0, 10**400 - 1, 1), BridgePoint(0, -(2**64), -1))
     arcs = (Arc("A", 0, 1, ((0, -(10**400)), (3 * 10**30, -2))),)
     diag = TorusDiagram(2, (1, 10**400), points, arcs)
     assert serialize_diagram(diag) == reference_serialize_diagram(diag)
@@ -372,10 +371,13 @@ def _is_type_refusal(doc, message):
     return False
 
 
-def reference_bridge_point(raw, i, loc, scale):
-    """Bridge point ``i``, every field checked in order."""
+def reference_bridge_point(raw, loc, scale):
+    """A bridge point, every field checked in order; a version-2 ``id`` first."""
     if not isinstance(raw, dict):
         raise DocumentError(f"{loc}: expected an object")
+    if "id" in raw:
+        raise DocumentError(f"{loc}.id: a version 3 bridge point has no id; "
+                            "its position in the list is its id")
     nx, ny = scale
     x, y = _intfield(raw, "x", loc), _intfield(raw, "y", loc)
     if not (0 <= x < nx and 0 <= y < ny):
@@ -383,7 +385,7 @@ def reference_bridge_point(raw, i, loc, scale):
     sign = _intfield(raw, "sign", loc)
     if sign not in (1, -1):
         raise DocumentError(f"{loc}.sign: expected +1 or -1")
-    return BridgePoint(i, x, y, sign)
+    return BridgePoint(x, y, sign)
 
 
 def reference_arc(raw, loc, n_points, scale):
@@ -420,6 +422,9 @@ def reference_item_by_item(doc):
     """``diagram_from_dict`` as it read every item with the readers above."""
     where = "diagram"
     _check_version(doc, where, DIAGRAM_VERSION)
+    if "stabilization_count" in doc:
+        raise DocumentError(f"{where}.stabilization_count: a version 3 document does not "
+                            "declare s; it is counted from the arcs")
     strands = _intfield(doc, "strands", where)
     if strands > MAX_STRANDS:
         raise DocumentError(f"{where}.strands: expected an integer <= {MAX_STRANDS}")
@@ -436,7 +441,7 @@ def reference_item_by_item(doc):
     if not isinstance(raw_points, list):
         raise DocumentError(f"{where}.bridge_points: expected a list")
     points = [
-        reference_bridge_point(raw, i, f"{where}.bridge_points[{i}]", scale)
+        reference_bridge_point(raw, f"{where}.bridge_points[{i}]", scale)
         for i, raw in enumerate(raw_points)
     ]
     raw_arcs = _require(doc, "arcs", where)
@@ -592,18 +597,15 @@ def mutated_documents(draw):
     return doc
 
 
-# The next two keep the names they had when they tested a whole-list check
-# that ran before the per-item readers; they test the single-path item
-# readers now, which check each field once, in order.
 @given(mutated_documents())
 @settings(max_examples=300, deadline=None)
-def test_whole_list_check_matches_the_per_item_readers(doc):
+def test_one_pass_readers_match_the_reference_on_mutated_documents(doc):
     # equal diagrams, or the message of the first bad field in document order
     _assert_reads_as_the_reference(doc)
 
 
 @pytest.mark.parametrize("d", range(2, 9))
-def test_whole_list_check_reads_standard_diagrams(d):
+def test_one_pass_readers_read_standard_diagrams_as_the_reference(d):
     doc = json.loads(_standard_text(d))
     f = standard_factorization(d)
     assert diagram_from_dict(doc) == reference_item_by_item(doc) == (assemble(f), f)
@@ -618,10 +620,9 @@ def _built_documents():
     return [serialize_diagram(assemble(f), source=f) for f in fs]
 
 
-def test_built_documents_take_the_one_test_path():
-    # named for the combined accept test the item readers had; with one path
-    # now, a built document must still make no item-located _require or
-    # _intfield call, which would build a location for every item
+def test_built_documents_build_no_item_locations():
+    # a built document must make no item-located _require or _intfield
+    # call, which would build a location for every item
     with mock.patch.object(documents, "_require", wraps=documents._require) as require, \
             mock.patch.object(documents, "_intfield", wraps=documents._intfield) as intfield:
         for text in _built_documents():
@@ -641,6 +642,7 @@ _BOUND_X = 12 * _FLOAT_BOUND  # Nx * _FLOAT_BOUND for standard d = 2
         (("bridge_points", 0, "y"), False, False),
         (("bridge_points", 0, "x"), 1.0, False),
         (("bridge_points", 0, "sign"), -1, True),
+        (("bridge_points", 0, "id"), 0, False),
         (("arcs", 0, "path", 1, 0), True, False),
         (("arcs", 0, "path", 1), [1, 2, 3], False),
         (("arcs", 0, "path", 1), {"X": 1, "Y": 2}, False),
@@ -656,7 +658,7 @@ _BOUND_X = 12 * _FLOAT_BOUND  # Nx * _FLOAT_BOUND for standard d = 2
         (("arcs", 0, "end"), 7, True),
         (("arcs", 0, "start"), -1, False),
     ],
-    ids=["sign-true", "x-true", "y-false", "x-float", "sign-minus",
+    ids=["sign-true", "x-true", "y-false", "x-float", "sign-minus", "point-id",
          "vertex-true", "vertex-3-ints", "vertex-object", "vertex-string", "vertex-tuple",
          "path-null", "path-1-vertex", "vertex-at-bound", "vertex-at-minus-bound",
          "vertex-inside-bound", "color-lower", "end-n-points", "end-last-point", "start-minus"],

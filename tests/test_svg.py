@@ -50,7 +50,7 @@ def test_cusp_tile_has_blue_and_green_wrapping_arcs():
 def _edge_diagram():
     """Segments ending exactly on y = 0, on y = Ny and on x = Nx, and one
     spanning more than a period in x, on a (10, 8) lattice."""
-    points = (BridgePoint(0, 2, 3, -1), BridgePoint(1, 6, 5, 1))
+    points = (BridgePoint(2, 3, -1), BridgePoint(6, 5, 1))
     arcs = (
         Arc("A", 0, 1, ((2, 3), (5, 0))),
         Arc("A", 0, 1, ((2, 3), (4, 8))),
@@ -127,7 +127,7 @@ def reference_export_svg(diag):
                         f'{_px(x1, nx)},{_py(y1, ny)} {_px(x2, nx)},{_py(y2, ny)}"/>'
                     )
     out.append("</g>")
-    for pt in diag.bridge_points:
+    for i, pt in enumerate(diag.bridge_points):
         fill = "black" if pt.sign > 0 else "white"
         out.append(
             f'<circle cx="{_px(pt.x, nx)}" cy="{_py(pt.y, ny)}" r="3" '
@@ -136,7 +136,7 @@ def reference_export_svg(diag):
         label = "+" if pt.sign > 0 else "−"
         out.append(
             f'<text x="{_px(pt.x, nx)}" y="{float(_py(pt.y, ny)) - 5:.2f}" '
-            f'font-size="9" text-anchor="middle">{label}{pt.ident}</text>'
+            f'font-size="9" text-anchor="middle">{label}{i}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"
