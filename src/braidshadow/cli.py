@@ -149,10 +149,13 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
     if args.budget < 1:
         raise DocumentError(f"--budget: node budget must be >= 1, got {args.budget}")
     orbit = hurwitz_orbit(_load_factorization(args), args.budget)
+    texts = [repr(band) for band in orbit.bands]
+    comma = "," if len(orbit.start) == 1 else ""
     payload = {
         "size": orbit.size,
         "truncated": orbit.truncated,
-        "keys": [repr(k) for k in orbit.keys],
+        # each node's repr, from the repr of each band key written once
+        "keys": ["(" + ", ".join([texts[i] for i in node]) + comma + ")" for node in orbit.nodes],
     }
     lines = [
         f"orbit size: {orbit.size}" + (" (truncated at budget)" if orbit.truncated else ""),

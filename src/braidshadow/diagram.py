@@ -379,10 +379,11 @@ def check_transverse(diag: TorusDiagram) -> list[Violation]:
 def endpoint_faults(diag: TorusDiagram) -> list[str]:
     """Where arcs do not end on their bridge points, one message each.
 
-    The diagram must be nonempty, each arc's first and last vertex must be
-    congruent mod (Nx, Ny) to its start and end points, each arc must run
-    from a (-) point to a (+) point, and each point must meet exactly one
-    arc end of each color.
+    The diagram must be nonempty, each arc end must name one of its bridge
+    points (an end that does not is checked no further), each arc's first
+    and last vertex must be congruent mod (Nx, Ny) to its start and end
+    points, each arc must run from a (-) point to a (+) point, and each
+    point must meet exactly one arc end of each color.
     """
     if not diag.bridge_points:
         return ["diagram has no bridge points"]
@@ -394,6 +395,10 @@ def endpoint_faults(diag: TorusDiagram) -> list[str]:
             (arc.start, arc.path[0], -1, "starts"),
             (arc.end, arc.path[-1], 1, "ends"),
         ):
+            if not 0 <= i < len(ends):
+                faults.append(f"arc {ai} ({arc.color}) {role} at bridge point {i}, "
+                              f"not one of the {len(ends)} points")
+                continue
             p = diag.bridge_points[i]
             if (x - p.x) % nx or (y - p.y) % ny:
                 faults.append(
@@ -421,8 +426,11 @@ def _partners(diag: TorusDiagram, color: str) -> list[int]:
     """For each bridge point, the other end of its one arc of ``color``."""
     partner = [0] * len(diag.bridge_points)
     touches = [0] * len(partner)
-    for arc in diag.arcs:
+    for ai, arc in enumerate(diag.arcs):
         if arc.color == color:
+            if not (0 <= arc.start < len(partner) and 0 <= arc.end < len(partner)):
+                raise DiagramError(f"arc {ai} ({color}) names a bridge point that is not "
+                                   f"one of the {len(partner)} points")
             partner[arc.start], partner[arc.end] = arc.end, arc.start
             touches[arc.start] += 1
             touches[arc.end] += 1

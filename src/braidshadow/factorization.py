@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
-from .garside import equal, normal_form
+from .garside import _table, equal, normal_form
 from .words import BraidError, BraidWord, free_reduce, full_twist, invert
 
 # the largest exponent a band takes: a band is expanded letter by letter,
@@ -192,6 +192,7 @@ def factorization_key(f: Factorization) -> tuple[FactorKey, ...]:
 
 NodeKey = tuple[FactorKey, ...]
 OrbitMove = tuple[NodeKey, int, str]  # (parent key, slot, direction)
+Node = tuple[int, ...]  # a node's bands as indexes into HurwitzOrbit.bands
 
 
 @dataclass(frozen=True)
@@ -199,18 +200,21 @@ class HurwitzOrbit:
     """BFS closure of a factorization under Hurwitz moves.
 
     ``keys`` holds the canonical key of every node reached, sorted so the
-    output is independent of exploration order.  ``truncated`` is set when
-    the node budget was exhausted before closure.  ``moves`` maps each key,
-    in BFS order, to the move (parent key, slot, direction) that first
-    reached it, or to None for the key of ``start``.  ``elements`` replays
-    the moves in that order, parents before children, with
-    :func:`hurwitz_move` on its first read, so each witness is the one a
-    BFS building every node would find; nothing else builds one.  Equality
-    compares keys and truncation.
+    output is independent of exploration order, and ``nodes`` the same
+    nodes as indexes into ``bands``, which lists each band key met once in
+    the order first met.  ``truncated`` is set when the node budget was
+    exhausted before closure.  ``reached`` maps each node, in BFS order, to
+    the move (parent node, slot, direction) that first reached it, or to
+    None for ``start``; ``moves`` is that map on keys.  ``elements``
+    replays the moves in that order with :func:`hurwitz_move` on its first
+    read, so each witness is the one a BFS building every node would find;
+    nothing else builds one.  Equality compares keys and truncation.
     """
 
     start: Factorization = field(compare=False, repr=False)
-    moves: dict[NodeKey, OrbitMove | None] = field(compare=False, repr=False)
+    bands: tuple[FactorKey, ...] = field(compare=False, repr=False)
+    nodes: tuple[Node, ...] = field(compare=False, repr=False)
+    reached: dict[Node, tuple[Node, int, str] | None] = field(compare=False, repr=False)
     keys: tuple[NodeKey, ...]
     truncated: bool
 
@@ -219,15 +223,27 @@ class HurwitzOrbit:
         return len(self.keys)
 
     @cached_property
+    def moves(self) -> dict[NodeKey, OrbitMove | None]:
+        key = dict(zip(self.nodes, self.keys))
+        return {key[node]: None if move is None else (key[move[0]], *move[1:])
+                for node, move in self.reached.items()}
+
+    @cached_property
     def elements(self) -> tuple[Factorization, ...]:
         built = {}
-        for key, move in self.moves.items():
-            if move is None:
-                built[key] = self.start
-            else:
-                parent, slot, direction = move
-                built[key] = hurwitz_move(built[parent], slot, direction)
-        return tuple(built[key] for key in self.keys)
+        for node, move in self.reached.items():
+            built[node] = self.start if move is None else hurwitz_move(built[move[0]], *move[1:])
+        return tuple(built[node] for node in self.nodes)
+
+
+def _orbit(
+    f: Factorization, perms: list[tuple[int, ...]], forms: list[tuple[int, tuple[int, ...]]],
+    reached: dict[Node, tuple[Node, int, str] | None], truncated: bool,
+) -> HurwitzOrbit:
+    bands = [(power, tuple(perms[c] for c in codes)) for power, codes in forms]
+    # keys are distinct, so the pairs sort by key alone
+    keys, nodes = zip(*sorted((tuple(map(bands.__getitem__, node)), node) for node in reached))
+    return HurwitzOrbit(f, tuple(bands), nodes, reached, keys, truncated)
 
 
 def hurwitz_orbit(f: Factorization, bound: int) -> HurwitzOrbit:
@@ -237,35 +253,43 @@ def hurwitz_orbit(f: Factorization, bound: int) -> HurwitzOrbit:
     (right) or b^{-1} a b (left) as a group element, so the moved band's
     key is a function of the direction and the keys of a and b alone,
     whatever their exponents, signs or conjugator words.  The BFS therefore
-    runs on key tuples: the first band seen with a key represents every band
-    with that key, each distinct (direction, key a, key b) triple is keyed
-    once, by moving two representatives, in a memo that lives for this
-    call, and a new node records only the move that first reached it.
+    runs on band ids, one small int per distinct key in the order first
+    seen: each distinct (direction, id a, id b) triple is keyed once, in a
+    memo per direction, by left-weighting the product of the two normal
+    forms with no word written out, and a new node records only the move
+    that first reached it.  Ids, memos and factor codes hold for this call,
+    in the one Garside table it takes.
     """
     if bound < 1:
         raise ValueError(f"node budget must be >= 1, got {bound}")
     start_key = factorization_key(f)
-    # reversed, so that the first band with each key is the one kept
-    bands = dict(zip(reversed(start_key), reversed(f.factors)))
-    seen: dict[NodeKey, OrbitMove | None] = {start_key: None}
-    queue: deque[NodeKey] = deque([start_key])
-    moved: dict[tuple[str, FactorKey, FactorKey], FactorKey] = {}
+    table = _table(f.strands)
+    ids: dict[tuple[int, tuple[int, ...]], int] = {}  # (Delta power, factor codes) -> id
+    start = tuple(ids.setdefault((p, tuple(map(table.code, xs))), len(ids)) for p, xs in start_key)
+    forms = list(ids)  # by id
+    seen: dict[Node, tuple[Node, int, str] | None] = {start: None}
+    queue: deque[Node] = deque([start])
+    memos: dict[str, dict[tuple[int, int], int]] = {"right": {}, "left": {}}
     while queue:
-        node_key = queue.popleft()
-        for i in range(1, len(node_key)):
-            key_a, key_b = node_key[i - 1], node_key[i]
-            for direction in ("right", "left"):
-                memo = (direction, key_a, key_b)
-                if memo not in moved:
-                    band = _moved_band(bands[key_a], bands[key_b], direction)
-                    moved[memo] = factor_canonical_key(band)
-                    bands.setdefault(moved[memo], band)
-                pair = (moved[memo], key_a) if direction == "right" else (key_b, moved[memo])
-                key = node_key[: i - 1] + pair + node_key[i + 1 :]
+        node = queue.popleft()
+        for i in range(1, len(node)):
+            a, b = node[i - 1], node[i]
+            head, tail = node[: i - 1], node[i + 1 :]
+            for direction, memo in memos.items():
+                moved = memo.get((a, b))
+                if moved is None:
+                    # a b a^{-1} or b^{-1} a b
+                    parts = (((a, False), (b, False), (a, True)) if direction == "right"
+                             else ((b, True), (a, False), (b, False)))
+                    form = table.product([(*forms[j], inverted) for j, inverted in parts])
+                    moved = memo[a, b] = ids.setdefault(form, len(ids))
+                    if moved == len(forms):
+                        forms.append(form)
+                key = head + ((moved, a) if direction == "right" else (b, moved)) + tail
                 if key in seen:
                     continue
                 if len(seen) >= bound:
-                    return HurwitzOrbit(f, seen, tuple(sorted(seen)), True)
-                seen[key] = (node_key, i, direction)
+                    return _orbit(f, table.perms, forms, seen, True)
+                seen[key] = (node, i, direction)
                 queue.append(key)
-    return HurwitzOrbit(f, seen, tuple(sorted(seen)), False)
+    return _orbit(f, table.perms, forms, seen, False)

@@ -15,10 +15,13 @@ order they are first seen and memoizes the left-weighted pair of two codes.
 Codes become permutation tuples again only in the returned ``NormalForm``.
 Pairs are weighed in one scan of generator moves (``_weight_pair``): a
 left-weighted pair is unique (El-Rifai and Morton, 1994), whatever the order.
+A table also left-weights a product of normal forms given as codes, some of
+them inverted (``_Table.product``), with no word in between.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .words import BraidError, BraidWord
@@ -90,25 +93,27 @@ class _Table:
     """The permutation braids of one strand count, numbered on first sight.
 
     ``perms[c]`` is the permutation of code ``c``, ``pairs`` maps a code
-    pair to its left-weighted pair, and ``letters[x]`` holds the codes of
-    letter x's simple factor and of that factor's tau image: sigma_i is its
-    transposition, sigma_i^{-1} = Delta^{-1} r with r the permutation braid
-    Delta sigma_i^{-1}.
+    pair to its left-weighted pair, ``taus`` and ``flips`` map a code to
+    those of its factor's tau image and of Delta times its inverse, and
+    ``letters[x]`` holds the codes of letter x's simple factor and of that
+    factor's tau image: sigma_i is its transposition, sigma_i^{-1} =
+    Delta^{-1} r with r the permutation braid Delta sigma_i^{-1}.
     """
 
     def __init__(self, d: int) -> None:
         self.perms: list[Perm] = []
         self.codes: dict[Perm, int] = {}
         self.pairs: dict[tuple[int, int], tuple[int, int]] = {}
+        self.taus: dict[int, int] = {}
+        self.flips: dict[int, int] = {}
         self.ident = self.code(_identity_perm(d))
-        w0 = _w0(d)
-        self.w0 = self.code(w0)
+        self.w0 = self.code(_w0(d))
         self.letters: dict[int, tuple[int, int]] = {}
         for i in range(1, d):
-            t = _transposition(d, i)
-            r = _then(w0, t)
-            self.letters[i] = (self.code(t), self.code(_tau(t)))
-            self.letters[-i] = (self.code(r), self.code(_tau(r)))
+            t = self.code(_transposition(d, i))
+            r = self.flip(t)
+            self.letters[i] = (t, self.tau(t))
+            self.letters[-i] = (r, self.tau(r))
 
     def code(self, p: Perm) -> int:
         c = self.codes.get(p)
@@ -123,8 +128,75 @@ class _Table:
         pair = self.pairs[a, b] = (self.code(x), self.code(y))
         return pair
 
+    def left_weight(self, power: int, codes: Iterable[int]) -> tuple[int, tuple[int, ...]]:
+        """Normal form (Delta power, codes) of Delta^power times the simple factors ``codes``.
+
+        Kept left-weighted after every factor: right-multiplying by a simple
+        factor only re-weights pairs leftwards until one is already weighted.
+        c is the factor at out[j], the right one of the next pair to weigh.
+        """
+        pairs, weigh, ident, w0 = self.pairs, self.weigh, self.ident, self.w0
+        out: list[int] = []
+        for c in codes:
+            out.append(c)
+            j = len(out) - 1
+            while j:
+                a = out[j - 1]
+                left, right = pairs.get((a, c)) or weigh(a, c)
+                if left == a:
+                    break
+                out[j] = right
+                j -= 1
+                out[j] = c = left
+            while out and out[-1] == ident:
+                out.pop()
+            while out and out[0] == w0:
+                power += 1
+                out.pop(0)
+        return power, tuple(out)
+
+    def product(
+        self, parts: Iterable[tuple[int, Sequence[int], bool]]
+    ) -> tuple[int, tuple[int, ...]]:
+        """Normal form of a product of normal forms (Delta power, codes): a
+        part (p, codes, inverted) is Delta^p x_1 ... x_k or, inverted,
+        x_k^-1 ... x_1^-1 Delta^-p, where x^-1 = Delta^-1 (Delta x^-1) and
+        Delta x^-1 is simple.  Moving each Delta to the front taus every
+        factor before it."""
+        factors, power = [], 0  # (Delta power before the factor, its code)
+        for p, codes, inverted in parts:
+            if inverted:
+                for c in reversed(codes):
+                    power -= 1
+                    factors.append((power, self.flip(c)))
+                power -= p
+            else:
+                power += p
+                factors += ((power, c) for c in codes)
+        return self.left_weight(power, [self.tau(c) if (power - q) & 1 else c for q, c in factors])
+
+    def tau(self, c: int) -> int:
+        if c not in self.taus:
+            self.taus[c] = self.code(_tau(self.perms[c]))
+        return self.taus[c]
+
+    def flip(self, c: int) -> int:
+        """Code of Delta x^-1, x the permutation braid of code c."""
+        if c not in self.flips:
+            self.flips[c] = self.code(_then(self.perms[self.w0], _inverse(self.perms[c])))
+        return self.flips[c]
+
 
 _tables: dict[int, _Table] = {}
+
+
+def _table(d: int) -> _Table:
+    """The table of strand count d, rebuilt once it holds more than
+    ``_WEIGHT_PAIR_CACHE_SIZE`` pairs: codes of a dropped table are meaningless."""
+    table = _tables.get(d)
+    if table is None or len(table.pairs) > _WEIGHT_PAIR_CACHE_SIZE:
+        table = _tables[d] = _Table(d)
+    return table
 
 
 @dataclass(frozen=True)
@@ -149,38 +221,18 @@ def normal_form(w: BraidWord) -> NormalForm:
             letters.pop()
         else:
             letters.append(x)
-    table = _tables.get(d)
-    if table is None or len(table.pairs) > _WEIGHT_PAIR_CACHE_SIZE:
-        table = _tables[d] = _Table(d)
-    pairs, weigh, factor = table.pairs, table.weigh, table.letters
-    ident, w0 = table.ident, table.w0
+    table = _table(d)
+    factor = table.letters
     # Moving each Delta^{-1} to the front conjugates every factor before it
     # by Delta, so a letter's factor is tau'd once per inverse letter after it.
     later_inverses = sum(1 for x in letters if x < 0)
     p = -later_inverses
-    # Kept left-weighted after every letter: right-multiplying by a simple
-    # factor only re-weights pairs leftwards until one is already weighted.
-    # c is the factor at out[j], the right one of the next pair to weigh.
-    out: list[int] = []
+    codes: list[int] = []
     for x in letters:
         if x < 0:
             later_inverses -= 1
-        c = factor[x][later_inverses & 1]
-        out.append(c)
-        j = len(out) - 1
-        while j:
-            a = out[j - 1]
-            left, right = pairs.get((a, c)) or weigh(a, c)
-            if left == a:
-                break
-            out[j] = right
-            j -= 1
-            out[j] = c = left
-        while out and out[-1] == ident:
-            out.pop()
-        while out and out[0] == w0:
-            p += 1
-            out.pop(0)
+        codes.append(factor[x][later_inverses & 1])
+    p, out = table.left_weight(p, codes)
     return NormalForm(d, p, tuple(table.perms[c] for c in out))
 
 

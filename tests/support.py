@@ -1,8 +1,9 @@
 """Fixtures shared by several test modules: a seeded generator of valid
-factorizations, the standard bands with short conjugators, a positive word
-for the half twist, and the order-3 rotation and a random renumbering of
-a torus diagram.  The library never calls them; the tests use them as
-inputs and as independent oracles."""
+factorizations, two non-smooth factorizations of the d = 3 full twist, the
+standard bands with short conjugators, a positive word for the half twist,
+and the order-3 rotation and a random renumbering of a torus diagram.  The
+library never calls them; the tests use them as inputs and as independent
+oracles."""
 
 import random
 
@@ -44,6 +45,18 @@ def random_factorization(
         f = nxt
         done += 1
     return f
+
+
+def band(d: int, conjugator: tuple[int, ...], exponent: int = 1, sign: int = 1) -> BandFactor:
+    return BandFactor(BraidWord(d, conjugator), exponent, sign)
+
+
+# Delta_3^2 = s1 s2 s1 . s1 s2 s1 with the middle s1 s1 as one band, then
+# with that band split into s1^3 . s1^-1: non-smooth starts for orbits
+CUSP_3 = Factorization(3, (band(3, ()), band(3, (1, 2)), band(3, (), 2),
+                           band(3, (1, 2)), band(3, ())))
+FLIPPED_3 = Factorization(3, CUSP_3.factors[:2] + (band(3, (), 3), band(3, (), 1, -1))
+                          + CUSP_3.factors[3:])
 
 
 def short_standard_factorization(d: int) -> Factorization:

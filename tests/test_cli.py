@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import braidshadow
+from braidshadow import garside
 from braidshadow.cli import run_cli
 from braidshadow.diagram import Arc, BridgePoint, TorusDiagram, assemble, certify
 from braidshadow.documents import (
@@ -29,7 +30,7 @@ from braidshadow.factorization import (
     standard_factorization,
 )
 from braidshadow.words import BraidWord, identity
-from support import random_factorization, renumber
+from support import CUSP_3, FLIPPED_3, band, random_factorization, renumber
 from test_diagram import _acceptance_corpus
 
 _TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -1179,23 +1180,52 @@ def test_an_integer_literal_of_5000_digits_exits_2(capsys, monkeypatch, tmp_path
     assert err == "error: invalid JSON: an integer literal has too many digits\n"
 
 
-@pytest.mark.parametrize("argv, start", [
+# (argv, start): start is None for --standard d, else the document read from
+# stdin and the label that stands for "-" in its golden output's name
+_ORBIT_GOLDEN = [
     (["orbit", "--standard", "3", "--budget", "300", "--json"], None),
-    (["orbit", "-", "--budget", "40", "--json"], ("random 4 seed 11", 4, 11)),
-    # 24 of its 38 memo misses move a representative that an earlier move found
+    (["orbit", "-", "--budget", "40", "--json"], ("random 4 seed 11", serialize_factorization(
+        random_factorization(4, random.Random(11), moves=10, max_conjugator_length=4)))),
+    # 24 of its 38 memo misses once moved a representative that an earlier move found
     (["orbit", "--standard", "4", "--budget", "500", "--json"], None),
-])
-def test_orbit_matches_golden_output(capsys, monkeypatch, argv, start):
-    """Byte for byte the output of earlier orbit BFS versions: the first two
-    from before the key-pair memo, standard d = 4 from the memo BFS that
-    built a witness for every node."""
-    name = " ".join(argv)
-    stdin = None
+    # an empty key, a one-band key with its trailing comma, and bands with
+    # negative Delta powers, exponents 2 and 3 and a negative sign
+    *((["orbit", "-", "--budget", "100", "--json"], start) for start in (
+        ("zero bands", '{"factors":[],"format_version":"1","strands":1,"type":"factorization"}'),
+        ("sigma_1^2", serialize_factorization(Factorization(2, (band(2, (), 2),)))),
+        ("cusp 3", serialize_factorization(CUSP_3)),
+        ("flipped 3", serialize_factorization(FLIPPED_3)),
+    )),
+]
+
+
+def _orbit_output(capsys, monkeypatch, argv, start):
+    """The verb's stdout and its golden output."""
+    name, stdin = " ".join(argv), None
     if start is not None:
-        label, d, seed = start
-        f = random_factorization(d, random.Random(seed), moves=10, max_conjugator_length=4)
-        stdin = serialize_factorization(f)
+        label, stdin = start
         name = name.replace(" -", f" {label}", 1)
     code, out, err = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
     assert (code, err) == (0, "")
-    assert out == _GOLDEN[name]
+    return out, _GOLDEN[name]
+
+
+@pytest.mark.parametrize("argv, start", _ORBIT_GOLDEN)
+def test_orbit_matches_golden_output(capsys, monkeypatch, argv, start):
+    """Byte for byte the output of earlier orbit BFS versions: the first two
+    from before the key-pair memo, standard d = 4 from the memo BFS that
+    built a witness for every node, the last four from the BFS that wrote
+    each key with ``repr``."""
+    out, golden = _orbit_output(capsys, monkeypatch, argv, start)
+    assert out == golden
+
+
+@pytest.mark.parametrize("argv, start", _ORBIT_GOLDEN)
+def test_orbit_output_survives_a_garside_table_rebuilt_on_every_call(capsys, monkeypatch,
+                                                                     argv, start):
+    """With no weighed pair kept between calls, every normal_form starts a
+    new Garside table, so the orbit's own table is never the one the
+    start's keys came from."""
+    monkeypatch.setattr(garside, "_WEIGHT_PAIR_CACHE_SIZE", 0)
+    out, golden = _orbit_output(capsys, monkeypatch, argv, start)
+    assert out == golden

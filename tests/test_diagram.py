@@ -487,6 +487,41 @@ def test_assembled_arcs_run_from_minus_to_plus():
         )
 
 
+@pytest.mark.parametrize("shift", [-8, 8, 10**6])
+def test_certify_names_arc_ends_outside_the_bridge_points(shift):
+    """Standard d = 2 (8 points) with every arc end moved by ``shift``: a
+    negative end must not wrap round to a point, and a large one must not
+    raise.  Each end is named once and checked no further, and the stages
+    that read the ends run on none of them."""
+    f = standard_factorization(2)
+    diag = assemble(f)
+    moved = replace(diag, arcs=tuple(
+        arc._replace(start=arc.start + shift, end=arc.end + shift) for arc in diag.arcs))
+    faults = endpoint_faults(moved)
+    first = moved.arcs[0]
+    assert faults[:2] == [
+        f"arc 0 ({first.color}) starts at bridge point {first.start}, not one of the 8 points",
+        f"arc 0 ({first.color}) ends at bridge point {first.end}, not one of the 8 points",
+    ]
+    outside = [fault for fault in faults if "not one of the 8 points" in fault]
+    assert len(outside) == 2 * len(diag.arcs)
+    # what is left: no point meets any arc end
+    assert len(faults) - len(outside) == 3 * len(diag.bridge_points)
+    for source, skipped in ((None, "no source factorization"),
+                            (f, "bridge parameters unavailable")):
+        cert = certify(moved, source)
+        assert not cert.ok
+        assert cert.fault == f"diagram has {len(faults)} endpoint faults, first: {faults[0]}"
+        assert cert.payload["params"] is None
+        assert [line for line in cert.lines if line.startswith(("bridge", "triviality"))] == [
+            "bridge parameters: unavailable (arc 8 (A) names a bridge point that is not "
+            "one of the 8 points)",
+            f"triviality: skipped ({skipped})",
+        ]
+    with pytest.raises(DiagramError, match="^arc 8 [(]A[)] names a bridge point"):
+        bridge_params(moved)
+
+
 def test_check_transverse_locates_bad_segment():
     points = (
         BridgePoint(2, 6, -1),

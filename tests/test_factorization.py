@@ -5,12 +5,13 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from braidshadow import factorization
+from braidshadow import factorization, garside
 from braidshadow.cli import run_cli
 from braidshadow.factorization import (
     BandFactor,
     Factorization,
     expand,
+    factor_canonical_key,
     factorization_key,
     hurwitz_move,
     hurwitz_orbit,
@@ -27,7 +28,14 @@ from braidshadow.words import (
     identity,
     invert,
 )
-from support import random_factorization, short_standard_factorization
+from support import (
+    CUSP_3,
+    FLIPPED_3,
+    band,
+    random_factorization,
+    short_standard_factorization,
+)
+from test_diagram import _acceptance_corpus
 
 
 def test_band_factor_word():
@@ -255,31 +263,21 @@ def test_moves_and_expand_agree_with_composed_oracles(f):
             assert hurwitz_move(f, i, direction) == _reference_hurwitz_move(f, i, direction)
 
 
-def _band(d, conjugator, exponent=1, sign=1):
-    return BandFactor(BraidWord(d, conjugator), exponent, sign)
-
-
 def _paired(f, at, conjugator, exponent):
     """f with g s1^e g^-1, g s1^-e g^-1 inserted before factor ``at``."""
-    pair = (_band(f.strands, conjugator, exponent), _band(f.strands, conjugator, exponent, -1))
+    pair = (band(f.strands, conjugator, exponent), band(f.strands, conjugator, exponent, -1))
     return Factorization(f.strands, f.factors[:at] + pair + f.factors[at:])
 
 
-# Delta_3^2 = s1 s2 s1 . s1 s2 s1 with the middle s1 s1 as one band, then
-# with that band split into s1^3 . s1^-1
-_CUSP_3 = Factorization(3, (_band(3, ()), _band(3, (1, 2)), _band(3, (), 2),
-                            _band(3, (1, 2)), _band(3, ())))
-_FLIPPED_3 = Factorization(3, _CUSP_3.factors[:2] + (_band(3, (), 3), _band(3, (), 1, -1))
-                           + _CUSP_3.factors[3:])
-_FLIPPED_2 = Factorization(2, (_band(2, (), 3), _band(2, (), 1, -1)))  # orbit of two
+_FLIPPED_2 = Factorization(2, (band(2, (), 3), band(2, (), 1, -1)))  # orbit of two
 _PAIRED_4 = _paired(random_factorization(4, random.Random(13), moves=10, max_conjugator_length=4),
                     5, (3, 2), 2)
 _NON_SMOOTH_STARTS = [
     _FLIPPED_2,
-    _CUSP_3,
-    _FLIPPED_3,
+    CUSP_3,
+    FLIPPED_3,
     _paired(standard_factorization(3), 2, (2,), 1),
-    _paired(_CUSP_3, 1, (2, -1), 3),
+    _paired(CUSP_3, 1, (2, -1), 3),
     _PAIRED_4,
 ]
 
@@ -300,7 +298,7 @@ def test_non_smooth_starts_multiply_to_the_full_twist(start):
         *((start, 100) for start in _NON_SMOOTH_STARTS),
         # every budget, so that truncation falls both on a move whose moved
         # key was known and on one keyed afresh
-        *((_FLIPPED_3, bound) for bound in range(1, 61)),
+        *((FLIPPED_3, bound) for bound in range(1, 61)),
     ],
 )
 def test_orbit_matches_reference_bfs(start, bound):
@@ -317,24 +315,55 @@ def _adjacent_triples(keys):
     (standard_factorization(2), 10),
     (_FLIPPED_2, 10),
     (standard_factorization(3), 300),
-    (_CUSP_3, 100),
-    (_FLIPPED_3, 100),
+    (CUSP_3, 100),
+    (FLIPPED_3, 100),
     (_PAIRED_4, 60),
 ])
 def test_orbit_keys_each_distinct_band_move_once(monkeypatch, start, bound):
     # the moved band's key depends only on the direction and the two keys,
-    # so beyond the start's n bands each distinct triple is keyed once
+    # so each distinct triple is one product of normal forms
     calls = []
-    keyed = factorization.factor_canonical_key
-    monkeypatch.setattr(factorization, "factor_canonical_key",
-                        lambda band: calls.append(band) or keyed(band))
+    product = garside._Table.product
+    monkeypatch.setattr(garside._Table, "product",
+                        lambda table, parts: calls.append(parts) or product(table, parts))
     orbit = hurwitz_orbit(start, bound)
     # every triple met belongs to some node of the orbit; without truncation
     # every node's triples are met
-    bound_calls = len(start) + len(_adjacent_triples(orbit.keys))
+    bound_calls = len(_adjacent_triples(orbit.keys))
     assert len(calls) <= bound_calls
     if not orbit.truncated:
         assert len(calls) == bound_calls
+
+
+def test_each_memo_entry_is_the_key_of_the_band_a_move_writes_out(monkeypatch):
+    """The word path as the oracle: each product of normal forms the BFS
+    keys a moved band by equals ``factor_canonical_key`` of the band that
+    ``_moved_band`` writes out from representatives of the two keys."""
+    entries = []
+    product = garside._Table.product
+
+    def recording(table, parts):
+        power, codes = product(table, parts)
+        spelled = [((p, tuple(table.perms[c] for c in xs)), inverted) for p, xs, inverted in parts]
+        entries.append((spelled, (power, tuple(table.perms[c] for c in codes))))
+        return power, codes
+
+    monkeypatch.setattr(garside._Table, "product", recording)
+    checked = 0
+    for f in _acceptance_corpus():
+        entries.clear()
+        orbit = hurwitz_orbit(f, 30)
+        representative = {}
+        for element in orbit.elements:
+            for factor, key in zip(element.factors, factorization_key(element)):
+                representative.setdefault(key, factor)
+        for ((x, inverted), (y, _), _), moved in entries:
+            # a b a^-1 for the right move, b^-1 a b for the left
+            a, b, direction = (y, x, "left") if inverted else (x, y, "right")
+            written = factorization._moved_band(representative[a], representative[b], direction)
+            assert factor_canonical_key(written) == moved
+            checked += 1
+    assert checked == 1683  # memo misses over the 103 orbits
 
 
 def test_standard_3_orbit_normal_form_count_is_pinned(monkeypatch):
@@ -343,7 +372,9 @@ def test_standard_3_orbit_normal_form_count_is_pinned(monkeypatch):
     monkeypatch.setattr(factorization, "normal_form", lambda word: calls.append(word) or nf(word))
     orbit = hurwitz_orbit(standard_factorization(3), 300)
     assert orbit.size == 300 and orbit.truncated
-    assert len(calls) <= 78  # 1,693 when every move was keyed
+    # the start's six bands only: 78 when each moved band was written out
+    # and keyed, 1,693 when every move was
+    assert len(calls) == 6
 
 
 def _count_moves(monkeypatch):
@@ -356,7 +387,7 @@ def _count_moves(monkeypatch):
 
 @pytest.mark.parametrize("start, bound", [
     (standard_factorization(3), 300),
-    (_FLIPPED_3, 100),
+    (FLIPPED_3, 100),
     (_PAIRED_4, 60),
 ])
 def test_orbit_builds_witnesses_only_when_elements_are_read(monkeypatch, start, bound):

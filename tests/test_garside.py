@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from braidshadow import garside
 from braidshadow.factorization import expand, standard_factorization, validate
@@ -248,6 +248,32 @@ def _counting_weight_pair(monkeypatch):
 
     monkeypatch.setattr(garside, "_weight_pair", counted)
     return calls
+
+
+@st.composite
+def _inverse_rich_products(draw):
+    """Up to four words at d = 2..7, two letters in three inverse, each to be
+    taken plain or inverted."""
+    d = draw(st.integers(2, 7))
+    letter = st.integers(1, d - 1).flatmap(lambda i: st.sampled_from([i, -i, -i]))
+    word = st.lists(letter, max_size=16).map(lambda letters: BraidWord(d, tuple(letters)))
+    return d, draw(st.lists(st.tuples(word, st.booleans()), max_size=4))
+
+
+@given(_inverse_rich_products())
+@seed(34)
+@settings(max_examples=300, deadline=None)
+def test_product_of_normal_forms_is_the_normal_form_of_the_words(case):
+    """``_Table.product`` against the word path it replaces in the orbit BFS:
+    write the words out, invert some, concatenate, and take the normal form."""
+    d, parts = case
+    forms = [normal_form(w) for w, _ in parts]
+    table = garside._table(d)
+    power, codes = table.product([(nf.delta_power, [table.code(x) for x in nf.factors], inverted)
+                                  for nf, (_, inverted) in zip(forms, parts)])
+    letters = tuple(x for w, inverted in parts for x in (invert(w) if inverted else w).letters)
+    assert NormalForm(d, power, tuple(table.perms[c] for c in codes)) == normal_form(
+        BraidWord(d, letters))
 
 
 def test_pair_table_is_rebuilt_past_its_bound(monkeypatch):
