@@ -98,7 +98,6 @@ class ValidationReport:
     product_ok: bool
     sum_ok: bool
     smooth: bool
-    count_ok: bool | None  # n == d^2 - d; only meaningful when smooth
 
     @property
     def valid(self) -> bool:
@@ -107,7 +106,7 @@ class ValidationReport:
 
 
 def validate(f: Factorization) -> ValidationReport:
-    """Check product = Delta^2, exponent sum = d(d-1), and (if smooth) n = d^2-d.
+    """Check product = Delta^2 and exponent sum = d(d-1).
 
     Invalid input yields a failing report.  The bands are expanded only
     when the exponent sum is right.  Negative bands are accepted here but
@@ -115,7 +114,6 @@ def validate(f: Factorization) -> ValidationReport:
     """
     d = f.strands
     total = sum(factor.signed_exponent() for factor in f.factors)
-    smooth = f.is_smooth_quasipositive()
     sum_ok = total == d * (d - 1)
     return ValidationReport(
         strands=d,
@@ -125,8 +123,7 @@ def validate(f: Factorization) -> ValidationReport:
         # decides the product without expanding the bands
         product_ok=sum_ok and equal(expand(f), full_twist(d)),
         sum_ok=sum_ok,
-        smooth=smooth,
-        count_ok=(len(f.factors) == d * d - d) if smooth else None,
+        smooth=f.is_smooth_quasipositive(),
     )
 
 
@@ -190,8 +187,6 @@ def factorization_key(f: Factorization) -> tuple[FactorKey, ...]:
     return tuple(factor_canonical_key(factor) for factor in f.factors)
 
 
-NodeKey = tuple[FactorKey, ...]
-OrbitMove = tuple[NodeKey, int, str]  # (parent key, slot, direction)
 Node = tuple[int, ...]  # a node's bands as indexes into HurwitzOrbit.bands
 
 
@@ -199,34 +194,31 @@ Node = tuple[int, ...]  # a node's bands as indexes into HurwitzOrbit.bands
 class HurwitzOrbit:
     """BFS closure of a factorization under Hurwitz moves.
 
-    ``keys`` holds the canonical key of every node reached, sorted so the
-    output is independent of exploration order, and ``nodes`` the same
-    nodes as indexes into ``bands``, which lists each band key met once in
-    the order first met.  ``truncated`` is set when the node budget was
-    exhausted before closure.  ``reached`` maps each node, in BFS order, to
-    the move (parent node, slot, direction) that first reached it, or to
-    None for ``start``; ``moves`` is that map on keys.  ``elements``
-    replays the moves in that order with :func:`hurwitz_move` on its first
-    read, so each witness is the one a BFS building every node would find;
-    nothing else builds one.  Equality compares keys and truncation.
+    ``bands`` lists each band key met once, in the order first met, and
+    ``nodes`` every node reached as indexes into ``bands``, sorted by key
+    so the output is independent of exploration order.  ``truncated`` is
+    set when the node budget was exhausted before closure.  ``reached``
+    maps each node, in BFS order, to the move (parent node, slot,
+    direction) that first reached it, or to None for ``start``.  ``keys``
+    spells out each node's canonical key, and ``elements`` replays the
+    moves in BFS order with :func:`hurwitz_move`, so each witness is the
+    one a BFS building every node would find; both are built on their
+    first read, and nothing else builds them.
     """
 
     start: Factorization = field(compare=False, repr=False)
-    bands: tuple[FactorKey, ...] = field(compare=False, repr=False)
-    nodes: tuple[Node, ...] = field(compare=False, repr=False)
+    bands: tuple[FactorKey, ...]
+    nodes: tuple[Node, ...]
     reached: dict[Node, tuple[Node, int, str] | None] = field(compare=False, repr=False)
-    keys: tuple[NodeKey, ...]
     truncated: bool
 
     @property
     def size(self) -> int:
-        return len(self.keys)
+        return len(self.nodes)
 
     @cached_property
-    def moves(self) -> dict[NodeKey, OrbitMove | None]:
-        key = dict(zip(self.nodes, self.keys))
-        return {key[node]: None if move is None else (key[move[0]], *move[1:])
-                for node, move in self.reached.items()}
+    def keys(self) -> tuple[tuple[FactorKey, ...], ...]:
+        return tuple(tuple(map(self.bands.__getitem__, node)) for node in self.nodes)
 
     @cached_property
     def elements(self) -> tuple[Factorization, ...]:
@@ -240,10 +232,10 @@ def _orbit(
     f: Factorization, perms: list[tuple[int, ...]], forms: list[tuple[int, tuple[int, ...]]],
     reached: dict[Node, tuple[Node, int, str] | None], truncated: bool,
 ) -> HurwitzOrbit:
-    bands = [(power, tuple(perms[c] for c in codes)) for power, codes in forms]
-    # keys are distinct, so the pairs sort by key alone
-    keys, nodes = zip(*sorted((tuple(map(bands.__getitem__, node)), node) for node in reached))
-    return HurwitzOrbit(f, tuple(bands), nodes, reached, keys, truncated)
+    bands = tuple((power, tuple(perms[c] for c in codes)) for power, codes in forms)
+    # band keys are distinct, so nodes sort as their keys do
+    nodes = sorted(reached, key=lambda node: tuple(map(bands.__getitem__, node)))
+    return HurwitzOrbit(f, bands, tuple(nodes), reached, truncated)
 
 
 def hurwitz_orbit(f: Factorization, bound: int) -> HurwitzOrbit:

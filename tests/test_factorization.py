@@ -1,3 +1,4 @@
+import json
 import random
 from collections import deque
 from dataclasses import replace
@@ -5,8 +6,9 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from braidshadow import factorization, garside
+from braidshadow import cli, factorization, garside
 from braidshadow.cli import run_cli
+from braidshadow.documents import serialize_factorization
 from braidshadow.factorization import (
     BandFactor,
     Factorization,
@@ -123,10 +125,9 @@ def test_valid_is_the_product_check_under_mutations():
         f = _mutated(walk, rng)
         report = validate(f)
         assert report.sum_ok or not report.product_ok
-        assert report.count_ok == ((len(f) == d * d - d) if report.smooth else None)
-        assert report.count_ok is not False or not report.sum_ok
-        flags = report.product_ok and report.sum_ok and report.count_ok is not False
-        assert report.valid == flags
+        # for smooth input the exponent sum is the band count
+        assert not report.smooth or report.sum_ok == (len(f) == d * d - d)
+        assert report.valid == (report.product_ok and report.sum_ok)
         seen.add((report.valid, report.sum_ok, report.smooth))
     # every (valid, sum_ok, smooth) combination with valid implying sum_ok occurs
     assert len(seen) == 6
@@ -135,7 +136,7 @@ def test_valid_is_the_product_check_under_mutations():
 def test_singular_factor_cusp_is_valid_at_d2():
     f = Factorization(2, (BandFactor(identity(2), exponent=2),))
     report = validate(f)
-    assert report.valid and not report.smooth and report.count_ok is None
+    assert report.valid and not report.smooth
 
 
 def test_hurwitz_move_preserves_product():
@@ -399,6 +400,27 @@ def test_orbit_builds_witnesses_only_when_elements_are_read(monkeypatch, start, 
     # every node but the start is one move from its parent's witness
     assert len(calls) == orbit.size - 1 == len(elements) - 1
     assert orbit.elements is elements and len(calls) == orbit.size - 1
+
+
+@pytest.mark.parametrize("start, bound", [
+    (standard_factorization(3), 300),
+    (FLIPPED_3, 100),
+    (_PAIRED_4, 60),
+])
+def test_orbit_spells_out_node_keys_only_when_read(monkeypatch, capsys, tmp_path, start, bound):
+    orbit = hurwitz_orbit(start, bound)
+    assert "keys" not in vars(orbit)
+    made = []
+    monkeypatch.setattr(cli, "hurwitz_orbit", lambda *args: made.append(hurwitz_orbit(*args)) or made[-1])
+    path = tmp_path / "start.json"
+    path.write_text(serialize_factorization(start))
+    assert run_cli(["orbit", str(path), "--budget", str(bound), "--json"]) == 0
+    texts = json.loads(capsys.readouterr().out)["keys"]
+    # the orbit verb writes every node's text without spelling out its key
+    assert "keys" not in vars(made[0])
+    keys = orbit.keys
+    assert keys == _reference_orbit(start, bound)[1] and orbit.keys is keys
+    assert texts == [repr(key) for key in keys]
 
 
 def test_orbit_verb_builds_no_witness(monkeypatch, capsys):
