@@ -376,33 +376,30 @@ def check_transverse(diag: TorusDiagram) -> list[Violation]:
     return violations
 
 
-def endpoint_faults(diag: TorusDiagram) -> list[str]:
-    """Where arcs do not end on their bridge points, one message each.
-
-    The diagram must be nonempty, each arc end must name one of its bridge
-    points (an end that does not is checked no further), each arc's first
-    and last vertex must be congruent mod (Nx, Ny) to its start and end
-    points, each arc must run from a (-) point to a (+) point, and each
-    point must meet exactly one arc end of each color.
-    """
-    if not diag.bridge_points:
-        return ["diagram has no bridge points"]
+def _read_ends(diag: TorusDiagram) -> tuple[list[str], dict[str, list[int]]]:
+    """Every arc end read once: the endpoint faults and, per color, each
+    bridge point's partner, the other end of its arc of that color (the
+    lists are the color's tangle only when there is no fault)."""
+    n = len(diag.bridge_points)
+    if not n:
+        return ["diagram has no bridge points"], {}
     nx, ny = diag.scale
     faults = []
+    partners = {color: [0] * n for color in "ABC"}
     ends = [{"A": 0, "B": 0, "C": 0} for _ in diag.bridge_points]
     for ai, arc in enumerate(diag.arcs):
-        for i, (x, y), sign, role in (
-            (arc.start, arc.path[0], -1, "starts"),
-            (arc.end, arc.path[-1], 1, "ends"),
+        for i, other, (x, y), sign, role in (
+            (arc.start, arc.end, arc.path[0], -1, "starts"),
+            (arc.end, arc.start, arc.path[-1], 1, "ends"),
         ):
-            if not 0 <= i < len(ends):
+            if not 0 <= i < n:
                 faults.append(f"arc {ai} ({arc.color}) {role} at bridge point {i}, "
-                              f"not one of the {len(ends)} points")
+                              f"not one of the {n} points")
                 continue
             p = diag.bridge_points[i]
             if (x - p.x) % nx or (y - p.y) % ny:
                 faults.append(
-                    f"arc {ai} ({arc.color}) ends at ({x % nx / nx:.6f}, {y % ny / ny:.6f}), "
+                    f"arc {ai} ({arc.color}) {role} at ({x % nx / nx:.6f}, {y % ny / ny:.6f}), "
                     f"not at its bridge point {i} ({p.x / nx}, {p.y / ny})"
                 )
             if p.sign != sign:
@@ -410,34 +407,30 @@ def endpoint_faults(diag: TorusDiagram) -> list[str]:
                     f"arc {ai} ({arc.color}) {role} at bridge point {i}, "
                     f"a ({'+' if p.sign > 0 else '-'}) point; arcs run from (-) to (+)"
                 )
+            partners[arc.color][i] = other
             ends[i][arc.color] += 1
     for i, counts in enumerate(ends):
         for color, count in counts.items():
             if count != 1:
                 faults.append(f"bridge point {i} meets {count} {color} arc ends, expected 1")
-    return faults
+    return faults, partners
+
+
+def endpoint_faults(diag: TorusDiagram) -> list[str]:
+    """Where arcs do not end on their bridge points, one message each.
+
+    The diagram must be nonempty, each arc end must name one of its bridge
+    points (an end that does not is checked no further), each arc's first
+    and last vertex must be congruent mod (Nx, Ny) to its start and end
+    points, each arc must run from a (-) point to a (+) point, and each
+    point must meet exactly one arc end of each color.  ``bridge_params``
+    counts only a diagram with no fault.
+    """
+    return _read_ends(diag)[0]
 
 
 # ---------------------------------------------------------------------------
 # bridge parameters
-
-
-def _partners(diag: TorusDiagram, color: str) -> list[int]:
-    """For each bridge point, the other end of its one arc of ``color``."""
-    partner = [0] * len(diag.bridge_points)
-    touches = [0] * len(partner)
-    for ai, arc in enumerate(diag.arcs):
-        if arc.color == color:
-            if not (0 <= arc.start < len(partner) and 0 <= arc.end < len(partner)):
-                raise DiagramError(f"arc {ai} ({color}) names a bridge point that is not "
-                                   f"one of the {len(partner)} points")
-            partner[arc.start], partner[arc.end] = arc.end, arc.start
-            touches[arc.start] += 1
-            touches[arc.end] += 1
-    for i, count in enumerate(touches):
-        if count != 1:
-            raise DiagramError(f"bridge point {i} touches {count} {color} arcs, expected 1")
-    return partner
 
 
 def _pair_components(a: list[int], b: list[int]) -> list[int]:
@@ -458,19 +451,27 @@ def _pair_components(a: list[int], b: list[int]) -> list[int]:
     return sizes
 
 
+def _count(diag: TorusDiagram, partners: dict[str, list[int]]) -> BridgeParams:
+    a, b, c = (partners[color] for color in "ABC")
+    l2 = _pair_components(b, c)
+    return BridgeParams(len(diag.bridge_points) // 2, len(_pair_components(a, b)), len(l2),
+                        len(_pair_components(c, a)), l2.count(2))
+
+
 def bridge_params(diag: TorusDiagram) -> BridgeParams:
     """Count (b; c1, c2, c3) and s by walking the colors' partner lists.
 
-    s is the number of mini unknots: components of L2 = B u C through
-    exactly two bridge points; no document declares it.  The counts are the
-    bridge parameters only when the diagram has no A crossings; ``certify``
+    The lists are read with the endpoint faults, and a diagram with any
+    fault is refused with a ``DiagramError`` naming the first.  s is the
+    number of mini unknots: components of L2 = B u C through exactly two
+    bridge points; no document declares it.  The counts are the bridge
+    parameters only when the diagram has no A crossings; ``certify``
     checks that first.
     """
-    a, b, c = (_partners(diag, color) for color in "ABC")
-    l2 = _pair_components(b, c)
-    c1 = len(_pair_components(a, b))
-    c3 = len(_pair_components(c, a))
-    return BridgeParams(len(diag.bridge_points) // 2, c1, len(l2), c3, l2.count(2))
+    faults, partners = _read_ends(diag)
+    if faults:
+        raise DiagramError(faults[0])
+    return _count(diag, partners)
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +481,9 @@ def bridge_params(diag: TorusDiagram) -> BridgeParams:
 @dataclass(frozen=True)
 class Certificate:
     """What ``certify`` found: ``params`` (None when ``bridge_params`` refused
-    the diagram), the report of ``check`` but its result line, the
-    ``check --json`` payload and the first failing stage's ``fault`` ("" when
-    all passed)."""
+    the diagram: the endpoint stage failed), the report of ``check`` but its
+    result line, the ``check --json`` payload and the first failing stage's
+    ``fault`` ("" when all passed)."""
 
     params: BridgeParams | None
     lines: list[str]
@@ -519,12 +520,14 @@ def _misfit(diag: TorusDiagram, source: Factorization) -> str:
 
 
 def certify(diag: TorusDiagram, source: Factorization | None = None) -> Certificate:
-    """Endpoints, transversality, A crossings, parameters (counted from the
-    arcs by ``bridge_params``) and, when the diagram is exactly the one its
-    source builds (``assemble`` validates the source), the triviality of L1,
-    L2 and L3: the tiles fix L1 and L2, and L3 is trivial because the bands
-    multiply to the full twist.  Each stage appends its line, each item
-    it found and, when it fails, its fault, in order."""
+    """Endpoints, transversality, A crossings, parameters (counted as
+    ``bridge_params`` counts them, from the partner lists read with the
+    endpoints, and only when the endpoint stage passed) and, when the
+    diagram is exactly the one its source builds (``assemble`` validates
+    the source), the triviality of L1, L2 and L3: the tiles fix L1 and L2,
+    and L3 is trivial because the bands multiply to the full twist.  Each
+    stage appends its line, each item it found and, when it fails, its
+    fault, in order."""
     scale, lines, faults = diag.scale, [], []
 
     def stage(line: str, found: tuple | list = (), count: str = "", fault: str = "") -> None:
@@ -532,7 +535,7 @@ def certify(diag: TorusDiagram, source: Factorization | None = None) -> Certific
         lines.extend([line, *(f"  {item}" for item in found)])
         faults.append(f"{count}, first: {found[0]}" if found else fault)
 
-    ends = endpoint_faults(diag)
+    ends, partners = _read_ends(diag)
     violations = [_violation_text(v, scale) for v in check_transverse(diag)]
     crossings = [_crossing_text(c, scale) for c in a_crossings(diag)]
     stage(f"endpoints: {'FAIL' if ends else 'ok'}", ends,
@@ -541,13 +544,9 @@ def certify(diag: TorusDiagram, source: Factorization | None = None) -> Certific
           f"diagram is not transverse ({len(violations)} violations)")
     stage(f"A crossings: {f'FAIL ({len(crossings)})' if crossings else 'none'}", crossings,
           f"diagram has {len(crossings)} A crossings")
-    try:
-        params = bridge_params(diag)
-    except DiagramError as exc:
-        params = None
-        stage(f"bridge parameters: unavailable ({exc})", fault=str(exc))
-    else:
-        stage(f"parameters: (b; c1, c2, c3) = {params.text()}")
+    params = None if ends else _count(diag, partners)
+    stage(f"parameters: (b; c1, c2, c3) = {params.text()}" if params
+          else "bridge parameters: unavailable (endpoint faults)")
     payload = {"endpoints": not ends, "transverse": not violations,
                "a_crossings": len(crossings), "params": {**vars(params)} if params else None}
     if source is None or params is None:

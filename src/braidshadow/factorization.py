@@ -17,8 +17,8 @@ from itertools import chain
 from .garside import _table, equal, normal_form
 from .words import BraidError, BraidWord, free_reduce, full_twist, invert
 
-# the largest exponent a band takes: a band is expanded letter by letter,
-# and the word problem is linear in the word's length
+# the largest exponent a band takes.  Bands are expanded letter by letter: the word
+# problem is linear when free reduction cancels long powers, else quadratic in them
 MAX_EXPONENT = 10**6
 
 

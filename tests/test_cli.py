@@ -15,7 +15,15 @@ from hypothesis import given, settings, strategies as st
 import braidshadow
 from braidshadow import garside
 from braidshadow.cli import run_cli
-from braidshadow.diagram import Arc, BridgePoint, TorusDiagram, assemble, certify
+from braidshadow.diagram import (
+    Arc,
+    BridgePoint,
+    DiagramError,
+    TorusDiagram,
+    assemble,
+    bridge_params,
+    certify,
+)
 from braidshadow.documents import (
     DocumentError,
     parse_diagram,
@@ -595,13 +603,13 @@ _PINNED_DIGESTS = (
     # as built
     "b361856f7ce9009baceda6eaf5b2c1237307dcf7442eb49afa9e861c36329779",
     # bridge point 0's sign flipped
-    "3eccfa7de76dc0b162cc442b73eb1fa5fb03d0c5c1d46416765e75684a3e2474",
+    "d3512d0becde17096d89820700100cc2d744cbd887068557ccad899c45ddb6c5",
     # bridge point 0 moved
-    "0c6d4be25e3d031cc14667dab293e35ea6e8433125703dd44b44989563ee318c",
+    "27f5e80b1e6aa18babc83a66ee67aff136f8ba98846ac2eef0e09ab25b14db61",
     # last arc dropped
-    "19bbf7ec934836856989a3f71afcb68a31b60848339c01edb7503eee7fd0ed1e",
+    "dcf9b2f191a9b2ce6027ed6f16ee63c09f30a644979f3a2b299e85ae9f563a46",
     # arc 0 recoloured
-    "d5029dbb0180a16a460c4c1e56e524e02ab9ae7b79c575e4fb8dba725c86a67b",
+    "252d01f712f05fcdeb793d2721e2cb17b589c82171aaec9030f2ac41841da6d9",
     # source dropped
     "47a0be82418f31b09587a0e7a657a7935c7c7f49f907e12740e6327b50874363",
     # source's last band dropped
@@ -733,7 +741,8 @@ def test_loop_arc_is_refused(capsys, monkeypatch):
     code, out, _ = run(capsys, ["check", "-"], stdin=text, monkeypatch=monkeypatch)
     assert code == 1
     assert "endpoints: FAIL" in out
-    assert "bridge parameters: unavailable (bridge point 0 touches 2 A arcs, expected 1)" in out
+    assert "bridge parameters: unavailable (endpoint faults)" in out
+    assert "  bridge point 0 meets 2 A arc ends, expected 1" in out.splitlines()
     code, out, err = run(capsys, ["invariants", "-"], stdin=text, monkeypatch=monkeypatch)
     assert (code, out) == (1, "")
     assert err.startswith("failed: diagram has ")
@@ -769,7 +778,7 @@ def test_a_diagram_failing_every_stage_lists_each_and_faults_on_the_first(capsys
         "  arc 2 (B) segment 0: B segment not moving strictly left [(0.2, 0.2) -> (1.2, 0.6)]",
         "A crossings: FAIL (1)",
         "  A arcs 0 and 1 cross at (0.300000, 0.400000)",
-        "bridge parameters: unavailable (bridge point 1 touches 2 C arcs, expected 1)",
+        "bridge parameters: unavailable (endpoint faults)",
         "triviality: skipped (no source factorization)",
     ]
     text = serialize_diagram(diag)
@@ -781,17 +790,33 @@ def test_a_diagram_failing_every_stage_lists_each_and_faults_on_the_first(capsys
 
 
 def test_check_skips_triviality_when_parameters_are_unavailable(capsys, monkeypatch):
+    """Standard d = 2 with C arc 2's end moved onto bridge point 0: the
+    fault is listed once, in the endpoint stage, the parameters are not
+    counted, and ``bridge_params`` refuses the diagram with the stage's
+    first fault."""
     doc = _standard_2_document()
+    assert (doc["arcs"][2]["color"], doc["arcs"][2]["end"]) == ("C", 1)
     doc["arcs"][2]["end"] = 0  # bridge point 0 now meets two C arcs
-    code, out, err = run(capsys, ["check", "-"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
+    text = json.dumps(doc)
+    code, out, err = run(capsys, ["check", "-"], stdin=text, monkeypatch=monkeypatch)
     assert (code, err) == (1, "")
-    lines = out.splitlines()
-    assert lines[0] == "endpoints: FAIL"
-    assert lines[-3:] == [
-        "bridge parameters: unavailable (bridge point 0 touches 2 C arcs, expected 1)",
+    assert out.splitlines() == [
+        "endpoints: FAIL",
+        "  arc 2 (C) ends at (0.666667, 0.125000), not at its bridge point 0 "
+        "(0.3333333333333333, 0.125)",
+        "  bridge point 0 meets 2 C arc ends, expected 1",
+        "  bridge point 1 meets 0 C arc ends, expected 1",
+        "transversality: ok",
+        "A crossings: none",
+        "bridge parameters: unavailable (endpoint faults)",
         "triviality: skipped (bridge parameters unavailable)",
         "result: FAIL",
     ]
+    with pytest.raises(DiagramError) as refused:
+        bridge_params(parse_diagram(text)[0])
+    assert str(refused.value) == out.splitlines()[1].strip()
+    code, out, err = run(capsys, ["check", "--json", "-"], stdin=text, monkeypatch=monkeypatch)
+    assert (code, err) == (1, "") and json.loads(out)["params"] is None
 
 
 def test_export_has_no_fact_option(capsys, monkeypatch, tmp_path):

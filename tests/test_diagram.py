@@ -49,9 +49,7 @@ def _incidence(diag: TorusDiagram, color: str) -> dict[int, list[int]]:
         inc[arc.end].append(ai)
     for i, lst in inc.items():
         if len(lst) != 1:
-            raise DiagramError(
-                f"bridge point {i} touches {len(lst)} {color} arcs, expected 1"
-            )
+            raise DiagramError(f"bridge point {i} meets {len(lst)} {color} arc ends, expected 1")
     return inc
 
 
@@ -300,24 +298,25 @@ def test_partner_walk_matches_reference_on_standard_and_corpus():
 
 @st.composite
 def matched_diagrams(draw):
-    """Three random perfect matchings A, B, C on 2k bridge points, k <= 40,
-    as arcs in a random order and orientation; sometimes one arc is dropped
-    (two points touch no arc of its colour) or repeated (two touch two)."""
-    n = 2 * draw(st.integers(1, 40))
-    arcs = []
-    for color in "ABC":
-        order = draw(st.permutations(range(n)))
-        for u, v in zip(order[::2], order[1::2]):
-            if draw(st.booleans()):
-                u, v = v, u
-            arcs.append(Arc(color, u, v, ((0, 0), (0, 1))))
+    """Sound diagrams on 2k bridge points, k <= 40, half of them (-) and half
+    (+): per color a random bijection from the (-) to the (+) points, each
+    arc oriented (-) -> (+), the arcs in a random order, on the lattice
+    (1, 1).  Sometimes one arc is dropped (two points meet no end of its
+    color) or repeated (two meet two)."""
+    k = draw(st.integers(1, 40))
+    order = draw(st.permutations(range(2 * k)))
+    minus, plus = order[:k], order[k:]
+    arcs = [Arc(color, u, v, ((0, 0), (0, 1)))
+            for color in "ABC" for u, v in zip(minus, draw(st.permutations(plus)))]
     arcs = draw(st.permutations(arcs))
     fault = draw(st.sampled_from([None, None, "drop", "repeat"]))
     if fault is not None:
         i = draw(st.integers(0, len(arcs) - 1))
         arcs = arcs[:i] + arcs[i + 1:] if fault == "drop" else arcs + [arcs[i]]
-    points = (BridgePoint(0, 0, 1),) * n
-    return TorusDiagram(2, (1, 1), points, tuple(arcs))
+    points = [BridgePoint(0, 0, 1)] * (2 * k)
+    for i in minus:
+        points[i] = BridgePoint(0, 0, -1)
+    return TorusDiagram(2, (1, 1), tuple(points), tuple(arcs))
 
 
 @settings(max_examples=200, deadline=None)
@@ -334,7 +333,8 @@ def test_partner_walk_refuses_like_reference(fault, touches):
     message = reference_params(diag)
     assert message == library_params(diag)
     # the first B arc joins points 2 and 0
-    assert message == f"bridge point 0 touches {touches} B arcs, expected 1"
+    assert message == f"bridge point 0 meets {touches} B arc ends, expected 1"
+    assert message == endpoint_faults(diag)[0]
 
 
 def test_assemble_requires_valid_factorization():
@@ -514,12 +514,31 @@ def test_certify_names_arc_ends_outside_the_bridge_points(shift):
         assert cert.fault == f"diagram has {len(faults)} endpoint faults, first: {faults[0]}"
         assert cert.payload["params"] is None
         assert [line for line in cert.lines if line.startswith(("bridge", "triviality"))] == [
-            "bridge parameters: unavailable (arc 8 (A) names a bridge point that is not "
-            "one of the 8 points)",
+            "bridge parameters: unavailable (endpoint faults)",
             f"triviality: skipped ({skipped})",
         ]
-    with pytest.raises(DiagramError, match="^arc 8 [(]A[)] names a bridge point"):
+    with pytest.raises(DiagramError) as refused:
         bridge_params(moved)
+    assert str(refused.value) == faults[0]
+
+
+def test_an_arc_whose_first_vertex_leaves_its_point_is_named_where_it_starts():
+    """Standard d = 2 with arc 0's first vertex moved one lattice step right:
+    the one endpoint fault says where the arc starts, and the parameters are
+    not counted."""
+    diag = assemble(standard_factorization(2))
+    arc = diag.arcs[0]
+    assert (arc.color, arc.start, arc.path[0], diag.scale) == ("B", 2, (4, 3), (12, 8))
+    moved = arc._replace(path=((5, 3), *arc.path[1:]))
+    diag = replace(diag, arcs=(moved, *diag.arcs[1:]))
+    fault = ("arc 0 (B) starts at (0.416667, 0.375000), "
+             "not at its bridge point 2 (0.3333333333333333, 0.375)")
+    assert endpoint_faults(diag) == [fault]
+    with pytest.raises(DiagramError) as refused:
+        bridge_params(diag)
+    assert str(refused.value) == fault
+    cert = certify(diag)
+    assert cert.params is None and cert.fault == f"diagram has 1 endpoint faults, first: {fault}"
 
 
 def test_check_transverse_locates_bad_segment():

@@ -10,6 +10,7 @@ from braidshadow import cli, factorization, garside
 from braidshadow.cli import run_cli
 from braidshadow.documents import serialize_factorization
 from braidshadow.factorization import (
+    MAX_EXPONENT,
     BandFactor,
     Factorization,
     expand,
@@ -137,6 +138,16 @@ def test_singular_factor_cusp_is_valid_at_d2():
     f = Factorization(2, (BandFactor(identity(2), exponent=2),))
     report = validate(f)
     assert report.valid and not report.smooth
+
+
+def test_cancelling_bands_at_the_exponent_bound_validate_in_linear_time():
+    """s1^E and s1^-E with empty conjugators, E at the bound: free reduction
+    cancels the two powers before the normal form sees them, so the word
+    problem stays linear in E (well under a second)."""
+    bands = (BandFactor(identity(3), MAX_EXPONENT), BandFactor(identity(3), MAX_EXPONENT, -1))
+    f = standard_factorization(3)
+    report = validate(Factorization(3, f.factors + bands))
+    assert report.valid and report.exponent_total == 6 and not report.smooth
 
 
 def test_hurwitz_move_preserves_product():
