@@ -127,6 +127,8 @@ def factorization_from_dict(doc: dict, where: str = "factorization") -> Factoriz
     strands = _intfield(doc, "strands", where)
     if strands > MAX_STRANDS:
         raise DocumentError(f"{where}.strands: expected an integer <= {MAX_STRANDS}")
+    if strands < 1:
+        raise DocumentError(f"{where}.strands: expected an integer >= 1, got {strands}")
     raw_factors = _require(doc, "factors", where)
     if not isinstance(raw_factors, list):
         raise DocumentError(f"{where}.factors: expected a list")
@@ -149,10 +151,7 @@ def factorization_from_dict(doc: dict, where: str = "factorization") -> Factoriz
             )
         except BraidError as exc:
             raise DocumentError(f"{loc}: {exc}") from exc
-    try:
-        return Factorization(strands, tuple(factors))
-    except BraidError as exc:
-        raise DocumentError(f"{where}: {exc}") from exc
+    return Factorization(strands, tuple(factors))
 
 
 def parse_factorization(text: str) -> Factorization:

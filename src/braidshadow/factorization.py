@@ -90,39 +90,32 @@ def expand(f: Factorization) -> BraidWord:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of checking a factorization against the full-twist target."""
+    """What :func:`validate` found: ``strands`` d, ``factor_count``,
+    ``exponent_total``, ``valid`` (the product is Delta^2) and ``smooth``.
+    The sum check, exponent_total == d(d-1), is implied by ``valid``."""
 
     strands: int
     factor_count: int
     exponent_total: int
-    product_ok: bool
-    sum_ok: bool
+    valid: bool
     smooth: bool
-
-    @property
-    def valid(self) -> bool:
-        # a right product has the right exponent sum, and a smooth band is +1, so n = d(d-1)
-        return self.product_ok
 
 
 def validate(f: Factorization) -> ValidationReport:
-    """Check product = Delta^2 and exponent sum = d(d-1).
+    """Check that the product of the bands is Delta^2.
 
-    Invalid input yields a failing report.  The bands are expanded only
-    when the exponent sum is right.  Negative bands are accepted here but
-    rejected by diagram assembly.
+    Invalid input yields a report with ``valid`` false.  The exponent sum
+    of the full twist is d(d-1), so a wrong sum decides the product and the
+    bands are expanded only when the sum is right.  Negative bands are
+    accepted here but rejected by diagram assembly.
     """
     d = f.strands
     total = sum(factor.signed_exponent() for factor in f.factors)
-    sum_ok = total == d * (d - 1)
     return ValidationReport(
         strands=d,
         factor_count=len(f.factors),
         exponent_total=total,
-        # the exponent sum of the full twist is d(d-1), so a wrong sum
-        # decides the product without expanding the bands
-        product_ok=sum_ok and equal(expand(f), full_twist(d)),
-        sum_ok=sum_ok,
+        valid=total == d * (d - 1) and equal(expand(f), full_twist(d)),
         smooth=f.is_smooth_quasipositive(),
     )
 
@@ -177,14 +170,10 @@ def _moved_band(a: BandFactor, b: BandFactor, direction: str) -> BandFactor:
 FactorKey = tuple[int, tuple[tuple[int, ...], ...]]
 
 
-def factor_canonical_key(factor: BandFactor) -> FactorKey:
-    """Canonical form of a band factor as a group element (Garside NF)."""
-    nf = normal_form(factor.word())
-    return (nf.delta_power, nf.factors)
-
-
 def factorization_key(f: Factorization) -> tuple[FactorKey, ...]:
-    return tuple(factor_canonical_key(factor) for factor in f.factors)
+    """Each band's Garside normal form (Delta power, factors), in order."""
+    forms = [normal_form(band.word()) for band in f.factors]
+    return tuple((nf.delta_power, nf.factors) for nf in forms)
 
 
 Node = tuple[int, ...]  # a node's bands as indexes into HurwitzOrbit.bands

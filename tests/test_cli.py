@@ -96,7 +96,7 @@ def test_verify_json_keys(capsys):
     code, out, _ = run(capsys, ["verify", "--standard", "3", "--json"])
     assert code == 0
     assert set(json.loads(out)) == {
-        "strands", "factor_count", "exponent_total", "product_ok", "sum_ok", "smooth", "valid",
+        "exponent_total", "factor_count", "smooth", "strands", "valid",
     }
 
 
@@ -176,7 +176,7 @@ def test_malformed_file_exits_2(capsys, tmp_path):
     for text, message in [
         ("[]", "top level: expected a JSON object"),
         ('{"format_version":"1","strands":0,"factors":[]}',
-         "factorization: strand count must be >= 1, got 0"),
+         "factorization.strands: expected an integer >= 1, got 0"),
     ]:
         path.write_text(text)
         assert run(capsys, ["verify", str(path)]) == (2, "", f"error: {message}\n")
@@ -460,6 +460,23 @@ def test_strand_count_above_the_bound_exits_2(capsys, monkeypatch, verb, strands
         assert (code, out, err) == (2, "", f"error: {path}: expected an integer <= 1000\n")
 
 
+@pytest.mark.parametrize("strands", [0, -3])
+@pytest.mark.parametrize("verb", ["verify", "build", "orbit", "check", "invariants", "export"])
+def test_strand_count_below_one_exits_2(capsys, monkeypatch, verb, strands):
+    # refused before any factor is read, so the band's own refusal is never reached
+    factors = [{"conjugator": [1], "exponent": 1, "sign": 1}]
+    if verb in ("verify", "build", "orbit"):
+        doc = {"format_version": "1", "type": "factorization", "strands": strands,
+               "factors": factors}
+        path = "factorization.strands"
+    else:
+        doc = _standard_2_document()
+        doc["source_factorization"].update(strands=strands, factors=factors)
+        path = "diagram.source_factorization.strands"
+    code, out, err = run(capsys, [verb, "-"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", f"error: {path}: expected an integer >= 1, got {strands}\n")
+
+
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(braidshadow.__file__)))
 
 
@@ -527,6 +544,34 @@ def test_reports_match_golden_output(capsys, monkeypatch, d, argv):
     code, out, err = run(capsys, [*argv, "-"], stdin=text, monkeypatch=monkeypatch)
     assert (code, err) == (0, "")
     assert out == _GOLDEN[f"{d} {' '.join(argv)}"]
+
+
+def _verify_golden_cases():
+    s3 = standard_factorization(3)
+    first = s3.factors[0]
+    appended = band(3, first.conjugator.letters + (2,), first.exponent, first.sign)
+    return [
+        ("--standard 2", None),
+        ("--standard 3", None),
+        ("standard 3 without its last band", Factorization(3, s3.factors[:-1])),
+        ("standard 3 with sigma_2 on band 1's conjugator",
+         Factorization(3, (appended,) + s3.factors[1:])),
+        ("sigma_1^2", Factorization(2, (band(2, (), 2),))),
+    ]
+
+
+@pytest.mark.parametrize("label, f", _verify_golden_cases())
+def test_verify_matches_golden_output(capsys, monkeypatch, label, f):
+    """Exit code and stdout of ``verify`` byte for byte, one input per branch:
+    both checks ok, the sum and so the product FAIL, the sum ok and the
+    product FAIL, and a valid but not smooth start with no "(expected n)"."""
+    if f is None:
+        argv, stdin = ["verify", *label.split()], None
+    else:
+        argv, stdin = ["verify", "-"], serialize_factorization(f)
+    code, out, err = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+    assert err == ""
+    assert {"exit": code, "stdout": out} == _GOLDEN[f"verify {label}"]
 
 
 def _move_a_vertex_half_a_period(doc):

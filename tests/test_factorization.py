@@ -14,14 +14,14 @@ from braidshadow.factorization import (
     BandFactor,
     Factorization,
     expand,
-    factor_canonical_key,
     factorization_key,
     hurwitz_move,
     hurwitz_orbit,
     standard_factorization,
     validate,
 )
-from braidshadow.garside import equal
+from braidshadow.garside import equal, normal_form
+from braidshadow.handles import words_equal
 from braidshadow.words import (
     BraidError,
     BraidWord,
@@ -90,7 +90,7 @@ def test_standard_factorization_needs_two_strands():
 def test_validate_flags_bad_product():
     f = Factorization(2, (BandFactor(identity(2)),))
     report = validate(f)
-    assert not report.product_ok and not report.sum_ok and not report.valid
+    assert not report.valid and report.exponent_total == 1  # d(d-1) = 2 at d = 2
 
 
 def _mutated(f, rng):
@@ -115,9 +115,9 @@ def _mutated(f, rng):
 
 
 def test_valid_is_the_product_check_under_mutations():
-    """A right product forces the exponent sum, and for smooth input the sum
-    is the band count, so ``valid`` (the product check) agrees with every
-    flag of the report."""
+    """``valid`` is the product check, decided again by handle reduction,
+    which shares no code with the Garside normal form; a right product
+    forces the exponent sum, and for smooth input the sum is the band count."""
     rng = random.Random(0xB0A7)
     seen = set()
     for _ in range(300):
@@ -125,11 +125,12 @@ def test_valid_is_the_product_check_under_mutations():
         walk = random_factorization(d, rng, moves=rng.randint(0, 6), max_conjugator_length=4)
         f = _mutated(walk, rng)
         report = validate(f)
-        assert report.sum_ok or not report.product_ok
+        assert report.valid == words_equal(expand(f), full_twist(d))
+        sum_ok = report.exponent_total == d * (d - 1)
+        assert sum_ok or not report.valid
         # for smooth input the exponent sum is the band count
-        assert not report.smooth or report.sum_ok == (len(f) == d * d - d)
-        assert report.valid == (report.product_ok and report.sum_ok)
-        seen.add((report.valid, report.sum_ok, report.smooth))
+        assert not report.smooth or sum_ok == (len(f) == d * d - d)
+        seen.add((report.valid, sum_ok, report.smooth))
     # every (valid, sum_ok, smooth) combination with valid implying sum_ok occurs
     assert len(seen) == 6
 
@@ -297,7 +298,8 @@ _NON_SMOOTH_STARTS = [
 @pytest.mark.parametrize("start", _NON_SMOOTH_STARTS)
 def test_non_smooth_starts_multiply_to_the_full_twist(start):
     report = validate(start)
-    assert report.product_ok and not report.smooth
+    d = start.strands
+    assert report.valid and report.exponent_total == d * (d - 1) and not report.smooth
 
 
 @pytest.mark.parametrize(
@@ -349,8 +351,8 @@ def test_orbit_keys_each_distinct_band_move_once(monkeypatch, start, bound):
 
 def test_each_memo_entry_is_the_key_of_the_band_a_move_writes_out(monkeypatch):
     """The word path as the oracle: each product of normal forms the BFS
-    keys a moved band by equals ``factor_canonical_key`` of the band that
-    ``_moved_band`` writes out from representatives of the two keys."""
+    keys a moved band by equals the normal form of the word of the band
+    that ``_moved_band`` writes out from representatives of the two keys."""
     entries = []
     product = garside._Table.product
 
@@ -373,7 +375,8 @@ def test_each_memo_entry_is_the_key_of_the_band_a_move_writes_out(monkeypatch):
             # a b a^-1 for the right move, b^-1 a b for the left
             a, b, direction = (y, x, "left") if inverted else (x, y, "right")
             written = factorization._moved_band(representative[a], representative[b], direction)
-            assert factor_canonical_key(written) == moved
+            nf = normal_form(written.word())
+            assert (nf.delta_power, nf.factors) == moved
             checked += 1
     assert checked == 1683  # memo misses over the 103 orbits
 
