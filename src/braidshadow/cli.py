@@ -94,7 +94,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         f"exponent sum check:   {'ok' if report.exponent_total == expected else 'FAIL'}",
         f"result: {'valid' if report.valid else 'INVALID'}",
     ]
-    _emit(args, vars(report), lines)
+    _emit(args, report._asdict(), lines)
     return 0 if report.valid else 1
 
 
@@ -128,7 +128,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     if not cert.ok:
         raise DiagramError(cert.fault)
     ledger = make_ledger(cert.params, diag.strands, source)
-    payload = {**vars(ledger), "params": cert.payload["params"], "ok": ledger.all_ok}
+    payload = {**ledger._asdict(), "params": cert.payload["params"], "ok": ledger.all_ok}
     lines = [
         f"degree  d     = {ledger.degree}",
         f"genus         = {ledger.genus_expected}",

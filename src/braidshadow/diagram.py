@@ -27,7 +27,6 @@ strand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -53,16 +52,14 @@ class Arc(NamedTuple):
     path: tuple[Point, ...]  # lifted PL vertices, path[0] at the (-) point
 
 
-@dataclass(frozen=True)
-class TorusDiagram:
+class TorusDiagram(NamedTuple):
     strands: int
     scale: tuple[int, int]  # (Nx, Ny): lattice points per period
     bridge_points: tuple[BridgePoint, ...]
     arcs: tuple[Arc, ...]
 
 
-@dataclass(frozen=True)
-class BridgeParams:
+class BridgeParams(NamedTuple):
     b: int
     c1: int
     c2: int
@@ -71,9 +68,6 @@ class BridgeParams:
 
     def euler(self) -> int:
         return self.c1 + self.c2 + self.c3 - self.b
-
-    def tuple3(self) -> tuple[int, int, int, int]:
-        return (self.b, self.c1, self.c2, self.c3)
 
     def text(self) -> str:
         return f"({self.b}; {self.c1}, {self.c2}, {self.c3}), s = {self.s}"
@@ -324,8 +318,7 @@ def a_crossings(diag: TorusDiagram):
 # transversality
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     arc_index: int
     color: str
     segment_index: int
@@ -478,8 +471,7 @@ def bridge_params(diag: TorusDiagram) -> BridgeParams:
 # the certificate
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """What ``certify`` found: ``params`` (None when ``bridge_params`` refused
     the diagram: the endpoint stage failed), the report of ``check`` but its
     result line, the ``check --json`` payload and the first failing stage's
@@ -548,7 +540,7 @@ def certify(diag: TorusDiagram, source: Factorization | None = None) -> Certific
     stage(f"parameters: (b; c1, c2, c3) = {params.text()}" if params
           else "bridge parameters: unavailable (endpoint faults)")
     payload = {"endpoints": not ends, "transverse": not violations,
-               "a_crossings": len(crossings), "params": {**vars(params)} if params else None}
+               "a_crossings": len(crossings), "params": params._asdict() if params else None}
     if source is None or params is None:
         reason = "no source factorization" if source is None else "bridge parameters unavailable"
         stage(f"triviality: skipped ({reason})")

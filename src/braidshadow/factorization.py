@@ -13,6 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from typing import NamedTuple
 
 from .garside import _table, equal, normal_form
 from .words import BraidError, BraidWord, free_reduce, full_twist, invert
@@ -88,8 +89,7 @@ def expand(f: Factorization) -> BraidWord:
     return BraidWord(f.strands, tuple(letters))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """What :func:`validate` found: ``strands`` d, ``factor_count``,
     ``exponent_total``, ``valid`` (the product is Delta^2) and ``smooth``.
     The sum check, exponent_total == d(d-1), is implied by ``valid``."""

@@ -22,7 +22,7 @@ them inverted (``_Table.product``), with no word in between.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .words import BraidError, BraidWord
 
@@ -199,8 +199,7 @@ def _table(d: int) -> _Table:
     return table
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(NamedTuple):
     """Left-greedy Garside normal form Delta^delta_power x_1 ... x_k, a plain
     record: ``normal_form`` itself pops every identity and Delta factor."""
 

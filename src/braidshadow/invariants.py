@@ -17,7 +17,7 @@ enters b and c2 with equal weight and cancels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagram import BridgeParams
 from .factorization import Factorization
@@ -43,8 +43,7 @@ def transverse_sl(word: BraidWord) -> int:
     return exponent_sum(word) - word.strands
 
 
-@dataclass(frozen=True)
-class InvariantLedger:
+class InvariantLedger(NamedTuple):
     """All numerical invariants and identity checks for one diagram."""
 
     degree: int

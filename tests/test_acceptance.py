@@ -88,9 +88,9 @@ def test_criterion_2_parameter_formula():
         s = 2 * sum(len(g.conjugator) for g in f.factors)
         ok = ok and params.s == s
         n = d * (d - 1)
-        ok = ok and params.tuple3() == (2 * n + s, d, n + s, d)
+        ok = ok and params[:4] == (2 * n + s, d, n + s, d)
         if d == 2:
-            ok = ok and s == 0 and params.tuple3() == (4, 2, 2, 2)
+            ok = ok and s == 0 and params[:4] == (4, 2, 2, 2)
     assert _verdict(2, "parameter tuple (2d(d-1)+s; d, d(d-1)+s, d)", ok)
 
 

@@ -562,16 +562,18 @@ def _verify_golden_cases():
 
 @pytest.mark.parametrize("label, f", _verify_golden_cases())
 def test_verify_matches_golden_output(capsys, monkeypatch, label, f):
-    """Exit code and stdout of ``verify`` byte for byte, one input per branch:
-    both checks ok, the sum and so the product FAIL, the sum ok and the
-    product FAIL, and a valid but not smooth start with no "(expected n)"."""
-    if f is None:
-        argv, stdin = ["verify", *label.split()], None
-    else:
-        argv, stdin = ["verify", "-"], serialize_factorization(f)
-    code, out, err = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
-    assert err == ""
-    assert {"exit": code, "stdout": out} == _GOLDEN[f"verify {label}"]
+    """Exit code and stdout of ``verify`` and ``verify --json`` byte for
+    byte, one input per branch: both checks ok, the sum and so the product
+    FAIL, the sum ok and the product FAIL, and a valid but not smooth start
+    with no "(expected n)"."""
+    for flags in ([], ["--json"]):
+        if f is None:
+            argv, stdin = ["verify", *label.split(), *flags], None
+        else:
+            argv, stdin = ["verify", "-", *flags], serialize_factorization(f)
+        code, out, err = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+        assert err == ""
+        assert {"exit": code, "stdout": out} == _GOLDEN[" ".join(["verify", label, *flags])]
 
 
 def _move_a_vertex_half_a_period(doc):

@@ -236,7 +236,7 @@ def test_component_labels():
 def test_standard_d2_parameters_exact():
     diag, params = pipeline(standard_factorization(2))
     assert params.s == 0
-    assert params.tuple3() == (4, 2, 2, 2)
+    assert params[:4] == (4, 2, 2, 2)
     assert check_transverse(diag) == []
 
 
@@ -246,7 +246,7 @@ def test_standard_d3_corrected_parameter_tuple():
     s = 2 * sum(len(g.conjugator) for g in f.factors)
     assert s == 12
     assert params.s == s
-    assert params.tuple3() == (24, 3, 18, 3)
+    assert params[:4] == (24, 3, 18, 3)
 
 
 def _acceptance_corpus():
@@ -283,7 +283,7 @@ def test_stabilization_count_matches_conjugator_length():
         s = 2 * sum(len(g.conjugator) for g in f.factors)
         assert params.s == s
         n = len(f.factors)
-        assert params.tuple3() == (2 * n + s, d, n + s, d)
+        assert params[:4] == (2 * n + s, d, n + s, d)
     # the s counted from the diagram's mini unknots
     for f in _acceptance_corpus() + [standard_factorization(d) for d in range(5, 11)]:
         s = 2 * sum(len(g.conjugator) for g in f.factors)
@@ -329,7 +329,7 @@ def test_partner_walk_matches_reference_on_random_matchings(diag):
 def test_partner_walk_refuses_like_reference(fault, touches):
     diag = assemble(standard_factorization(2))
     arcs = diag.arcs[1:] if fault == "drop" else diag.arcs + diag.arcs[:1]
-    diag = replace(diag, arcs=arcs)
+    diag = diag._replace(arcs=arcs)
     message = reference_params(diag)
     assert message == library_params(diag)
     # the first B arc joins points 2 and 0
@@ -361,7 +361,7 @@ def test_assemble_stabilizes_inside_tiles():
 def test_cusp_tile_gives_trefoil_component():
     f = Factorization(2, (BandFactor(identity(2), exponent=2),))
     diag, params = pipeline(f)
-    assert params.tuple3() == (2, 2, 1, 1)
+    assert params[:4] == (2, 2, 1, 1)
     links = pairwise_links(diag, f)
     assert links[1].components == ("T(2,3)",)
     assert source_verdicts(diag, f) == (True, True, True)
@@ -454,7 +454,7 @@ def test_certify_refuses_a_arcs_that_cross_where_parameters_and_source_pass():
     arc = diag.arcs[ai]
     x, y = arc.path[1]
     moved = arc._replace(path=(arc.path[0], (x + diag.scale[0] // 2, y), *arc.path[2:]))
-    diag = replace(diag, arcs=diag.arcs[:ai] + (moved,) + diag.arcs[ai + 1:])
+    diag = diag._replace(arcs=diag.arcs[:ai] + (moved,) + diag.arcs[ai + 1:])
     params = bridge_params(diag)
     assert make_ledger(params, 2, f).all_ok
     cert = certify(diag, f)
@@ -495,7 +495,7 @@ def test_certify_names_arc_ends_outside_the_bridge_points(shift):
     that read the ends run on none of them."""
     f = standard_factorization(2)
     diag = assemble(f)
-    moved = replace(diag, arcs=tuple(
+    moved = diag._replace(arcs=tuple(
         arc._replace(start=arc.start + shift, end=arc.end + shift) for arc in diag.arcs))
     faults = endpoint_faults(moved)
     first = moved.arcs[0]
@@ -530,7 +530,7 @@ def test_an_arc_whose_first_vertex_leaves_its_point_is_named_where_it_starts():
     arc = diag.arcs[0]
     assert (arc.color, arc.start, arc.path[0], diag.scale) == ("B", 2, (4, 3), (12, 8))
     moved = arc._replace(path=((5, 3), *arc.path[1:]))
-    diag = replace(diag, arcs=(moved, *diag.arcs[1:]))
+    diag = diag._replace(arcs=(moved, *diag.arcs[1:]))
     fault = ("arc 0 (B) starts at (0.416667, 0.375000), "
              "not at its bridge point 2 (0.3333333333333333, 0.375)")
     assert endpoint_faults(diag) == [fault]
@@ -681,9 +681,9 @@ def test_rotation_keeps_endpoints_and_transversality_and_permutes_params():
     are the original's B arcs, which do not cross."""
     for f in [standard_factorization(d) for d in range(2, 7)] + _acceptance_corpus():
         certs = _rotations(assemble(f))
-        b, c1, c2, c3 = certs[0].params.tuple3()
-        assert [c.params.tuple3() for c in certs] == [(b, c1, c2, c3), (b, c3, c1, c2),
-                                                      (b, c2, c3, c1)]
+        b, c1, c2, c3 = certs[0].params[:4]
+        assert [c.params[:4] for c in certs] == [(b, c1, c2, c3), (b, c3, c1, c2),
+                                                (b, c2, c3, c1)]
         assert {(c.payload["endpoints"], c.payload["transverse"]) for c in certs} == {(True, True)}
         assert certs[2].payload["a_crossings"] == 0
 

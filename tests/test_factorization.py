@@ -72,6 +72,12 @@ def test_factorization_rejects_strand_mismatch():
         Factorization(3, (BandFactor(identity(2)),))
 
 
+def test_factorization_rejects_no_strands():
+    # library callers meet the constructor's check; documents refuse first
+    with pytest.raises(BraidError, match="^strand count must be >= 1, got 0$"):
+        Factorization(0)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_standard_factorization_validates(d):
     f = standard_factorization(d)
