@@ -147,7 +147,7 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
     if args.budget < 1:
         raise DocumentError(f"--budget: node budget must be >= 1, got {args.budget}")
     orbit = hurwitz_orbit(_load_factorization(args), args.budget)
-    texts = [repr(band) for band in orbit.bands]
+    texts = [repr(tuple(band)) for band in orbit.bands]
     comma = "," if len(orbit.start) == 1 else ""
     payload = {
         "size": orbit.size,

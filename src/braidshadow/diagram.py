@@ -370,9 +370,17 @@ def check_transverse(diag: TorusDiagram) -> list[Violation]:
 
 
 def _read_ends(diag: TorusDiagram) -> tuple[list[str], dict[str, list[int]]]:
-    """Every arc end read once: the endpoint faults and, per color, each
-    bridge point's partner, the other end of its arc of that color (the
-    lists are the color's tangle only when there is no fault)."""
+    """Every arc end read once: the endpoint faults, one message each, and,
+    per color, each bridge point's partner, the other end of its arc of that
+    color (the lists are the color's tangle only when there is no fault).
+
+    The diagram must be nonempty, each arc end must name one of its bridge
+    points (an end that does not is checked no further), each arc's first
+    and last vertex must be congruent mod (Nx, Ny) to its start and end
+    points, each arc must run from a (-) point to a (+) point, and each
+    point must meet exactly one arc end of each color.  ``bridge_params``
+    counts only a diagram with no fault.
+    """
     n = len(diag.bridge_points)
     if not n:
         return ["diagram has no bridge points"], {}
@@ -407,19 +415,6 @@ def _read_ends(diag: TorusDiagram) -> tuple[list[str], dict[str, list[int]]]:
             if count != 1:
                 faults.append(f"bridge point {i} meets {count} {color} arc ends, expected 1")
     return faults, partners
-
-
-def endpoint_faults(diag: TorusDiagram) -> list[str]:
-    """Where arcs do not end on their bridge points, one message each.
-
-    The diagram must be nonempty, each arc end must name one of its bridge
-    points (an end that does not is checked no further), each arc's first
-    and last vertex must be congruent mod (Nx, Ny) to its start and end
-    points, each arc must run from a (-) point to a (+) point, and each
-    point must meet exactly one arc end of each color.  ``bridge_params``
-    counts only a diagram with no fault.
-    """
-    return _read_ends(diag)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -142,13 +142,11 @@ def factorization_from_dict(doc: dict, where: str = "factorization") -> Factoriz
             raise DocumentError(f"{loc}.conjugator: expected a list of integers")
         try:
             conj = BraidWord(strands, tuple(letters))
-            factors.append(
-                BandFactor(
-                    conj,
-                    exponent=_intfield(raw, "exponent", loc),
-                    sign=_intfield(raw, "sign", loc),
-                )
-            )
+        except BraidError as exc:
+            raise DocumentError(f"{loc}.conjugator: {exc}") from exc
+        exponent, sign = _intfield(raw, "exponent", loc), _intfield(raw, "sign", loc)
+        try:
+            factors.append(BandFactor(conj, exponent, sign))
         except BraidError as exc:
             raise DocumentError(f"{loc}: {exc}") from exc
     return Factorization(strands, tuple(factors))
@@ -199,8 +197,10 @@ def _bridge_point(raw: Any, i: int, scale: tuple[int, int]) -> BridgePoint:
         fault = _fault(x, "x")
     elif type(y) is not int:
         fault = _fault(y, "y")
-    elif not (0 <= x < nx and 0 <= y < ny):
-        fault = f": coordinates must lie in [0,{nx}) x [0,{ny})"
+    elif not 0 <= x < nx:
+        fault = f".x: expected an integer in [0,{nx}), got {x}"
+    elif not 0 <= y < ny:
+        fault = f".y: expected an integer in [0,{ny}), got {y}"
     elif type(sign) is not int:
         fault = _fault(sign, "sign")
     elif sign not in (1, -1):
@@ -225,9 +225,9 @@ def _arc(raw: Any, i: int, n_points: int, scale: tuple[int, int]) -> Arc:
     elif type(end) is not int:
         fault = _fault(end, "end")
     elif not 0 <= start < n_points:
-        fault = f": unknown bridge point id {start}"
+        fault = f".start: expected a bridge point index in [0,{n_points}), got {start}"
     elif not 0 <= end < n_points:
-        fault = f": unknown bridge point id {end}"
+        fault = f".end: expected a bridge point index in [0,{n_points}), got {end}"
     elif type(path) is not list or len(path) < 2:
         fault = _fault(path, "path", "expected a list of >= 2 vertices")
     else:

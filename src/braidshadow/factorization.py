@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
 
-from .garside import _table, equal, normal_form
+from .garside import NormalForm, _Table, _table, equal, normal_form
 from .words import BraidError, BraidWord, free_reduce, full_twist, invert
 
 # the largest exponent a band takes.  Bands are expanded letter by letter: the word
@@ -167,13 +167,9 @@ def _moved_band(a: BandFactor, b: BandFactor, direction: str) -> BandFactor:
     return BandFactor(conjugator, kept.exponent, kept.sign)
 
 
-FactorKey = tuple[int, tuple[tuple[int, ...], ...]]
-
-
-def factorization_key(f: Factorization) -> tuple[FactorKey, ...]:
-    """Each band's Garside normal form (Delta power, factors), in order."""
-    forms = [normal_form(band.word()) for band in f.factors]
-    return tuple((nf.delta_power, nf.factors) for nf in forms)
+def factorization_key(f: Factorization) -> tuple[NormalForm, ...]:
+    """Each band's Garside normal form, in order."""
+    return tuple(normal_form(band.word()) for band in f.factors)
 
 
 Node = tuple[int, ...]  # a node's bands as indexes into HurwitzOrbit.bands
@@ -196,7 +192,7 @@ class HurwitzOrbit:
     """
 
     start: Factorization = field(compare=False, repr=False)
-    bands: tuple[FactorKey, ...]
+    bands: tuple[NormalForm, ...]
     nodes: tuple[Node, ...]
     reached: dict[Node, tuple[Node, int, str] | None] = field(compare=False, repr=False)
     truncated: bool
@@ -206,7 +202,7 @@ class HurwitzOrbit:
         return len(self.nodes)
 
     @cached_property
-    def keys(self) -> tuple[tuple[FactorKey, ...], ...]:
+    def keys(self) -> tuple[tuple[NormalForm, ...], ...]:
         return tuple(tuple(map(self.bands.__getitem__, node)) for node in self.nodes)
 
     @cached_property
@@ -218,10 +214,10 @@ class HurwitzOrbit:
 
 
 def _orbit(
-    f: Factorization, perms: list[tuple[int, ...]], forms: list[tuple[int, tuple[int, ...]]],
+    f: Factorization, table: _Table, forms: list[tuple[int, tuple[int, ...]]],
     reached: dict[Node, tuple[Node, int, str] | None], truncated: bool,
 ) -> HurwitzOrbit:
-    bands = tuple((power, tuple(perms[c] for c in codes)) for power, codes in forms)
+    bands = tuple(table.form(*form) for form in forms)
     # band keys are distinct, so nodes sort as their keys do
     nodes = sorted(reached, key=lambda node: tuple(map(bands.__getitem__, node)))
     return HurwitzOrbit(f, bands, tuple(nodes), reached, truncated)
@@ -239,14 +235,13 @@ def hurwitz_orbit(f: Factorization, bound: int) -> HurwitzOrbit:
     memo per direction, by left-weighting the product of the two normal
     forms with no word written out, and a new node records only the move
     that first reached it.  Ids, memos and factor codes hold for this call,
-    in the one Garside table it takes.
+    in the one Garside table it takes first and keys the start bands on.
     """
     if bound < 1:
         raise ValueError(f"node budget must be >= 1, got {bound}")
-    start_key = factorization_key(f)
     table = _table(f.strands)
     ids: dict[tuple[int, tuple[int, ...]], int] = {}  # (Delta power, factor codes) -> id
-    start = tuple(ids.setdefault((p, tuple(map(table.code, xs))), len(ids)) for p, xs in start_key)
+    start = tuple(ids.setdefault(table.word(band.word().letters), len(ids)) for band in f.factors)
     forms = list(ids)  # by id
     seen: dict[Node, tuple[Node, int, str] | None] = {start: None}
     queue: deque[Node] = deque([start])
@@ -270,7 +265,7 @@ def hurwitz_orbit(f: Factorization, bound: int) -> HurwitzOrbit:
                 if key in seen:
                     continue
                 if len(seen) >= bound:
-                    return _orbit(f, table.perms, forms, seen, True)
+                    return _orbit(f, table, forms, seen, True)
                 seen[key] = (node, i, direction)
                 queue.append(key)
-    return _orbit(f, table.perms, forms, seen, False)
+    return _orbit(f, table, forms, seen, False)

@@ -7,12 +7,12 @@ permutation tuples, 0-indexed: x[i] is the exit position of the strand
 entering at position i.  Two words represent the same element of B_d if
 and only if their normal forms coincide, which gives the equality test.
 
-``normal_form`` first cancels adjacent inverse letters with a loop of its
-own (not ``words.free_reduce``: handle reduction uses that, and the two
-word-problem solvers share no code).  It then works on int codes: each
-strand count has one ``_Table`` that numbers its permutation braids in the
-order they are first seen and memoizes the left-weighted pair of two codes.
-Codes become permutation tuples again only in the returned ``NormalForm``.
+Each strand count has one ``_Table`` of int codes for its permutation
+braids, numbered on first sight, with a memo of left-weighted code pairs.
+``_Table.word`` takes a word to (Delta power, codes), first cancelling
+adjacent inverse letters with a loop of its own (not ``words.free_reduce``:
+handle reduction uses that, and the two solvers share no code), and
+``_Table.form`` takes codes back to a ``NormalForm``.
 Pairs are weighed in one scan of generator moves (``_weight_pair``): a
 left-weighted pair is unique (El-Rifai and Morton, 1994), whatever the order.
 A table also left-weights a product of normal forms given as codes, some of
@@ -122,6 +122,30 @@ class _Table:
             self.perms.append(p)
         return c
 
+    def word(self, letters: Iterable[int]) -> tuple[int, tuple[int, ...]]:
+        """Normal form (Delta power, codes) of a word, inverse pairs cancelled
+        first.  Moving each Delta^{-1} to the front taus every factor before
+        it, so a letter's factor is tau'd once per inverse letter after it."""
+        reduced: list[int] = []
+        for x in letters:
+            if reduced and reduced[-1] == -x:
+                reduced.pop()
+            else:
+                reduced.append(x)
+        factor = self.letters
+        later_inverses = sum(1 for x in reduced if x < 0)
+        p = -later_inverses
+        codes: list[int] = []
+        for x in reduced:
+            if x < 0:
+                later_inverses -= 1
+            codes.append(factor[x][later_inverses & 1])
+        return self.left_weight(p, codes)
+
+    def form(self, power: int, codes: Iterable[int]) -> NormalForm:
+        """The ``NormalForm`` Delta^power times the simple factors ``codes``."""
+        return NormalForm(power, tuple(self.perms[c] for c in codes))
+
     def weigh(self, a: int, b: int) -> tuple[int, int]:
         """Left-weighted pair of codes a b; called on a miss of ``pairs``, fills it."""
         x, y = _weight_pair(self.perms[a], self.perms[b])
@@ -200,39 +224,17 @@ def _table(d: int) -> _Table:
 
 
 class NormalForm(NamedTuple):
-    """Left-greedy Garside normal form Delta^delta_power x_1 ... x_k, a plain
-    record: ``normal_form`` itself pops every identity and Delta factor."""
+    """Left-greedy Garside normal form Delta^delta_power x_1 ... x_k on the
+    caller's strand count: a plain record, and the orbit's band key."""
 
-    strands: int
     delta_power: int
     factors: tuple[Perm, ...]
 
-    def is_trivial(self) -> bool:
-        return self.delta_power == 0 and not self.factors
-
 
 def normal_form(w: BraidWord) -> NormalForm:
-    """Canonical form of a word; identical normal forms <=> equal braids."""
-    d = w.strands
-    letters: list[int] = []
-    for x in w.letters:
-        if letters and letters[-1] == -x:
-            letters.pop()
-        else:
-            letters.append(x)
-    table = _table(d)
-    factor = table.letters
-    # Moving each Delta^{-1} to the front conjugates every factor before it
-    # by Delta, so a letter's factor is tau'd once per inverse letter after it.
-    later_inverses = sum(1 for x in letters if x < 0)
-    p = -later_inverses
-    codes: list[int] = []
-    for x in letters:
-        if x < 0:
-            later_inverses -= 1
-        codes.append(factor[x][later_inverses & 1])
-    p, out = table.left_weight(p, codes)
-    return NormalForm(d, p, tuple(table.perms[c] for c in out))
+    """Canonical form of a word: on one strand count, equal forms <=> equal braids."""
+    table = _table(w.strands)
+    return table.form(*table.word(w.letters))
 
 
 def equal(a: BraidWord, b: BraidWord) -> bool:

@@ -1097,8 +1097,14 @@ def test_export_draws_one_circle_per_bridge_point(capsys, monkeypatch):
         (("scale",), [12.0, 8], "diagram.scale: expected [Nx, Ny] positive integers"),
         (("bridge_points", 0, "x"), 0.25,
          "diagram.bridge_points[0].x: expected an integer, got 0.25"),
-        (("bridge_points", 0, "y"), 8, "diagram.bridge_points[0]: coordinates must lie in "
-         "[0,12) x [0,8)"),
+        (("bridge_points", 0, "y"), 8, "diagram.bridge_points[0].y: expected an integer in "
+         "[0,8), got 8"),
+        (("bridge_points", 0, "x"), -1, "diagram.bridge_points[0].x: expected an integer in "
+         "[0,12), got -1"),
+        (("arcs", 0, "end"), 999, "diagram.arcs[0].end: expected a bridge point index in "
+         "[0,8), got 999"),
+        (("source_factorization", "factors", 0, "conjugator"), [5],
+         "diagram.source_factorization.factors[0].conjugator: letter 5 out of range for 2 strands"),
         (("arcs", 0, "path", 1), [-8, True], "diagram.arcs[0].path[1]: expected [X, Y] integers"),
         (("arcs", 0, "path", 1), True, "diagram.arcs[0].path[1]: expected [X, Y] integers"),
         (("arcs", 0, "path"), [[4, 3]], "diagram.arcs[0].path: expected a list of >= 2 vertices"),
@@ -1109,8 +1115,9 @@ def test_export_draws_one_circle_per_bridge_point(capsys, monkeypatch):
         (("format_version",), "4", "diagram: unsupported format_version '4' "
          "(expected '3')"),
     ],
-    ids=["scale-zero", "scale-float", "point-float", "point-outside", "vertex-bool",
-         "vertex-true", "one-vertex", "vertex-overflow", "version-3"],
+    ids=["scale-zero", "scale-float", "point-float", "point-outside", "point-x-outside",
+         "arc-end-outside", "conjugator-letter", "vertex-bool", "vertex-true", "one-vertex",
+         "vertex-overflow", "version-3"],
 )
 def test_version_2_refusals_name_the_field(capsys, monkeypatch, path, value, message):
     doc = _standard_2_document()

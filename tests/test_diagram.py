@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidshadow import diagram
 from braidshadow.diagram import (
     Arc,
     BridgePoint,
@@ -19,7 +20,6 @@ from braidshadow.diagram import (
     bridge_params,
     certify,
     check_transverse,
-    endpoint_faults,
 )
 from braidshadow.factorization import (
     BandFactor,
@@ -334,7 +334,7 @@ def test_partner_walk_refuses_like_reference(fault, touches):
     assert message == library_params(diag)
     # the first B arc joins points 2 and 0
     assert message == f"bridge point 0 meets {touches} B arc ends, expected 1"
-    assert message == endpoint_faults(diag)[0]
+    assert message == diagram._read_ends(diag)[0][0]
 
 
 def test_assemble_requires_valid_factorization():
@@ -480,7 +480,7 @@ def test_assembled_arcs_run_from_minus_to_plus():
     ]
     for f in factorizations:
         diag = assemble(f)
-        assert endpoint_faults(diag) == []
+        assert diagram._read_ends(diag)[0] == []
         assert all(
             diag.bridge_points[a.start].sign == -1 and diag.bridge_points[a.end].sign == 1
             for a in diag.arcs
@@ -497,7 +497,7 @@ def test_certify_names_arc_ends_outside_the_bridge_points(shift):
     diag = assemble(f)
     moved = diag._replace(arcs=tuple(
         arc._replace(start=arc.start + shift, end=arc.end + shift) for arc in diag.arcs))
-    faults = endpoint_faults(moved)
+    faults = diagram._read_ends(moved)[0]
     first = moved.arcs[0]
     assert faults[:2] == [
         f"arc 0 ({first.color}) starts at bridge point {first.start}, not one of the 8 points",
@@ -533,7 +533,7 @@ def test_an_arc_whose_first_vertex_leaves_its_point_is_named_where_it_starts():
     diag = diag._replace(arcs=(moved, *diag.arcs[1:]))
     fault = ("arc 0 (B) starts at (0.416667, 0.375000), "
              "not at its bridge point 2 (0.3333333333333333, 0.375)")
-    assert endpoint_faults(diag) == [fault]
+    assert diagram._read_ends(diag)[0] == [fault]
     with pytest.raises(DiagramError) as refused:
         bridge_params(diag)
     assert str(refused.value) == fault

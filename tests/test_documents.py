@@ -194,7 +194,8 @@ def test_diagram_parse_rejects_unknown_bridge_id():
     diag = assemble(standard_factorization(2))
     doc = json.loads(serialize_diagram(diag))
     doc["arcs"][0]["start"] = 99
-    with pytest.raises(DocumentError, match="unknown bridge point id"):
+    with pytest.raises(DocumentError, match=r"^diagram\.arcs\[0\]\.start: expected a bridge "
+                       r"point index in \[0,8\), got 99$"):
         parse_diagram(json.dumps(doc))
 
 
@@ -202,7 +203,8 @@ def test_diagram_parse_rejects_out_of_range_coordinates():
     diag = assemble(standard_factorization(2))
     doc = json.loads(serialize_diagram(diag))
     doc["bridge_points"][0]["x"] = 12
-    with pytest.raises(DocumentError, match=r"\[0,12\) x \[0,8\)"):
+    with pytest.raises(DocumentError, match=r"^diagram\.bridge_points\[0\]\.x: expected an "
+                       r"integer in \[0,12\), got 12$"):
         parse_diagram(json.dumps(doc))
 
 
@@ -380,8 +382,9 @@ def reference_bridge_point(raw, loc, scale):
                             "its position in the list is its id")
     nx, ny = scale
     x, y = _intfield(raw, "x", loc), _intfield(raw, "y", loc)
-    if not (0 <= x < nx and 0 <= y < ny):
-        raise DocumentError(f"{loc}: coordinates must lie in [0,{nx}) x [0,{ny})")
+    for key, value, bound in (("x", x, nx), ("y", y, ny)):
+        if not 0 <= value < bound:
+            raise DocumentError(f"{loc}.{key}: expected an integer in [0,{bound}), got {value}")
     sign = _intfield(raw, "sign", loc)
     if sign not in (1, -1):
         raise DocumentError(f"{loc}.sign: expected +1 or -1")
@@ -397,9 +400,10 @@ def reference_arc(raw, loc, n_points, scale):
         raise DocumentError(f"{loc}.color: expected 'A', 'B' or 'C'")
     start = _intfield(raw, "start", loc)
     end = _intfield(raw, "end", loc)
-    for ident in (start, end):
-        if not 0 <= ident < n_points:
-            raise DocumentError(f"{loc}: unknown bridge point id {ident}")
+    for key, index in (("start", start), ("end", end)):
+        if not 0 <= index < n_points:
+            raise DocumentError(
+                f"{loc}.{key}: expected a bridge point index in [0,{n_points}), got {index}")
     path = _require(raw, "path", loc)
     if not (isinstance(path, list) and len(path) >= 2):
         raise DocumentError(f"{loc}.path: expected a list of >= 2 vertices")

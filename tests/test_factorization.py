@@ -301,6 +301,17 @@ _NON_SMOOTH_STARTS = [
 ]
 
 
+def _padded(f):
+    """f with every conjugator g written as g s2 s2^-1 s1^2, not free-reduced:
+    the same bands, since the pair cancels and s1^2 commutes with the core."""
+    return Factorization(f.strands, tuple(
+        replace(b, conjugator=BraidWord(f.strands, b.conjugator.letters + (2, -2, 1, 1)))
+        for b in f.factors))
+
+
+_PADDED = {_padded(f): f for f in (standard_factorization(3), _PAIRED_4)}  # padded -> plain
+
+
 @pytest.mark.parametrize("start", _NON_SMOOTH_STARTS)
 def test_non_smooth_starts_multiply_to_the_full_twist(start):
     report = validate(start)
@@ -319,11 +330,16 @@ def test_non_smooth_starts_multiply_to_the_full_twist(start):
         # every budget, so that truncation falls both on a move whose moved
         # key was known and on one keyed afresh
         *((FLIPPED_3, bound) for bound in range(1, 61)),
+        *((start, 100) for start in _PADDED),
     ],
 )
 def test_orbit_matches_reference_bfs(start, bound):
     orbit = hurwitz_orbit(start, bound)
     assert (orbit.elements, orbit.keys, orbit.truncated) == _reference_orbit(start, bound)
+    if start in _PADDED:
+        plain = _PADDED[start]
+        assert factorization_key(start) == factorization_key(plain)
+        assert orbit.keys == hurwitz_orbit(plain, bound).keys
 
 
 def _adjacent_triples(keys):
@@ -388,14 +404,18 @@ def test_each_memo_entry_is_the_key_of_the_band_a_move_writes_out(monkeypatch):
 
 
 def test_standard_3_orbit_normal_form_count_is_pinned(monkeypatch):
-    calls = []
+    calls, words = [], []
     nf = factorization.normal_form
     monkeypatch.setattr(factorization, "normal_form", lambda word: calls.append(word) or nf(word))
+    word = garside._Table.word
+    monkeypatch.setattr(garside._Table, "word",
+                        lambda table, letters: words.append(letters) or word(table, letters))
     orbit = hurwitz_orbit(standard_factorization(3), 300)
     assert orbit.size == 300 and orbit.truncated
-    # the start's six bands only: 78 when each moved band was written out
-    # and keyed, 1,693 when every move was
-    assert len(calls) == 6
+    # the start's six bands only, keyed on the search's own table: 6 normal
+    # forms before that, 78 when each moved band was written out and keyed,
+    # 1,693 when every move was
+    assert calls == [] and len(words) == 6
 
 
 def _count_moves(monkeypatch):
@@ -440,7 +460,7 @@ def test_orbit_spells_out_node_keys_only_when_read(monkeypatch, capsys, tmp_path
     assert "keys" not in vars(made[0])
     keys = orbit.keys
     assert keys == _reference_orbit(start, bound)[1] and orbit.keys is keys
-    assert texts == [repr(key) for key in keys]
+    assert texts == [repr(tuple(map(tuple, key))) for key in keys]
 
 
 def test_orbit_verb_builds_no_witness(monkeypatch, capsys):
