@@ -4,7 +4,8 @@ Verbs: verify, build, check, invariants, orbit, export.  ``check`` prints
 the lines of ``diagram.certify``'s certificate and ``invariants`` refuses a
 diagram with its fault; neither words a stage itself.  Factorization
 inputs come from a file, stdin (``-``), or ``--standard d``.  Exit codes:
-0 all checks pass, 1 a mathematical check failed, 2 input or usage error.
+0 all checks pass, 1 a mathematical check failed, 2 input or usage error,
+including an input too large to process in memory or recursion depth.
 """
 
 from __future__ import annotations
@@ -231,6 +232,9 @@ def run_cli(argv: list[str]) -> int:
         return _COMMANDS[args.verb](args)
     except (DocumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (MemoryError, RecursionError) as exc:
+        print(f"error: input too large to process ({type(exc).__name__})", file=sys.stderr)
         return 2
     except (BraidError, DiagramError) as exc:
         print(f"failed: {exc}", file=sys.stderr)

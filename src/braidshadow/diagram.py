@@ -200,65 +200,24 @@ def assemble(f: Factorization) -> TorusDiagram:
 # crossings
 
 
-def _seg_intersection(p, q, r, s):
-    """Proper interior intersection of segments pq and rs, or None.
-
-    Exact: (t, point), t the Fraction of the way along pq, and the point
-    a pair of Fractions in lattice coordinates.
-    Parallel segments (denominator 0) fail ``0 < tn < denom`` and give None.
-    """
-    d1x, d1y = q[0] - p[0], q[1] - p[1]
-    d2x, d2y = s[0] - r[0], s[1] - r[1]
-    denom = d1x * d2y - d1y * d2x
-    ex, ey = r[0] - p[0], r[1] - p[1]
-    tn = ex * d2y - ey * d2x
-    un = ex * d1y - ey * d1x
-    if denom < 0:
-        denom, tn, un = -denom, -tn, -un
-    if 0 < tn < denom and 0 < un < denom:
-        t = Fraction(tn, denom)
-        return t, (p[0] + t * d1x, p[1] + t * d1y)
-    return None
-
-
 def _shifts(lo1: int, hi1: int, lo2: int, hi2: int, n: int) -> range:
     """Shifts by whole periods n that bring [lo2, hi2] to meet [lo1, hi1]."""
     return range(-((hi2 - lo1) // n) * n, ((hi1 - lo2) // n + 1) * n, n)
 
 
-def _pair_crossings(seg1, seg2, nx: int, ny: int) -> list:
-    """Crossings of segment ``seg1`` with every lattice translate of ``seg2``.
-
-    Segments are (arc, index, p, q, x-interval, y-interval), and must not
-    be parallel: ``_candidate_pairs`` leaves parallel pairs out, as they
-    never cross properly.  Neighbours on one arc share a vertex only at
-    zero shift, which is not a proper crossing.
-    """
-    ai, si, p, q, x1, y1 = seg1
-    bi, _sj, r, s, x2, y2 = seg2
-    out = []
-    for dx in _shifts(*x1, *x2, nx):
-        for dy in _shifts(*y1, *y2, ny):
-            hit = _seg_intersection(p, q, (r[0] + dx, r[1] + dy), (s[0] + dx, s[1] + dy))
-            if hit is not None:
-                t, pt = hit
-                out.append((ai, si, t, bi, pt))
-    return out
-
-
-def _candidate_pairs(segs, nx: int, ny: int) -> list[tuple[int, int]]:
-    """Sorted index pairs (u, v), u < v, of segments that are not parallel
-    and whose closed x- and y-intervals both meet mod (Nx, Ny).
+def _candidate_pairs(segs, nx: int, ny: int):
+    """Index pairs (u, v), u < v, of segments that are not parallel and whose
+    closed x- and y-intervals both meet mod (Nx, Ny), as the sweep finds them.
 
     Each interval is moved by whole periods so its low end lies in
     [0, Nx) or [0, Ny).  A sweep up y keeps the open y-intervals; a y-
     interval that reaches Ny is entered again one period down, so pairs
-    meeting across the y = 0 seam meet too.  Each one opening pairs with
-    the open ones whose x-intervals meet it under some shift by whole
-    periods (the test of ``_shifts``) and whose direction is not parallel
-    to its own.  A segment spanning a whole period of y is entered once,
-    below every other entry, and never leaves, so it meets every other
-    in y; the two entries of any other segment are disjoint.
+    meeting across the y = 0 seam meet too, and may be found twice.  Each
+    opening pairs with the open ones whose x-intervals meet it under some
+    shift by whole periods (the test of ``_shifts``) and whose direction is
+    not parallel to its own.  A segment spanning a whole period of y is
+    entered once, below every other entry, and never leaves, so it meets
+    every other in y; the two entries of any other segment are disjoint.
     """
     xs = []  # per segment: its x-interval, low end in [0, Nx), and direction
     events = []
@@ -274,7 +233,6 @@ def _candidate_pairs(segs, nx: int, ny: int) -> list[tuple[int, int]]:
         if hi0 >= ny:
             events += [(lo0 - ny, 0, u), (hi0 - ny, 1, u)]
     events.sort()  # at equal heights intervals open before others close
-    pairs = set()
     active: set[int] = set()
     for _y, closing, u in events:
         if closing:
@@ -284,9 +242,8 @@ def _candidate_pairs(segs, nx: int, ny: int) -> list[tuple[int, int]]:
         for v in active:
             lo2, hi2, dx2, dy2 = xs[v]
             if (hi1 - lo2) // nx >= -((hi2 - lo1) // nx) and dx1 * dy2 != dy1 * dx2:
-                pairs.add((v, u) if v < u else (u, v))
+                yield (v, u) if v < u else (u, v)
         active.add(u)
-    return sorted(pairs)
 
 
 def a_crossings(diag: TorusDiagram):
@@ -295,23 +252,43 @@ def a_crossings(diag: TorusDiagram):
     Returns a list of (arc_i, seg_i, t_i, arc_j, point): segment seg_i of
     arc_i crosses a segment of arc_j at the Fraction t_i along seg_i, with
     the point in the lifted lattice coordinates of arc_i's segment (a pair
-    of Fractions).  Two segments are tested against each other over every
-    shift by whole periods in x and y that brings their bounding boxes
-    together; a sweep over y first keeps only the pairs that are not
-    parallel and meet in both x and y mod (Nx, Ny).  The list is ordered
-    by (segment of arc_i, segment of arc_j, x shift, y shift), segments
-    numbered in arc order, so arc_i <= arc_j.
+    of Fractions).  Each pair that the sweep of ``_candidate_pairs`` yields
+    is decided where it is found, over every shift by whole periods that
+    brings the two bounding boxes together, by integer cross products: only
+    a hit builds Fractions.  Hits are kept per pair, so a pair yielded twice
+    counts once; the list is ordered by (segment of arc_i, segment of arc_j,
+    x shift, y shift), segments numbered in arc order, so arc_i <= arc_j.
     """
-    segs = [
-        (ai, si, p, q, sorted((p[0], q[0])), sorted((p[1], q[1])))
-        for ai, arc in enumerate(diag.arcs)
-        if arc.color == "A"
-        for si, (p, q) in enumerate(zip(arc.path, arc.path[1:]))
-    ]
-    out = []
-    for u, v in _candidate_pairs(segs, *diag.scale):
-        out += _pair_crossings(segs[u], segs[v], *diag.scale)
-    return out
+    nx, ny = diag.scale
+    segs = []
+    for ai, arc in enumerate(diag.arcs):
+        if arc.color == "A":
+            for si, (p, q) in enumerate(zip(arc.path, arc.path[1:])):
+                segs.append((ai, si, p, q, (p[0], q[0]) if p[0] <= q[0] else (q[0], p[0]),
+                             (p[1], q[1]) if p[1] <= q[1] else (q[1], p[1])))
+    hits = {}  # (u, v) -> its crossings, by x shift, then y shift
+    for u, v in _candidate_pairs(segs, nx, ny):
+        ai, si, (px, py), (qx, qy), (xlo1, xhi1), (ylo1, yhi1) = segs[u]
+        bi, _sj, (rx, ry), (sx, sy), (xlo2, xhi2), (ylo2, yhi2) = segs[v]
+        d1x, d1y, d2x, d2y = qx - px, qy - py, sx - rx, sy - ry
+        denom = d1x * d2y - d1y * d2x  # not 0, as the pair is not parallel
+        lo, hi = (0, denom) if denom > 0 else (denom, 0)
+        out = []
+        dys = _shifts(ylo1, yhi1, ylo2, yhi2, ny)
+        # neighbours on one arc share a vertex only at zero shift, where
+        # tn or un is 0: not a proper crossing
+        for dx in _shifts(xlo1, xhi1, xlo2, xhi2, nx):
+            ex = rx + dx - px
+            for dy in dys:
+                ey = ry + dy - py
+                tn = ex * d2y - ey * d2x
+                un = ex * d1y - ey * d1x
+                if lo < tn < hi and lo < un < hi:
+                    t = Fraction(tn, denom)
+                    out.append((ai, si, t, bi, (px + t * d1x, py + t * d1y)))
+        if out:
+            hits[u, v] = out
+    return [c for pair in sorted(hits) for c in hits[pair]]
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,11 @@ The unit square is drawn with a frame (opposite sides identified); A, B
 and C arcs are polylines in red, blue and green.  Lifted arc segments
 are drawn once per translate by whole periods whose bounding box meets
 the square, decided on the integer lattice, clipped to the frame, so
-wrapping arcs reappear on the opposite side.  Output is deterministic:
-byte-identical for identical diagrams.
+wrapping arcs reappear on the opposite side.  Each lattice coordinate's
+text is formatted once per export, in one dict per axis, for segments
+spanning at most one period: their drawn ends lie within one period of
+the square, so each dict holds at most 3N + 1 texts.  Longer segments
+format their own.  Output is byte-identical for identical diagrams.
 """
 
 from __future__ import annotations
@@ -15,6 +18,18 @@ from .diagram import TorusDiagram, _shifts
 _SIZE = 400.0
 _MARGIN = 20.0
 _COLORS = {"A": "red", "B": "blue", "C": "green"}
+
+
+class _Texts(dict):
+    """Lattice coordinate -> its SVG text, formatted by ``text`` on first use."""
+
+    def __init__(self, text):
+        super().__init__()
+        self.text = text
+
+    def __missing__(self, v: int) -> str:
+        s = self[v] = self.text(v)
+        return s
 
 
 def export_svg(diag: TorusDiagram) -> str:
@@ -35,24 +50,27 @@ def export_svg(diag: TorusDiagram) -> str:
     # x maps to _MARGIN + x / Nx * _SIZE; y is flipped, since diagram y
     # grows upward and SVG y downward
     nx, ny = diag.scale
+    xtext = _Texts(lambda x: f"{_MARGIN + x / nx * _SIZE:.2f}")
+    ytext = _Texts(lambda y: f"{_MARGIN + (ny - y) / ny * _SIZE:.2f}")
     for arc in diag.arcs:
         head = f'<polyline stroke="{_COLORS[arc.color]}" points="'
         path = arc.path
         for (px, py), (qx, qy) in zip(path, path[1:]):
+            xlo, xhi = (px, qx) if px <= qx else (qx, px)
+            ylo, yhi = (py, qy) if py <= qy else (qy, py)
+            # the texts of a segment longer than a period are not kept
+            fx = xtext.__getitem__ if xhi - xlo <= nx else xtext.text
+            fy = ytext.__getitem__ if yhi - ylo <= ny else ytext.text
             # every translate of the segment that meets the closed square
-            ys = [(f"{_MARGIN + (ny - py - dy) / ny * _SIZE:.2f}",
-                   f"{_MARGIN + (ny - qy - dy) / ny * _SIZE:.2f}")
-                  for dy in _shifts(0, ny, *sorted((py, qy)), ny)]
-            for dx in _shifts(0, nx, *sorted((px, qx)), nx):
-                sx1 = f"{_MARGIN + (px + dx) / nx * _SIZE:.2f}"
-                sx2 = f"{_MARGIN + (qx + dx) / nx * _SIZE:.2f}"
+            ys = [(fy(py + dy), fy(qy + dy)) for dy in _shifts(0, ny, ylo, yhi, ny)]
+            for dx in _shifts(0, nx, xlo, xhi, nx):
+                sx1, sx2 = fx(px + dx), fx(qx + dx)
                 for sy1, sy2 in ys:
                     out.append(f'{head}{sx1},{sy1} {sx2},{sy2}"/>')
     out.append("</g>")
     for i, pt in enumerate(diag.bridge_points):
         fill = "black" if pt.sign > 0 else "white"
-        sx = f"{_MARGIN + pt.x / nx * _SIZE:.2f}"
-        sy = f"{_MARGIN + (ny - pt.y) / ny * _SIZE:.2f}"
+        sx, sy = xtext[pt.x], ytext[pt.y]
         out.append(
             f'<circle cx="{sx}" cy="{sy}" r="3" '
             f'fill="{fill}" stroke="black" stroke-width="1"/>'

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import braidshadow
-from braidshadow import garside
+from braidshadow import cli, garside
 from braidshadow.cli import run_cli
 from braidshadow.diagram import (
     Arc,
@@ -159,6 +159,17 @@ def test_export_verb(capsys, monkeypatch, tmp_path):
 
 def test_unknown_verb_exits_2(capsys):
     assert run(capsys, ["frobnicate"])[0] == 2
+
+
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+def test_out_of_memory_or_recursion_exits_2_without_traceback(capsys, monkeypatch, error):
+    def verb(args):
+        raise error()
+
+    monkeypatch.setitem(cli._COMMANDS, "verify", verb)
+    code, out, err = run(capsys, ["verify", "--standard", "2"])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
 
 
 def test_missing_input_exits_2(capsys):

@@ -651,7 +651,7 @@ def test_candidate_pairs_meet_in_both_axes_and_are_not_parallel():
                 parallel = (q[0] - p[0]) * (s[1] - r[1]) == (q[1] - p[1]) * (s[0] - r[0])
                 if _shift_range(p[0], q[0], r[0], s[0], nx) and not parallel:
                     expected.append((u, v))
-    assert _candidate_pairs(segs, nx, ny) == expected
+    assert sorted(set(_candidate_pairs(segs, nx, ny))) == expected
     assert 0 < len(expected) < len(meet_y)  # the y sweep alone would pass more
 
 
@@ -659,6 +659,21 @@ def test_candidate_pairs_meet_in_both_axes_and_are_not_parallel():
 def test_a_crossings_matches_oracle_on_standard(d):
     diag = assemble(standard_factorization(d))
     assert a_crossings(diag) == _all_pairs_crossings(diag) == []
+
+
+def test_a_crossings_matches_oracle_with_every_arc_recoloured_a():
+    """Built diagrams with every arc coloured A have about 1,600 crossings
+    among them, arcs wrapping -2..1 periods in x and segments straddling the
+    y seam, so this pins the order of many hits."""
+    inputs = [standard_factorization(d) for d in (2, 3)] + _acceptance_corpus()[3:13]
+    total = 0
+    for f in inputs:
+        diag = assemble(f)
+        diag = diag._replace(arcs=tuple(arc._replace(color="A") for arc in diag.arcs))
+        found = a_crossings(diag)
+        assert found == _all_pairs_crossings(diag)
+        total += len(found)
+    assert total > 1000
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: one C–C crossing per tile")
@@ -713,7 +728,6 @@ def test_a_crossings_reports_touching_and_overlapping_arcs():
 
 def test_a_crossings_across_both_seams():
     # arcs 0 and 1 cross only after shifting arc 1 by (+1, 0); arcs 2 and 3
-    # only after shifting arc 3 by (0, +1)
     # only after shifting arc 3 by (0, +1); on a lattice of (10, 20)
     arcs = (
         Arc("A", 0, 0, ((9, 4), (11, 12))),
@@ -727,6 +741,18 @@ def test_a_crossings_across_both_seams():
     assert [(ai, bi) for (ai, _si, _t, bi, _pt) in found] == [(0, 1), (2, 3)]
     assert found[0][4] == (10, 8) and found[1][4] == (5, 21)
     assert (found[0][2], found[1][2]) == (Fraction(1, 2), Fraction(3, 4))
+
+
+def test_a_crossings_reports_a_pair_the_sweep_finds_twice_once():
+    # both segments straddle the y seam of a (10, 10) lattice, so each is
+    # entered twice and the sweep finds the pair at both ends of the period
+    arcs = (Arc("A", 0, 0, ((2, 8), (6, 12))), Arc("A", 0, 0, ((6, 8), (2, 12))))
+    diag = TorusDiagram(2, (10, 10), (), arcs)
+    segs = [(0, 0, p, q, sorted((p[0], q[0])), sorted((p[1], q[1])))
+            for p, q in (arc.path for arc in arcs)]
+    assert list(_candidate_pairs(segs, 10, 10)) == [(0, 1), (0, 1)]
+    found = a_crossings(diag)
+    assert found == _all_pairs_crossings(diag) == [(0, 0, Fraction(1, 2), 1, (4, 10))]
 
 
 def test_a_crossings_finds_an_arc_crossing_a_translate_of_its_neighbouring_segment():

@@ -158,3 +158,19 @@ def test_svg_matches_reference_on_cusp_tile():
 @settings(max_examples=200, deadline=None)
 def test_svg_matches_reference(diag):
     assert export_svg(diag) == reference_export_svg(diag)
+
+
+def test_svg_matches_reference_on_segments_wrapping_many_periods():
+    # an A segment wrapping 10**3 periods in x and a C segment wrapping 10**3
+    # periods in y: segments longer than a period are not drawn from the
+    # per-export coordinate texts
+    nx, ny = 10, 8
+    points = (BridgePoint(2, 3, -1), BridgePoint(6, 5, 1))
+    arcs = (
+        Arc("A", 0, 1, ((2, 3), (6 + 1000 * nx, 5))),
+        Arc("C", 0, 1, ((2, 3), (6, 5 - 1000 * ny))),
+    )
+    diag = TorusDiagram(2, (nx, ny), points, arcs)
+    svg = export_svg(diag)
+    assert svg == reference_export_svg(diag)
+    assert svg.count('stroke="red"') > 1000 and svg.count('stroke="green"') > 1000
